@@ -94,8 +94,6 @@ def _offsets(grid: CartesianGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    grid: CartesianGrid
-    s: float
     velocity_fft: tuple  # rfftn of each velocity kernel component on the doubled grid
     scalar_fft: object   # rfftn of the scalar kernel, or None when not representable
     pad_shape: tuple
@@ -140,7 +138,7 @@ def _kernel_table(grid: CartesianGrid, s: float) -> KernelTable:
             kern = -0.5 * np.abs(z)
             kern[origin] = -grid.h / 8.0
         scalar_fft = np.fft.rfftn(kern, s=pad_shape, axes=axes)
-    return KernelTable(grid, s, tuple(vel_fft), scalar_fft, pad_shape)
+    return KernelTable(tuple(vel_fft), scalar_fft, pad_shape)
 
 
 def _padded_fft(grid: CartesianGrid, values: np.ndarray, pad_shape):

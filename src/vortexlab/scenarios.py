@@ -110,22 +110,72 @@ class Scenario:
     summary: str
     defaults: dict
     runner: object
+    # scenarios that advance a Cartesian field: params -> initial DensityField
+    # and params -> SolverConfig; validation and the runner share both
+    initial: object = None
+    config: object = None
 
 
 # ---------------------------------------------------------------------------
 # shared builders
 
 
-def _gaussian_field(grid: CartesianGrid, peak: float, mass: float) -> DensityField:
-    width_sq = mass / (2.0 * pi * peak)
+def _grid(params) -> CartesianGrid:
+    return CartesianGrid(2, params["half_width"], params["cells"])
+
+
+def _patch_spec(params) -> closed_forms.PatchSpec:
+    return closed_forms.PatchSpec(2, radius=params["radius"], tau=params["tau"])
+
+
+def _two_patch_spec(params) -> closed_forms.TwoPatchSpec:
+    return closed_forms.TwoPatchSpec(2, 1.0, params["r1"], params["r2"], params["r3"])
+
+
+def _patch_initial(params) -> DensityField:
+    spec = _patch_spec(params)
+    return field_from_function(_grid(params), lambda p: closed_forms.patch_density(spec, p, 0.0))
+
+
+def _two_patch_initial(params) -> DensityField:
+    spec = _two_patch_spec(params)
     return field_from_function(
-        grid, lambda p: peak * np.exp(-(p**2).sum(axis=-1) / (2.0 * width_sq))
+        _grid(params),
+        lambda p: closed_forms.two_patch_state(spec, np.linalg.norm(p, axis=-1), 0.0).density,
     )
 
 
-def _patch_initial(grid: CartesianGrid, radius: float, tau: float) -> DensityField:
-    spec = closed_forms.PatchSpec(2, radius=radius, tau=tau)
-    return field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, 0.0))
+def _gaussian_initial(params) -> DensityField:
+    peak = params["peak"]
+    width_sq = params["mass"] / (2.0 * pi * peak)
+    return field_from_function(
+        _grid(params), lambda p: peak * np.exp(-(p**2).sum(axis=-1) / (2.0 * width_sq))
+    )
+
+
+def _dirac_initial(params) -> DensityField:
+    grid = _grid(params)
+    vals = np.zeros(grid.shape)
+    center = grid.cells // 2
+    vals[center, center] = params["mass"] / grid.cell_volume
+    return DensityField(grid, vals)
+
+
+def _field_config(params, diagnostics="basic", viscosity=0.0) -> solver.SolverConfig:
+    """Scenarios without output_times report at t_end only."""
+    return solver.SolverConfig(
+        t_end=params["t_end"], output_times=tuple(params.get("output_times", [params["t_end"]])),
+        viscosity=viscosity, cfl=params["cfl"], transport=params["transport"],
+        diagnostics=diagnostics,
+    )
+
+
+def _full_diagnostics_config(params) -> solver.SolverConfig:
+    return _field_config(params, diagnostics="full")
+
+
+def _grid_viscosity_config(params) -> solver.SolverConfig:
+    return _field_config(params, viscosity=None)  # eps = h
 
 
 def _l1_rel(u: DensityField, reference: DensityField, mass: float) -> float:
@@ -168,35 +218,16 @@ def _monotone_nonincreasing(values, scale, tol=1e-3):
     return worst, worst <= tol * scale
 
 
-def _run_patch_best(params, grid, u0, diagnostics_level="full"):
-    """Run with eps = h and eps = 0, keep the run closer to the closed form."""
-    spec = closed_forms.PatchSpec(2, radius=params["radius"], tau=params["tau"])
-    exact = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, params["t_end"]))
-    best = None
-    for eps in (0.0, grid.h):
-        cfg = solver.SolverConfig(
-            t_end=params["t_end"],
-            output_times=tuple(params["output_times"]),
-            viscosity=eps,
-            cfl=params["cfl"],
-            transport=params["transport"],
-            diagnostics=diagnostics_level,
-        )
-        traj = solver.run(cfg, u0)
-        err = _l1_rel(traj.final(), exact, total_mass(u0))
-        if best is None or err < best[1]:
-            best = (traj, err, eps)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # scenario runners
 
 
-def _scenario_vortex_patch(params, rng, outdir):
-    grid = CartesianGrid(2, params["half_width"], params["cells"])
-    u0 = _patch_initial(grid, params["radius"], params["tau"])
-    traj, err, eps = _run_patch_best(params, grid, u0)
+def _scenario_vortex_patch(params, rng, outdir, u0, cfg):
+    grid = u0.grid
+    traj = solver.run(cfg, u0)
+    spec = _patch_spec(params)
+    exact = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, params["t_end"]))
+    err = _l1_rel(traj.final(), exact, total_mass(u0))
     checks = [
         Check("mass-conservation", "relative mass drift <= 1e-9 (conservative flux form)",
               traj.mass_drift(), "1e-9", traj.mass_drift() <= 1e-9),
@@ -234,7 +265,7 @@ def _scenario_vortex_patch(params, rng, outdir):
     diagnostics.write_records_csv(traj.records, Path(outdir) / "diagnostics.csv")
     write_grid_array(grid, traj.final().values, Path(outdir) / "final_field.bin")
     write_grid_csv(grid, {"u": traj.final().values}, Path(outdir) / "final_field.csv")
-    (Path(outdir) / "run_summary.json").write_text(json.dumps({**traj.summary(), "chosen_viscosity": eps}, indent=2))
+    (Path(outdir) / "run_summary.json").write_text(json.dumps({**traj.summary(), "chosen_viscosity": cfg.viscosity}, indent=2))
     return checks, ["diagnostics.csv", "final_field.bin", "final_field.csv", "run_summary.json"]
 
 
@@ -305,8 +336,8 @@ def _scenario_two_patch(params, rng, outdir):
     return checks, ["two_patch_trajectory.csv"]
 
 
-def _scenario_non_comparison(params, rng, outdir):
-    spec = closed_forms.TwoPatchSpec(2, 1.0, params["r1"], params["r2"], params["r3"])
+def _scenario_non_comparison(params, rng, outdir, u1_0, cfg):
+    spec = _two_patch_spec(params)
     x0 = np.array([0.5 * (params["r2"] + params["r3"]), 0.0])
     small = closed_forms.PatchSpec(
         2, radius=params["small_radius"], tau=params["small_tau"], center=tuple(x0)
@@ -320,18 +351,11 @@ def _scenario_non_comparison(params, rng, outdir):
         Check("closed-form-reversal", "closed forms give u1(x0,T) = 0 < u2(x0,T)",
               u2_x0[1] - u1_x0[1], "> 0", u1_x0[1] == 0.0 and u2_x0[1] > 0.0),
     ]
-    grid = CartesianGrid(2, params["half_width"], params["cells"])
-    u1_0 = field_from_function(
-        grid, lambda p: closed_forms.two_patch_state(spec, np.linalg.norm(p, axis=-1), 0.0).density
-    )
+    grid = u1_0.grid
     u2_0 = field_from_function(grid, lambda p: closed_forms.patch_density(small, p, 0.0))
     ordered = bool(np.all(u1_0.values >= u2_0.values - 1e-12))
     checks.append(Check("grid-ordering", "sampled initial data keeps u1 >= u2 everywhere",
                         1.0 if ordered else 0.0, "true", ordered))
-    cfg = solver.SolverConfig(
-        t_end=t_rev, output_times=(t_rev,), viscosity=0.0,
-        cfl=params["cfl"], transport=params["transport"],
-    )
     tr1 = solver.run(cfg, u1_0)
     tr2 = solver.run(cfg, u2_0)
     margin = _interp_at(tr2.final(), x0) - _interp_at(tr1.final(), x0)
@@ -343,13 +367,7 @@ def _scenario_non_comparison(params, rng, outdir):
     return checks, ["final_fields.csv"]
 
 
-def _scenario_s_sweep(params, rng, outdir, jobs=1):
-    grid = CartesianGrid(2, params["half_width"], params["cells"])
-    u0 = _patch_initial(grid, params["radius"], params["tau"])
-    cfg = solver.SolverConfig(
-        t_end=params["t_end"], output_times=(params["t_end"],),
-        viscosity=grid.h, cfl=params["cfl"], transport=params["transport"],
-    )
+def _scenario_s_sweep(params, rng, outdir, u0, cfg, jobs=1):
     rep = solver.sweep_s(cfg, u0, params["s_values"], jobs=jobs)
     checks = [
         Check("sweep-complete", "every sweep member ran to completion",
@@ -387,15 +405,9 @@ def _scenario_barenblatt_limit(params, rng, outdir):
     return checks, ["barenblatt_distances.csv"]
 
 
-def _scenario_asymptotics(params, rng, outdir):
+def _scenario_asymptotics(params, rng, outdir, u0, cfg):
     checks = []
     # (a) planar Gaussian relaxation: entropy decay and moment identities
-    grid = CartesianGrid(2, params["half_width"], params["cells"])
-    u0 = _gaussian_field(grid, params["peak"], params["mass"])
-    cfg = solver.SolverConfig(
-        t_end=params["t_end"], output_times=tuple(params["output_times"]),
-        viscosity=0.0, cfl=params["cfl"], transport=params["transport"], diagnostics="full",
-    )
     traj = solver.run(cfg, u0)
     checks.append(Check("mass-conservation", "relative mass drift <= 1e-9",
                         traj.mass_drift(), "1e-9", traj.mass_drift() <= 1e-9))
@@ -486,16 +498,8 @@ def _scenario_asymptotics(params, rng, outdir):
     return checks, ["gaussian_diagnostics.csv", "radial_trajectory.csv"]
 
 
-def _scenario_dirac(params, rng, outdir):
-    grid = CartesianGrid(2, params["half_width"], params["cells"])
-    vals = np.zeros(grid.shape)
-    center = grid.cells // 2
-    vals[center, center] = params["mass"] / grid.cell_volume
-    u0 = DensityField(grid, vals)
-    cfg = solver.SolverConfig(
-        t_end=params["t_end"], output_times=tuple(params["output_times"]),
-        viscosity=0.0, cfl=params["cfl"], transport=params["transport"],
-    )
+def _scenario_dirac(params, rng, outdir, u0, cfg):
+    grid = u0.grid
     traj = solver.run(cfg, u0)
     patch = closed_forms.PatchSpec(2, radius=diagnostics.equilibrium_radius(params["mass"], 2), tau=0.0)
     # the single live cell sits half a cell off the origin; compare against the patch there
@@ -518,11 +522,10 @@ def _scenario_dirac(params, rng, outdir):
     return checks, ["dirac_diagnostics.csv"]
 
 
-def _scenario_radial_vs_field(params, rng, outdir):
-    grid = CartesianGrid(2, params["half_width"], params["cells"])
-    u0 = _patch_initial(grid, params["radius"], params["tau"])
-    traj, _, _ = _run_patch_best(params, grid, u0, diagnostics_level="basic")
-    spec = closed_forms.PatchSpec(2, radius=params["radius"], tau=params["tau"])
+def _scenario_radial_vs_field(params, rng, outdir, u0, cfg):
+    grid = u0.grid
+    traj = solver.run(cfg, u0)
+    spec = _patch_spec(params)
     rgrid = RadialGrid(2, 0.95 * grid.half_width, params["radial_nodes"])
     worst_iface = 0.0
     worst_l1 = 0.0
@@ -614,7 +617,7 @@ REGISTRY = {
             "t_end": 3.0, "output_times": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
             "cfl": 0.45, "transport": "mc",
         },
-        _scenario_vortex_patch,
+        _scenario_vortex_patch, _patch_initial, _full_diagnostics_config,
     ),
     "two-patch": Scenario(
         "two-patch", 6,
@@ -632,7 +635,7 @@ REGISTRY = {
             "r1": 1.0, "r2": 2.0, "r3": 3.0, "small_radius": 0.1, "small_tau": 4.0,
             "cells": 432, "half_width": 6.75, "t_end": 3.0, "cfl": 0.45, "transport": "mc",
         },
-        _scenario_non_comparison,
+        _scenario_non_comparison, _two_patch_initial, _field_config,
     ),
     "s-sweep": Scenario(
         "s-sweep", 3,
@@ -641,7 +644,7 @@ REGISTRY = {
             "cells": 128, "half_width": 4.0, "radius": 1.0, "tau": 1.0,
             "t_end": 1.0, "s_values": [0.7, 0.85, 1.0], "cfl": 0.45, "transport": "mc",
         },
-        _scenario_s_sweep,
+        _scenario_s_sweep, _patch_initial, _grid_viscosity_config,
     ),
     "barenblatt-limit": Scenario(
         "barenblatt-limit", 6,
@@ -663,7 +666,7 @@ REGISTRY = {
             "radial_mass": 0.5, "radial_times": [1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0],
             "rate_tol": 1e-3,
         },
-        _scenario_asymptotics,
+        _scenario_asymptotics, _gaussian_initial, _full_diagnostics_config,
     ),
     "dirac-fundamental": Scenario(
         "dirac-fundamental", 3,
@@ -672,7 +675,7 @@ REGISTRY = {
             "cells": 512, "half_width": 2.2, "mass": pi, "t_end": 3.0,
             "output_times": [1.0, 3.0], "cfl": 0.45, "transport": "mc",
         },
-        _scenario_dirac,
+        _scenario_dirac, _dirac_initial, _field_config,
     ),
     "radial-vs-field": Scenario(
         "radial-vs-field", 7,
@@ -682,7 +685,7 @@ REGISTRY = {
             "t_end": 3.0, "output_times": [1.0, 3.0], "cfl": 0.45, "transport": "mc",
             "radial_nodes": 96,
         },
-        _scenario_radial_vs_field,
+        _scenario_radial_vs_field, _patch_initial, _field_config,
     ),
     "wasserstein-oracle": Scenario(
         "wasserstein-oracle", 4,
@@ -735,37 +738,14 @@ def validate_params(name: str, params: dict) -> list:
             errors.append(
                 f"params.{key}: expected {type(defaults[key]).__name__}, got {type(value).__name__}"
             )
-    merged = {**defaults, **{k: v for k, v in params.items() if k in defaults}}
-    if "cfl" in merged and not 0.0 < merged["cfl"] <= 1.0:
-        errors.append("params.cfl: must lie in (0, 1]")
-    if "viscosity" in merged and merged["viscosity"] is not None and merged["viscosity"] < 0:
-        errors.append("params.viscosity: must be >= 0")
-    if "t_end" in merged and merged["t_end"] <= 0:
-        errors.append("params.t_end: must be positive")
-    if "output_times" in merged:
-        outs = merged["output_times"]
-        if any(t <= 0 or t > merged["t_end"] * (1 + 1e-12) for t in outs):
-            errors.append("params.output_times: must lie in (0, t_end]")
-    # box sizing for scenarios that advance a Cartesian field
-    if not errors and name in ("vortex-patch", "radial-vs-field", "s-sweep", "non-comparison"):
+    scenario = REGISTRY[name]
+    if not errors and scenario.initial is not None:
+        merged = {**defaults, **params}
         try:
-            grid = CartesianGrid(2, merged["half_width"], merged["cells"])
-            if name == "non-comparison":
-                spec = closed_forms.TwoPatchSpec(2, 1.0, merged["r1"], merged["r2"], merged["r3"])
-                u0 = field_from_function(
-                    grid,
-                    lambda p: closed_forms.two_patch_state(spec, np.linalg.norm(p, axis=-1), 0.0).density,
-                )
-            else:
-                u0 = _patch_initial(grid, merged["radius"], merged["tau"])
-        except ValueError as exc:
-            return errors + [f"params: {exc}"]
-        need = solver.required_half_width(u0, merged["t_end"])
-        if need > grid.half_width:
-            errors.append(
-                f"params.half_width: box too small, the support growth bound "
-                f"R0(1+||u0||inf T)^(1/n) needs half-width >= {need:.4g}"
-            )
+            cfg = scenario.config(merged)
+            solver.check_box_admissible(scenario.initial(merged), cfg.t_end)
+        except (TypeError, ValueError) as exc:  # ConfigError, or a non-numeric entry
+            errors.append(f"params: {exc}")
     return errors
 
 
@@ -809,10 +789,11 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     start = time.perf_counter()
-    if spec.name == "s-sweep":
-        checks, outputs = scenario.runner(params, rng, outdir, jobs=spec.jobs)
-    else:
-        checks, outputs = scenario.runner(params, rng, outdir)
+    args = (params, rng, outdir)
+    if scenario.initial is not None:
+        args += (scenario.initial(params), scenario.config(params))
+    kwargs = {"jobs": spec.jobs} if spec.name == "s-sweep" else {}
+    checks, outputs = scenario.runner(*args, **kwargs)
     result = ScenarioResult(
         spec.name, scenario.section, params, spec.seed, checks,
         outputs + ["report.json", "report.txt"], time.perf_counter() - start,

@@ -92,15 +92,15 @@ class SolverConfig:
             raise ConfigError("t_end must be positive")
         outs = tuple(sorted(float(t) for t in self.output_times))
         if not outs:
-            raise ConfigError("at least one output time is required")
+            raise ConfigError("output_times must hold at least one time")
         if outs[0] <= 0 or outs[-1] > self.t_end * (1 + 1e-12):
-            raise ConfigError("output times must lie in (0, t_end]")
+            raise ConfigError("output_times must lie in (0, t_end]")
         if not 0.0 < self.cfl <= 1.0:
-            raise ConfigError("cfl number must lie in (0, 1]")
+            raise ConfigError("cfl must lie in (0, 1]")
         if self.viscosity is not None and self.viscosity < 0:
             raise ConfigError("viscosity must be >= 0")
         if not 0.0 < self.s <= 1.0:
-            raise ConfigError("exponent s must lie in (0, 1]")
+            raise ConfigError("s must lie in (0, 1]")
         if self.diagnostics not in ("basic", "full"):
             raise ConfigError("diagnostics must be 'basic' or 'full'")
         if self.transport not in ("mc", "donor"):
@@ -252,6 +252,21 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float
     return new
 
 
+def _ssp_update(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float, cfg: SolverConfig):
+    """The update of `step` from the velocity `comps` of `vals`.  Returns the new
+    values and the mass clipped from them; only a negative value triggers a clip."""
+    new = _advance(grid, vals, comps, eps, dt, cfg.transport)
+    if cfg.transport == "mc":
+        comps1 = velocity_from_values(grid, np.maximum(new, 0.0), cfg.s)
+        new = 0.5 * (vals + _advance(grid, new, comps1, eps, dt, cfg.transport))
+    if not np.isfinite(new).all():
+        raise NumericalError("non-finite values after an explicit step")
+    negative = new < 0.0
+    if not negative.any():
+        return new, 0.0
+    return np.maximum(new, 0.0), -grid.cell_volume * float(new[negative].sum())
+
+
 def step(u: DensityField, cfg: SolverConfig, dt: float) -> DensityField:
     """One conservative explicit step (SSP two-stage for "mc", forward Euler
     for "donor"); dt must respect the stability bound
@@ -262,13 +277,7 @@ def step(u: DensityField, cfg: SolverConfig, dt: float) -> DensityField:
     limit = _stable_dt(grid, comps, eps, cfg.cfl)
     if dt > limit * (1.0 + 1e-9):
         raise CFLError(f"dt={dt:.3e} exceeds the stability bound {limit:.3e}")
-    vals = _advance(grid, u.values, comps, eps, dt, cfg.transport)
-    if cfg.transport == "mc":
-        comps1 = velocity_from_values(grid, np.maximum(vals, 0.0), cfg.s)
-        vals = 0.5 * (u.values + _advance(grid, vals, comps1, eps, dt, cfg.transport))
-    if not np.isfinite(vals).all():
-        raise NumericalError("non-finite values after explicit step")
-    return DensityField(grid, np.maximum(vals, 0.0))
+    return DensityField(grid, _ssp_update(grid, u.values, comps, eps, dt, cfg)[0])
 
 
 def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> float:
@@ -332,16 +341,8 @@ def run(cfg: SolverConfig, u0: DensityField) -> Trajectory:
             dt = min(_stable_dt(grid, comps, eps, cfg.cfl), target - t)
             if not dt > 0:
                 raise NumericalError("time step collapsed to zero")
-            vals = _advance(grid, u.values, comps, eps, dt, cfg.transport)
-            if cfg.transport == "mc":
-                comps1 = velocity_from_values(grid, np.maximum(vals, 0.0), cfg.s)
-                vals = 0.5 * (u.values + _advance(grid, vals, comps1, eps, dt, cfg.transport))
-            if not np.isfinite(vals).all():
-                raise NumericalError(f"non-finite values at t={t:.6g}")
-            negative = vals < 0.0
-            if negative.any():
-                traj.clipped_mass += -grid.cell_volume * float(vals[negative].sum())
-                vals = np.maximum(vals, 0.0)
+            vals, clipped = _ssp_update(grid, u.values, comps, eps, dt, cfg)
+            traj.clipped_mass += clipped
             u = DensityField(grid, vals)
             t += dt
             traj.steps += 1
@@ -377,8 +378,12 @@ class SweepReport:
 
 
 def _run_sweep_member(args):
+    """(s, trajectory, None), or (s, None, error text) so a failure costs only its member."""
     cfg, u0, s = args
-    return s, run(replace(cfg, s=s), u0)
+    try:
+        return s, run(replace(cfg, s=s), u0), None
+    except Exception as exc:
+        return s, None, repr(exc)
 
 
 def sweep_s(cfg: SolverConfig, u0: DensityField, s_values, jobs: int = 1) -> SweepReport:
@@ -388,21 +393,16 @@ def sweep_s(cfg: SolverConfig, u0: DensityField, s_values, jobs: int = 1) -> Swe
     s_values = sorted(float(s) for s in s_values)
     if 1.0 not in s_values:
         raise ConfigError("the sweep must include s = 1")
-    results, errors = {}, {}
     tasks = [(cfg, u0, s) for s in s_values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for s, traj in pool.map(_run_sweep_member, tasks):
-                results[s] = traj
+            outcomes = list(pool.map(_run_sweep_member, tasks))
     else:
-        for task in tasks:
-            s = task[2]
-            try:
-                results[s] = _run_sweep_member(task)[1]
-            except Exception as exc:  # keep the partial report
-                errors[s] = repr(exc)
+        outcomes = [_run_sweep_member(task) for task in tasks]
+    results = {s: traj for s, traj, err in outcomes if err is None}
+    errors = {s: err for s, _, err in outcomes if err is not None}
     distances = []
     ref = results.get(1.0)
     for s in s_values:

@@ -41,25 +41,21 @@ def report(criterion: str, passed: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def patch_run():
-    """Criterion-4 configuration: n=2, N=256, box [-4,4]^2, patch R=1 tau=1, to t=3;
-    both viscosities are run and the one closer to the closed form is kept."""
+    """Criterion-4 configuration: n=2, N=256, box [-4,4]^2, patch R=1 tau=1, to t=3,
+    inviscid (eps = 0), as the vortex-patch scenario runs it."""
     grid = CartesianGrid(2, 4.0, 256)
     spec = closed_forms.PatchSpec(2, radius=1.0, tau=1.0)
     u0 = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, 0.0))
     exact = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, 3.0))
-    best = None
     start = time.perf_counter()
-    for eps in (0.0, grid.h):
-        cfg = solver.SolverConfig(
-            t_end=3.0, output_times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-            viscosity=eps, cfl=0.45, transport="mc", diagnostics="full",
-        )
-        traj = solver.run(cfg, u0)
-        err = grid.cell_volume * float(np.abs(traj.final().values - exact.values).sum()) / total_mass(u0)
-        if best is None or err < best["l1"]:
-            best = {"traj": traj, "l1": err, "eps": eps}
-    best.update(grid=grid, spec=spec, u0=u0, elapsed=time.perf_counter() - start)
-    return best
+    cfg = solver.SolverConfig(
+        t_end=3.0, output_times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+        viscosity=0.0, cfl=0.45, transport="mc", diagnostics="full",
+    )
+    traj = solver.run(cfg, u0)
+    err = grid.cell_volume * float(np.abs(traj.final().values - exact.values).sum()) / total_mass(u0)
+    return {"traj": traj, "l1": err, "eps": cfg.viscosity, "grid": grid, "spec": spec, "u0": u0,
+            "elapsed": time.perf_counter() - start}
 
 
 @pytest.fixture(scope="module")

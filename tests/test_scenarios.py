@@ -13,6 +13,9 @@ from vortexlab.scenarios import (
 )
 
 
+SMALL_PATCH = {"cells": 64, "t_end": 0.5, "output_times": [0.25, 0.5]}
+
+
 class TestRegistry:
     def test_nine_scenarios(self):
         assert len(REGISTRY) == 9
@@ -64,11 +67,27 @@ class TestValidateConfig:
         errs = validate_config(path)
         assert errs and errs[0].startswith("json: line")
 
+    def test_dirac_box_too_small_names_the_rule(self):
+        errs = validate_config(
+            {"scenario": "dirac-fundamental", "params": {"half_width": 1.5, "cells": 64}}
+        )
+        assert errs and "support growth bound" in errs[0]
+
+    def test_unknown_transport_rejected(self, tmp_path):
+        cfg = {"scenario": "asymptotics", "params": {"transport": "upstream"}}
+        errs = validate_config(cfg)
+        assert errs and "transport" in errs[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) == 2
+
     def test_output_times_window(self):
         errs = validate_config(
             {"scenario": "vortex-patch", "params": {"output_times": [5.0], "t_end": 3.0}}
         )
         assert errs and "output_times" in errs[0]
+        errs = validate_config({"scenario": "vortex-patch", "params": {"output_times": [None]}})
+        assert errs and errs[0].startswith("params:")
 
 
 class TestRunScenario:
@@ -91,14 +110,27 @@ class TestRunScenario:
         result = run_scenario(ScenarioSpec("barenblatt-limit", outdir=str(tmp_path)))
         assert result.passed
 
-    def test_deterministic_csv_outputs(self, tmp_path):
+    @pytest.mark.parametrize("name, params, files", [
+        ("wasserstein-oracle", {}, ["oracle_pairs.csv"]),
+        ("vortex-patch", SMALL_PATCH, ["diagnostics.csv", "final_field.csv"]),
+    ], ids=["wasserstein-oracle", "vortex-patch"])
+    def test_deterministic_csv_outputs(self, tmp_path, name, params, files):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        run_scenario(ScenarioSpec("wasserstein-oracle", outdir=str(a), seed=11))
-        run_scenario(ScenarioSpec("wasserstein-oracle", outdir=str(b), seed=11))
-        fa = (a / "wasserstein-oracle" / "oracle_pairs.csv").read_bytes()
-        fb = (b / "wasserstein-oracle" / "oracle_pairs.csv").read_bytes()
-        assert fa == fb
+        run_scenario(ScenarioSpec(name, params=params, outdir=str(a), seed=11))
+        run_scenario(ScenarioSpec(name, params=params, outdir=str(b), seed=11))
+        for f in files:
+            assert (a / name / f).read_bytes() == (b / name / f).read_bytes()
+
+    def test_vortex_patch_run_summary(self, tmp_path):
+        result = run_scenario(ScenarioSpec("vortex-patch", params=SMALL_PATCH, outdir=str(tmp_path)))
+        summary = json.loads((tmp_path / "vortex-patch" / "run_summary.json").read_text())
+        assert set(summary) == {
+            "t_end", "s", "viscosity", "cfl", "steps", "wall_time_s", "mass_drift_relative",
+            "clipped_mass", "max_sup_bound_ratio", "warnings", "chosen_viscosity",
+        }
+        assert summary["chosen_viscosity"] == 0.0
+        assert "l1-error" in {c.name for c in result.checks}
 
     def test_seed_changes_random_suite(self, tmp_path):
         a = tmp_path / "a"

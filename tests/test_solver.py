@@ -194,6 +194,15 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_s(cfg, patch_field(g), [0.5, 0.8])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_member_keeps_partial_report(self, jobs):
+        g = CartesianGrid(2, 4.0, 32)
+        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), viscosity=0.0)
+        rep = sweep_s(cfg, patch_field(g), [0.0, 1.0], jobs=jobs)  # s = 0 is rejected by replace
+        assert rep.partial
+        assert set(rep.errors) == {0.0} and "ConfigError" in rep.errors[0.0]
+        assert rep.distances == [None, 0.0]
+
     def test_distances_nonincreasing_in_s(self):
         g = CartesianGrid(2, 4.0, 96)
         cfg = SolverConfig(t_end=0.5, output_times=(0.5,), viscosity=g.h)
