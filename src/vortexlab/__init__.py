@@ -57,10 +57,8 @@ from .potentials import (
 )
 from .diagnostics import (
     DiagnosticsRecord,
-    RenormalizedState,
     asymptotic_error,
     entropy_and_dissipation,
-    renormalize,
     wasserstein_continuity_check,
     wasserstein_radial,
 )

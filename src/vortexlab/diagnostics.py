@@ -1,23 +1,25 @@
-"""Quantitative checks: renormalized (self-similar) variables, the entropy
-Lyapunov functional and its dissipation, radial Wasserstein distances via
+"""Quantitative checks: the entropy Lyapunov functional of the renormalized
+(self-similar) flow and its dissipation, radial Wasserstein distances via
 quantile functions, and trajectory-level continuity reports.
 
-The renormalized flow uses y = x/(1+t)^{1/n}, tau = log(1+t), U = (1+t) u;
-an expanding uniform patch becomes a stationary indicator in these variables,
-and the entropy
+The renormalized flow uses y = x/a, a = (1+t)^{1/n}, tau = log(1+t) and
+U = (1+t) u; an expanding uniform patch becomes a stationary indicator in these
+variables, and the entropy
 
     Ent(U) = int [ 1/2 |grad(P - P0)|^2 + U0 (P - P0) + U |y|^2 / (2n) ] dy    (n = 2)
 
-decays along orbits at rate D(U) = int U |V - y/n|^2 dy.  The planar entropy
-needs a fixed smooth reference density U0 of equal mass; only entropy
-differences are reference-independent, so reported absolute values are tied to
-the shipped reference (a C^2 bump pinned to the equilibrium radius).
+decays along orbits at rate D(U) = int U |V - y/n|^2 dy.  The renormalized
+quantities are evaluated on the grid of the physical field u: the s = 1
+kernels are homogeneous up to a constant, so no contracted y-grid is built.
+The planar entropy needs a fixed smooth reference density U0 of equal mass;
+only entropy differences are reference-independent, so reported absolute
+values are tied to the shipped reference (a C^2 bump pinned to the
+equilibrium radius).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import log1p
 
 import numpy as np
 
@@ -29,12 +31,10 @@ from .grids import (
     sphere_area,
     unit_ball_volume,
 )
-from .potentials import potential_values, velocity_from_values
+from .potentials import energy, velocity_from_values
 
 __all__ = [
     "DiagnosticsRecord",
-    "RenormalizedState",
-    "renormalize",
     "equilibrium_radius",
     "asymptotic_error",
     "mollified_reference",
@@ -87,39 +87,26 @@ def write_records_csv(records, path) -> None:
             f.write(",".join("" if v is None else f"{v:.17g}" for v in rec.row()) + "\n")
 
 
-@dataclass(frozen=True, eq=False)
-class RenormalizedState:
-    """Density in self-similar variables; total mass equals the original mass."""
-
-    field: DensityField
-    t: float
-    tau: float
-
-
-def renormalize(u: DensityField, t: float) -> RenormalizedState:
-    """Rescale onto the y-grid.  The y-grid is the x-grid contracted by
-    (1+t)^{1/n}, so the rebinning is the identity map on cells and mass is
-    conserved exactly; at t = 0 this is the identity transform."""
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    n = u.grid.n
-    scale = (1.0 + t) ** (1.0 / n)
-    ygrid = CartesianGrid(n, u.grid.half_width / scale, u.grid.cells)
-    return RenormalizedState(DensityField(ygrid, (1.0 + t) * u.values), t, log1p(t))
-
-
 def equilibrium_radius(mass: float, n: int) -> float:
     """Radius with omega_n R^n = mass (support of the unit-height limit profile)."""
     return (mass / unit_ball_volume(n)) ** (1.0 / n)
 
 
-def asymptotic_error(state: RenormalizedState, mass: float) -> float:
-    """L1 distance of U to the equal-mass indicator chi_{|y| <= R0}."""
+def _spatial_scale(t: float, n: int) -> float:
+    """a = (1+t)^{1/n}, the factor between x and the self-similar variable y = x/a."""
+    if t < 0:
+        raise ValueError("time must be >= 0")
+    return (1.0 + t) ** (1.0 / n)
+
+
+def asymptotic_error(u: DensityField, t: float, mass: float) -> float:
+    """L1 distance of U = (1+t) u to the equal-mass indicator chi_{|y| <= R0},
+    as int |u - chi_{|x| <= a R0} / (1+t)| dx on u's grid."""
     if mass <= 0:
         raise ValueError("mass must be positive")
-    g = state.field.grid
-    target = (g.radius() <= equilibrium_radius(mass, g.n)).astype(float)
-    return g.cell_volume * float(np.abs(state.field.values - target).sum())
+    g = u.grid
+    inside = g.radius() <= _spatial_scale(t, g.n) * equilibrium_radius(mass, g.n)
+    return g.cell_volume * float(np.abs(u.values - inside / (1.0 + t)).sum())
 
 
 def mollified_reference(grid: CartesianGrid, mass: float, radius: float | None = None) -> DensityField:
@@ -139,39 +126,29 @@ def mollified_reference(grid: CartesianGrid, mass: float, radius: float | None =
     return DensityField(grid, shape * (mass / raw))
 
 
-def entropy_and_dissipation(state: RenormalizedState, reference: DensityField):
-    """Planar entropy Ent(U) and dissipation D(U) = int U |V - y/n|^2 dy.
+def entropy_and_dissipation(u: DensityField, t: float, mass: float):
+    """Planar entropy Ent(U) and dissipation D(U) = int U |V - y/n|^2 dy of the
+    renormalized state of u at time t, against the reference bump of `mass`.
 
-    The reference must live on the state's y-grid with matching mass (1e-8
-    relative).  V is the renormalized transport velocity -grad P.
+    Evaluated on u's grid: on the y-grid the log kernel is the x-grid kernel
+    plus ln(a)/2pi, which integrates to zero against the zero-mass difference
+    U - U0, and the velocity of U is a v.  The y-grid reference pulls back to
+    (1+t) times the bump of radius a R0, so
+
+        Ent = 1/2 energy(u, reference) + int u |x|^2 dx / (2n(1+t)),
+        D   = int u |a v - x/(n a)|^2 dx.
+
+    `mass` must match the mass of u to 1e-8 relative.
     """
-    g = state.field.grid
+    g = u.grid
     if g.n != 2:
         raise ValueError("entropy is implemented for the planar case (n = 2)")
-    if reference.grid != g:
-        raise ValueError("reference must live on the state's y-grid")
-    cv = g.cell_volume
-    u_vals = state.field.values
-    mass_u = cv * u_vals.sum()
-    mass_ref = cv * reference.values.sum()
-    if abs(mass_u - mass_ref) > 1e-8 * max(mass_u, 1e-300):
-        raise ValueError(f"reference mass {mass_ref:.12g} != state mass {mass_u:.12g}")
-    diff = u_vals - reference.values
-    w = potential_values(g, diff, 1.0)
-    grad_w = velocity_from_values(g, diff, 1.0)  # components of -grad(P - P0)
-    grad_sq = sum(c * c for c in grad_w)
-    ent = (
-        0.5 * cv * float(grad_sq.sum())
-        + cv * float((reference.values * w).sum())
-        + second_moment(state.field) / (2.0 * g.n)
-    )
-    v_comps = velocity_from_values(g, u_vals, 1.0)
-    coords = g.centers()
-    dev = np.zeros(g.shape)
-    for k in range(g.n):
-        dev += (v_comps[k] - coords[k] / g.n) ** 2
-    dissipation = cv * float((u_vals * dev).sum())
-    return ent, dissipation
+    a = _spatial_scale(t, g.n)
+    reference = mollified_reference(g, mass, radius=a * equilibrium_radius(mass, g.n))
+    ent = 0.5 * energy(u, 1.0, reference=reference) + second_moment(u) / (2.0 * g.n * (1.0 + t))
+    v_comps = velocity_from_values(g, u.values, 1.0)
+    dev = sum((a * v - x / (g.n * a)) ** 2 for v, x in zip(v_comps, g.centers()))
+    return ent, g.cell_volume * float((u.values * dev).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from math import gamma, pi
 
 import numpy as np
 
-from .burgers import mass_transform
+from .burgers import mass_transform, radial_speed_values
 from .grids import (
     CartesianGrid,
     DensityField,
@@ -185,10 +185,7 @@ def potential_values(grid: CartesianGrid, values: np.ndarray, s: float) -> np.nd
 
 def radial_velocity(m: MassFunction) -> RadialProfile:
     """Radial speed profile v(r) = M(r)/r^{n-1} with v(0) = 0."""
-    r = m.grid.r
-    vals = np.zeros_like(m.values)
-    vals[1:] = m.values[1:] / r[1:] ** (m.grid.n - 1)
-    return RadialProfile(m.grid, np.maximum(vals, 0.0))
+    return RadialProfile(m.grid, np.maximum(radial_speed_values(m), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .diagnostics import (
     entropy_and_dissipation,
     equilibrium_radius,
     mollified_reference,
-    renormalize,
     wasserstein_radial,
 )
 from .grids import (
@@ -71,7 +70,8 @@ class SolverConfig:
     """Numerical parameters of a run.
 
     viscosity=None selects the grid-scale default eps = h; 0 disables the
-    diffusive term entirely.  output_times must lie in (0, t_end].
+    diffusive term entirely.  output_times must lie in (0, t_end] and
+    end at t_end, so the run stops at the horizon it reports.
 
     transport="mc" is a monotonized-central limited reconstruction advanced
     with two-stage SSP time stepping (second order away from extrema, keeps
@@ -93,8 +93,8 @@ class SolverConfig:
         outs = tuple(sorted(float(t) for t in self.output_times))
         if not outs:
             raise ConfigError("output_times must hold at least one time")
-        if outs[0] <= 0 or outs[-1] > self.t_end * (1 + 1e-12):
-            raise ConfigError("output_times must lie in (0, t_end]")
+        if outs[0] <= 0 or abs(outs[-1] - self.t_end) > 1e-12 * self.t_end:
+            raise ConfigError("output_times must lie in (0, t_end] and end at t_end")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("cfl must lie in (0, 1]")
         if self.viscosity is not None and self.viscosity < 0:
@@ -308,11 +308,7 @@ def _make_record(u, t, tau, cfg, mass0, reference) -> DiagnosticsRecord:
         from .potentials import energy as _energy
 
         rec.energy = _energy(u, 1.0, reference=reference) if cfg.s == 1.0 else None
-        state = renormalize(u, t)
-        ref_y = mollified_reference(state.field.grid, mass0)
-        ent, dis = entropy_and_dissipation(state, ref_y)
-        rec.entropy = ent
-        rec.dissipation = dis
+        rec.entropy, rec.dissipation = entropy_and_dissipation(u, t, mass0)
         rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)
     return rec
 

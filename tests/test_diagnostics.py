@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from math import pi, sqrt
 
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 from vortexlab.burgers import mass_transform, run_finite_volume
@@ -14,7 +15,6 @@ from vortexlab.diagnostics import (
     equilibrium_radius,
     mollified_reference,
     quantile_radii,
-    renormalize,
     wasserstein_continuity_check,
     wasserstein_radial,
     write_records_csv,
@@ -26,8 +26,10 @@ from vortexlab.grids import (
     RadialGrid,
     RadialProfile,
     field_from_function,
+    second_moment,
     total_mass,
 )
+from vortexlab.potentials import potential_values, velocity_from_values
 
 
 def patch_field(grid, t=0.0, radius=1.0, tau=1.0):
@@ -44,29 +46,16 @@ def random_mass_function(rng, rgrid, total=None):
 
 
 class TestRenormalize:
-    def test_identity_at_time_zero(self):
-        g = CartesianGrid(2, 2.0, 64)
-        u = patch_field(g)
-        state = renormalize(u, 0.0)
-        assert state.field.grid == g
-        np.testing.assert_array_equal(state.field.values, u.values)
-        assert state.tau == 0.0
-
     def test_patch_becomes_stationary_indicator(self):
         g = CartesianGrid(2, 6.0, 256)
         for t in (1.0, 4.0):
             u = patch_field(g, t=t)
-            state = renormalize(u, t)
-            target = (state.field.grid.radius() <= 1.0).astype(float)
+            # U = (1+t) u against chi_{|y| <= 1}, with y = x / sqrt(1+t)
+            a = sqrt(1.0 + t)
+            target = (g.radius() <= a).astype(float)
             # identical up to the cells cut by the circle
-            mismatch = np.abs(state.field.values - target) > 1e-12
-            assert mismatch.mean() < 4 * state.field.grid.h
-
-    def test_mass_preserved_exactly(self):
-        g = CartesianGrid(2, 3.0, 128)
-        u = DensityField(g, np.exp(-g.radius() ** 2))
-        state = renormalize(u, 2.5)
-        assert total_mass(state.field) == pytest.approx(total_mass(u), rel=1e-14)
+            mismatch = np.abs((1.0 + t) * u.values - target) > 1e-12
+            assert mismatch.mean() < 4 * g.h / a
 
 
 class TestAsymptoticError:
@@ -74,15 +63,14 @@ class TestAsymptoticError:
         g = CartesianGrid(2, 2.0, 256)
         mass = pi * 0.8**2
         u = DensityField(g, (g.radius() <= equilibrium_radius(mass, 2)).astype(float))
-        state = renormalize(u, 0.0)
-        assert asymptotic_error(state, mass) <= 4 * g.h
+        assert asymptotic_error(u, 0.0, mass) <= 4 * g.h
 
     def test_patch_error_flat_in_time(self):
         g = CartesianGrid(2, 6.0, 256)
         errs = []
         for t in (0.0, 3.0, 9.0):
             u = patch_field(g, t=t)
-            errs.append(asymptotic_error(renormalize(u, t), pi))
+            errs.append(asymptotic_error(u, t, pi))
         assert max(errs) <= 6 * g.h
 
 
@@ -90,17 +78,14 @@ class TestEntropy:
     def test_dissipation_vanishes_at_equilibrium(self):
         g = CartesianGrid(2, 2.0, 256)
         u = DensityField(g, (g.radius() <= 1.0).astype(float))
-        state = renormalize(u, 0.0)
-        ref = mollified_reference(g, total_mass(u))
-        _, d = entropy_and_dissipation(state, ref)
+        _, d = entropy_and_dissipation(u, 0.0, total_mass(u))
         assert d <= constants()["patch_dissipation_per_h"] * g.h
 
     def test_reference_mass_checked(self):
         g = CartesianGrid(2, 2.0, 64)
         u = DensityField(g, (g.radius() <= 1.0).astype(float))
-        ref = mollified_reference(g, 0.5 * total_mass(u))
-        with pytest.raises(ValueError):
-            entropy_and_dissipation(renormalize(u, 0.0), ref)
+        with pytest.raises(ValueError, match="reference mass"):
+            entropy_and_dissipation(u, 0.0, 0.5 * total_mass(u))
 
     def test_entropy_independent_of_rotation(self):
         # quarter rotation permutes grid values; Ent built from radial pieces only
@@ -109,11 +94,47 @@ class TestEntropy:
         vals = rng.random(g.shape) * (g.radius() <= 1.5)
         u = DensityField(g, vals)
         rot = DensityField(g, np.rot90(vals).copy())
-        ref = mollified_reference(g, total_mass(u))
-        e1, d1 = entropy_and_dissipation(renormalize(u, 0.0), ref)
-        e2, d2 = entropy_and_dissipation(renormalize(rot, 0.0), ref)
+        e1, d1 = entropy_and_dissipation(u, 0.0, total_mass(u))
+        e2, d2 = entropy_and_dissipation(rot, 0.0, total_mass(u))
         assert e2 == pytest.approx(e1, rel=1e-10)
         assert d2 == pytest.approx(d1, rel=1e-10)
+
+
+def y_grid_entropy_and_dissipation(u, t, mass):
+    """Ent(U) and D(U) of U = (1+t) u on the contracted y-grid, y = x/sqrt(1+t):
+    the direct evaluation in self-similar variables, kept as the reference for
+    the evaluation on u's own grid."""
+    yg = CartesianGrid(2, u.grid.half_width / sqrt(1.0 + t), u.grid.cells)
+    big_u = DensityField(yg, (1.0 + t) * u.values)
+    ref = mollified_reference(yg, mass).values
+    diff = big_u.values - ref
+    cv = yg.cell_volume
+    grad_sq = sum(c * c for c in velocity_from_values(yg, diff, 1.0))
+    w = potential_values(yg, diff, 1.0)
+    ent = 0.5 * cv * float(grad_sq.sum()) + cv * float((ref * w).sum()) + second_moment(big_u) / 4.0
+    v = velocity_from_values(yg, big_u.values, 1.0)
+    dev = sum((vk - yk / 2.0) ** 2 for vk, yk in zip(v, yg.centers()))
+    return ent, cv * float((big_u.values * dev).sum())
+
+
+class TestEntropyOnRunGrid:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cells=st.integers(8, 16).map(lambda k: 2 * k),
+        half_width=st.floats(1.0, 4.0),
+        t=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_y_grid_evaluation(self, cells, half_width, t, seed):
+        g = CartesianGrid(2, half_width, cells)
+        rng = np.random.default_rng(seed)
+        u = DensityField(g, rng.random(g.shape) * (g.radius() <= half_width / 2))
+        mass = total_mass(u)
+        ent, dis = entropy_and_dissipation(u, t, mass)
+        ent_y, dis_y = y_grid_entropy_and_dissipation(u, t, mass)
+        floor = 1e-12 * mass * equilibrium_radius(mass, 2) ** 2 / 4
+        assert ent == pytest.approx(ent_y, rel=1e-12, abs=floor)
+        assert dis == pytest.approx(dis_y, rel=1e-12, abs=floor)
 
 
 def atoms_from_mass_function(m, k=400):
@@ -278,7 +299,7 @@ class TestLongHorizonRelaxation:
         traj = run(cfg, u0)
         mass = total_mass(u0)
         errs = [
-            asymptotic_error(renormalize(u, t), mass)
+            asymptotic_error(u, t, mass)
             for t, u in zip(traj.times[1:], traj.fields[1:])
         ]
         assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -293,11 +314,11 @@ class TestAsymptoticErrorScaling:
         lam = 2.5
         scaled = DensityField(g, lam * u.values)
         mass = total_mass(u)
-        base = asymptotic_error(renormalize(u, 0.0), mass)
+        base = asymptotic_error(u, 0.0, mass)
         # the indicator target changes with the mass parameter, so rebuild it at lam*mass
-        got = asymptotic_error(renormalize(scaled, 0.0), lam * mass)
+        got = asymptotic_error(scaled, 0.0, lam * mass)
         # equality is not exact: the target radius moves; check 1-homogeneity of the integrand
-        u_same_radius = asymptotic_error(renormalize(scaled, 0.0), mass)
+        u_same_radius = asymptotic_error(scaled, 0.0, mass)
         direct = g.cell_volume * float(
             np.abs(lam * u.values - (g.radius() <= equilibrium_radius(mass, 2))).sum()
         )
@@ -319,9 +340,7 @@ class TestPatchRecordTable:
             from vortexlab.solver import support_radius
 
             supports.append(support_radius(u))
-            state = renormalize(u, t)
-            ref = mollified_reference(state.field.grid, masses[-1])
-            _, d = entropy_and_dissipation(state, ref)
+            _, d = entropy_and_dissipation(u, t, masses[-1])
             assert d <= constants()["patch_dissipation_per_h"] * grid.h
         for t, s in zip((0.0, 1.0, 3.0, 10.0), supports):
             assert s == pytest.approx(spec.support_radius(t), abs=1.5 * grid.h)

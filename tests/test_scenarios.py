@@ -81,13 +81,19 @@ class TestValidateConfig:
         path.write_text(json.dumps(cfg))
         assert main(["validate", str(path)]) == 2
 
-    def test_output_times_window(self):
+    def test_output_times_window(self, tmp_path):
         errs = validate_config(
             {"scenario": "vortex-patch", "params": {"output_times": [5.0], "t_end": 3.0}}
         )
         assert errs and "output_times" in errs[0]
         errs = validate_config({"scenario": "vortex-patch", "params": {"output_times": [None]}})
         assert errs and errs[0].startswith("params:")
+        # a run stopping before t_end would be compared with the closed form at t_end
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(
+            {"scenario": "vortex-patch", "params": {"cells": 64, "t_end": 1.0, "output_times": [0.5]}}
+        ))
+        assert main(["validate", str(path)]) == 2
 
 
 class TestRunScenario:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from math import pi
 
+from hypothesis import given, settings, strategies as st
+
 from vortexlab.burgers import CFLError
 from vortexlab.closed_forms import PatchSpec, patch_density
 from vortexlab.grids import (
@@ -28,18 +30,20 @@ def patch_field(grid, t=0.0, radius=1.0, tau=1.0):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="t_end"):
             SolverConfig(t_end=-1.0, output_times=(1.0,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="output_times"):
             SolverConfig(t_end=1.0, output_times=(2.0,))
-        with pytest.raises(ConfigError):
-            SolverConfig(t_end=1.0, output_times=(0.5,), cfl=0.0)
-        with pytest.raises(ConfigError):
-            SolverConfig(t_end=1.0, output_times=(0.5,), viscosity=-0.1)
-        with pytest.raises(ConfigError):
-            SolverConfig(t_end=1.0, output_times=(0.5,), s=1.5)
-        with pytest.raises(ConfigError):
-            SolverConfig(t_end=1.0, output_times=(0.5,), transport="upstream")
+        with pytest.raises(ConfigError, match="end at t_end"):
+            SolverConfig(t_end=1.0, output_times=(0.5,))
+        with pytest.raises(ConfigError, match="cfl"):
+            SolverConfig(t_end=1.0, output_times=(1.0,), cfl=0.0)
+        with pytest.raises(ConfigError, match="viscosity"):
+            SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=-0.1)
+        with pytest.raises(ConfigError, match="s must"):
+            SolverConfig(t_end=1.0, output_times=(1.0,), s=1.5)
+        with pytest.raises(ConfigError, match="transport"):
+            SolverConfig(t_end=1.0, output_times=(1.0,), transport="upstream")
 
     def test_default_viscosity_is_grid_scale(self):
         g = CartesianGrid(2, 4.0, 64)
@@ -171,6 +175,17 @@ class TestRun:
         traj = run(cfg, u0)
         assert traj.mass_drift() <= 1e-9
 
+    def test_full_diagnostics_build_one_kernel_table(self):
+        # the renormalized entropy and dissipation are evaluated on the run's grid
+        from vortexlab.potentials import _kernel_table
+
+        g = CartesianGrid(2, 4.0, 32)
+        cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.2, 0.3), viscosity=0.0, diagnostics="full")
+        _kernel_table.cache_clear()
+        traj = run(cfg, patch_field(g))
+        assert all(rec.entropy is not None for rec in traj.records)
+        assert _kernel_table.cache_info().misses == 1
+
     def test_summary_fields(self):
         g = CartesianGrid(2, 4.0, 64)
         cfg = SolverConfig(t_end=0.5, output_times=(0.5,), viscosity=0.0)
@@ -178,6 +193,25 @@ class TestRun:
         s = traj.summary()
         for key in ("steps", "mass_drift_relative", "clipped_mass", "max_sup_bound_ratio", "warnings"):
             assert key in s
+
+
+class TestRunProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        half_width=st.floats(1.0, 4.0),
+        cfl=st.floats(0.05, 0.5),
+        viscosity=st.sampled_from([0.0, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mass_positivity_and_clip_ledger(self, half_width, cfl, viscosity, seed):
+        g = CartesianGrid(2, half_width, 16)
+        rng = np.random.default_rng(seed)
+        u0 = DensityField(g, rng.random(g.shape) * (g.radius() <= half_width / 4))
+        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), viscosity=viscosity, cfl=cfl, transport="mc")
+        traj = run(cfg, u0)
+        assert traj.mass_drift() <= 1e-12
+        assert min(float(f.values.min()) for f in traj.fields) >= 0.0
+        assert traj.clipped_mass <= 1e-12 * total_mass(u0)
 
 
 class TestSweep:
