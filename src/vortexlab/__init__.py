@@ -62,7 +62,7 @@ from .diagnostics import (
     wasserstein_continuity_check,
     wasserstein_radial,
 )
-from .solver import SolverConfig, Trajectory, run, step, support_radius, sweep_s
+from .solver import SolverConfig, Trajectory, run, support_radius, sweep_s
 from .scenarios import ScenarioSpec, list_scenarios, run_scenario, validate_config
 
 __version__ = "0.1.0"

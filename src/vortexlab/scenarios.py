@@ -165,8 +165,7 @@ def _field_config(params, diagnostics="basic", viscosity=0.0) -> solver.SolverCo
     """Scenarios without output_times report at t_end only."""
     return solver.SolverConfig(
         t_end=params["t_end"], output_times=tuple(params.get("output_times", [params["t_end"]])),
-        viscosity=viscosity, cfl=params["cfl"], transport=params["transport"],
-        diagnostics=diagnostics,
+        viscosity=viscosity, cfl=params["cfl"], diagnostics=diagnostics,
     )
 
 
@@ -615,7 +614,7 @@ REGISTRY = {
         {
             "cells": 256, "half_width": 4.0, "radius": 1.0, "tau": 1.0,
             "t_end": 3.0, "output_times": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
-            "cfl": 0.45, "transport": "mc",
+            "cfl": 0.45,
         },
         _scenario_vortex_patch, _patch_initial, _full_diagnostics_config,
     ),
@@ -633,7 +632,7 @@ REGISTRY = {
         "pointwise density ordering is not preserved: vacuum annulus overtakes a small patch",
         {
             "r1": 1.0, "r2": 2.0, "r3": 3.0, "small_radius": 0.1, "small_tau": 4.0,
-            "cells": 432, "half_width": 6.75, "t_end": 3.0, "cfl": 0.45, "transport": "mc",
+            "cells": 432, "half_width": 6.75, "t_end": 3.0, "cfl": 0.45,
         },
         _scenario_non_comparison, _two_patch_initial, _field_config,
     ),
@@ -642,7 +641,7 @@ REGISTRY = {
         "exponent sweep on identical data: distances to the s=1 run shrink as s -> 1",
         {
             "cells": 128, "half_width": 4.0, "radius": 1.0, "tau": 1.0,
-            "t_end": 1.0, "s_values": [0.7, 0.85, 1.0], "cfl": 0.45, "transport": "mc",
+            "t_end": 1.0, "s_values": [0.7, 0.85, 1.0], "cfl": 0.45,
         },
         _scenario_s_sweep, _patch_initial, _grid_viscosity_config,
     ),
@@ -661,7 +660,7 @@ REGISTRY = {
         {
             "cells": 256, "half_width": 2.56, "peak": 2.0, "mass": 1.0,
             "t_end": 3.0, "output_times": [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
-            "cfl": 0.45, "transport": "mc",
+            "cfl": 0.45,
             "radial_nodes": 2048, "radial_r_max": 10.0, "radial_width_sq": 0.5,
             "radial_mass": 0.5, "radial_times": [1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0],
             "rate_tol": 1e-3,
@@ -673,7 +672,7 @@ REGISTRY = {
         "single-cell mass relaxes onto the expanding patch (fundamental solution)",
         {
             "cells": 512, "half_width": 2.2, "mass": pi, "t_end": 3.0,
-            "output_times": [1.0, 3.0], "cfl": 0.45, "transport": "mc",
+            "output_times": [1.0, 3.0], "cfl": 0.45,
         },
         _scenario_dirac, _dirac_initial, _field_config,
     ),
@@ -682,7 +681,7 @@ REGISTRY = {
         "field solver agrees with the exact radial solution after angular averaging",
         {
             "cells": 256, "half_width": 4.0, "radius": 1.0, "tau": 1.0,
-            "t_end": 3.0, "output_times": [1.0, 3.0], "cfl": 0.45, "transport": "mc",
+            "t_end": 3.0, "output_times": [1.0, 3.0], "cfl": 0.45,
             "radial_nodes": 96,
         },
         _scenario_radial_vs_field, _patch_initial, _field_config,

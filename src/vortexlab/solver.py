@@ -1,15 +1,17 @@
 """Explicit time integration of u_t = eps*Lap u + div(u grad p), p = (-Lap)^{-s} u,
 on Cartesian grids: the vanishing-viscosity approximation of the transport flow.
 
-The update is conservative upwind transport with face velocities averaged from
-the adjacent cells, plus an explicit flux-form diffusion stencil.  Two flux
-reconstructions ship: plain donor-cell (first order, forward Euler) and the
-default monotonized-central limited variant advanced with two-stage SSP
-stepping, which keeps patch edges to a few cells.  Fluxes through the outer
-box faces are zero, so total mass telescopes exactly; the box must be sized so
-the support never reaches the boundary (checked against the support growth
-bound before a run starts).  Negative values produced by rounding are clipped
-at zero and the clipped mass is accumulated in a ledger.
+The one scheme is conservative upwind transport of a monotonized-central (MC)
+limited reconstruction, with face velocities averaged from the adjacent cells,
+plus an explicit flux-form diffusion stencil, advanced with two-stage SSP
+stepping (Gottlieb-Shu-Tadmor 2001); it keeps patch edges to a few cells.
+`run` is the only entry point; it takes each step at cfl times the smaller of
+the advective and diffusive stability limits, clamped to the next output time.
+Fluxes through the outer box faces are zero, so total mass telescopes exactly;
+the box must be sized so the support never reaches the boundary (checked
+against the support growth bound before a run starts).  Negative values
+produced by rounding are clipped at zero and the clipped mass is accumulated
+in a ledger.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .burgers import CFLError, mass_transform
+from .burgers import mass_transform
 from .closed_forms import PatchSpec, patch_mass
 from .diagnostics import (
     DiagnosticsRecord,
@@ -39,7 +41,7 @@ from .grids import (
     sphere_area,
     total_mass,
 )
-from .potentials import velocity_from_values
+from .potentials import energy, velocity_from_values
 
 __all__ = [
     "ConfigError",
@@ -47,7 +49,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "SweepReport",
-    "step",
     "run",
     "sweep_s",
     "support_radius",
@@ -71,12 +72,9 @@ class SolverConfig:
 
     viscosity=None selects the grid-scale default eps = h; 0 disables the
     diffusive term entirely.  output_times must lie in (0, t_end] and
-    end at t_end, so the run stops at the horizon it reports.
-
-    transport="mc" is a monotonized-central limited reconstruction advanced
-    with two-stage SSP time stepping (second order away from extrema, keeps
-    cell values within local bounds for cfl <= 0.5); "donor" is plain
-    first-order donor-cell upwinding with forward Euler.
+    end at t_end, so the run stops at the horizon it reports.  The scheme
+    (MC-limited transport, two-stage SSP stepping) is second order away from
+    extrema and keeps cell values within local bounds for cfl <= 0.5.
     """
 
     t_end: float
@@ -84,7 +82,6 @@ class SolverConfig:
     s: float = 1.0
     viscosity: float | None = None
     cfl: float = 0.45
-    transport: str = "mc"  # or "donor"
     diagnostics: str = "basic"  # or "full"
 
     def __post_init__(self):
@@ -93,18 +90,18 @@ class SolverConfig:
         outs = tuple(sorted(float(t) for t in self.output_times))
         if not outs:
             raise ConfigError("output_times must hold at least one time")
+        if not np.isfinite(outs).all():
+            raise ConfigError("output_times must be finite")
         if outs[0] <= 0 or abs(outs[-1] - self.t_end) > 1e-12 * self.t_end:
             raise ConfigError("output_times must lie in (0, t_end] and end at t_end")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("cfl must lie in (0, 1]")
-        if self.viscosity is not None and self.viscosity < 0:
-            raise ConfigError("viscosity must be >= 0")
+        if self.viscosity is not None and not 0.0 <= self.viscosity < np.inf:
+            raise ConfigError("viscosity must be finite and >= 0")
         if not 0.0 < self.s <= 1.0:
             raise ConfigError("s must lie in (0, 1]")
         if self.diagnostics not in ("basic", "full"):
             raise ConfigError("diagnostics must be 'basic' or 'full'")
-        if self.transport not in ("mc", "donor"):
-            raise ConfigError("transport must be 'mc' or 'donor'")
         object.__setattr__(self, "output_times", outs)
 
     def effective_viscosity(self, grid: CartesianGrid) -> float:
@@ -227,7 +224,7 @@ def _mc_slope(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _advance(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float, transport: str) -> np.ndarray:
+def _advance(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float) -> np.ndarray:
     h = grid.h
     new = vals.copy()
     for axis in range(grid.n):
@@ -235,13 +232,9 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float
         u = np.moveaxis(vals, axis, 0)
         out = np.moveaxis(new, axis, 0)
         v_face = 0.5 * (v[:-1] + v[1:])
-        if transport == "mc":
-            slope = _mc_slope(u)
-            left = u[:-1] + 0.5 * slope[:-1]
-            right = u[1:] - 0.5 * slope[1:]
-        else:
-            left = u[:-1]
-            right = u[1:]
+        slope = _mc_slope(u)
+        left = u[:-1] + 0.5 * slope[:-1]
+        right = u[1:] - 0.5 * slope[1:]
         flux = np.maximum(v_face, 0.0) * left + np.minimum(v_face, 0.0) * right
         out[:-1] -= (dt / h) * flux
         out[1:] += (dt / h) * flux
@@ -253,31 +246,17 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float
 
 
 def _ssp_update(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float, cfg: SolverConfig):
-    """The update of `step` from the velocity `comps` of `vals`.  Returns the new
-    values and the mass clipped from them; only a negative value triggers a clip."""
-    new = _advance(grid, vals, comps, eps, dt, cfg.transport)
-    if cfg.transport == "mc":
-        comps1 = velocity_from_values(grid, np.maximum(new, 0.0), cfg.s)
-        new = 0.5 * (vals + _advance(grid, new, comps1, eps, dt, cfg.transport))
+    """One two-stage SSP step of size dt from the velocity `comps` of `vals`.  Returns
+    the new values and the mass clipped from them; only a negative value triggers a clip."""
+    new = _advance(grid, vals, comps, eps, dt)
+    comps1 = velocity_from_values(grid, np.maximum(new, 0.0), cfg.s)
+    new = 0.5 * (vals + _advance(grid, new, comps1, eps, dt))
     if not np.isfinite(new).all():
         raise NumericalError("non-finite values after an explicit step")
     negative = new < 0.0
     if not negative.any():
         return new, 0.0
     return np.maximum(new, 0.0), -grid.cell_volume * float(new[negative].sum())
-
-
-def step(u: DensityField, cfg: SolverConfig, dt: float) -> DensityField:
-    """One conservative explicit step (SSP two-stage for "mc", forward Euler
-    for "donor"); dt must respect the stability bound
-    cfl * min(h/||v||_inf, h^2/(2 n eps))."""
-    grid = u.grid
-    eps = cfg.effective_viscosity(grid)
-    comps = velocity_from_values(grid, u.values, cfg.s)
-    limit = _stable_dt(grid, comps, eps, cfg.cfl)
-    if dt > limit * (1.0 + 1e-9):
-        raise CFLError(f"dt={dt:.3e} exceeds the stability bound {limit:.3e}")
-    return DensityField(grid, _ssp_update(grid, u.values, comps, eps, dt, cfg)[0])
 
 
 def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> float:
@@ -305,9 +284,7 @@ def _make_record(u, t, tau, cfg, mass0, reference) -> DiagnosticsRecord:
         sup_bound_ratio=peak * (t + tau),
     )
     if cfg.diagnostics == "full" and u.grid.n == 2:
-        from .potentials import energy as _energy
-
-        rec.energy = _energy(u, 1.0, reference=reference) if cfg.s == 1.0 else None
+        rec.energy = energy(u, 1.0, reference=reference) if cfg.s == 1.0 else None
         rec.entropy, rec.dissipation = entropy_and_dissipation(u, t, mass0)
         rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)
     return rec
@@ -318,10 +295,10 @@ def run(cfg: SolverConfig, u0: DensityField) -> Trajectory:
     diagnostics at the configured output times.  The sup-norm decay monitor
     max u * (t + 1/max u0) is a warning channel, not an assertion."""
     grid = u0.grid
-    if float(u0.values.max()) > 0.0:
+    peak0 = float(u0.values.max())
+    if peak0 > 0.0:
         check_box_admissible(u0, cfg.t_end)
     eps = cfg.effective_viscosity(grid)
-    peak0 = float(u0.values.max())
     tau = 1.0 / peak0 if peak0 > 0 else np.inf
     mass0 = total_mass(u0)
     reference = None

@@ -50,7 +50,7 @@ def patch_run():
     start = time.perf_counter()
     cfg = solver.SolverConfig(
         t_end=3.0, output_times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-        viscosity=0.0, cfl=0.45, transport="mc", diagnostics="full",
+        viscosity=0.0, cfl=0.45, diagnostics="full",
     )
     traj = solver.run(cfg, u0)
     err = grid.cell_volume * float(np.abs(traj.final().values - exact.values).sum()) / total_mass(u0)
@@ -66,7 +66,7 @@ def gaussian_run():
     u0 = field_from_function(grid, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
     cfg = solver.SolverConfig(
         t_end=3.0, output_times=(0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-        viscosity=0.0, cfl=0.45, transport="mc", diagnostics="full",
+        viscosity=0.0, cfl=0.45, diagnostics="full",
     )
     return {"traj": solver.run(cfg, u0), "grid": grid, "u0": u0}
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from math import pi
 
+from hypothesis import given, settings, strategies as st
 from vortexlab.burgers import mass_transform
 from vortexlab.closed_forms import PatchSpec, TwoPatchSpec, patch_mass, two_patch_state
 from vortexlab.grids import (
@@ -138,6 +139,30 @@ class TestVelocity:
             velocity(u, 0.0)
         with pytest.raises(ValueError):
             velocity(u, 1.2)
+
+
+class TestVelocitySymmetry:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cells=st.sampled_from([16, 20, 24, 28, 32]),
+        s=st.floats(0.5, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transpose_and_reflection(self, cells, s, seed):
+        # the kernel is odd in each coordinate and the grid is centered, so the
+        # solve commutes with the axis swap and with each axis flip
+        g = CartesianGrid(2, 1.0, cells)
+        vals = np.random.default_rng(seed).random(g.shape)
+        vx, vy = velocity_from_values(g, vals, s)
+        tol = 1e-12 * max(np.abs(vx).max(), np.abs(vy).max())
+        tx, ty = velocity_from_values(g, vals.T, s)
+        assert np.abs(tx - vy.T).max() <= tol
+        assert np.abs(ty - vx.T).max() <= tol
+        for k in range(2):
+            flipped = velocity_from_values(g, np.flip(vals, k), s)
+            for j, comp in enumerate((vx, vy)):
+                sign = -1.0 if j == k else 1.0
+                assert np.abs(flipped[j] - sign * np.flip(comp, k)).max() <= tol
 
 
 class TestRadialVelocity:

@@ -88,12 +88,29 @@ class TestValidateConfig:
         assert errs and "output_times" in errs[0]
         errs = validate_config({"scenario": "vortex-patch", "params": {"output_times": [None]}})
         assert errs and errs[0].startswith("params:")
+        errs = validate_config(
+            {"scenario": "vortex-patch", "params": {"output_times": [0.5, float("nan"), 3.0]}}
+        )
+        assert errs and "output_times must be finite" in errs[0]
         # a run stopping before t_end would be compared with the closed form at t_end
         path = tmp_path / "short.json"
         path.write_text(json.dumps(
             {"scenario": "vortex-patch", "params": {"cells": 64, "t_end": 1.0, "output_times": [0.5]}}
         ))
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("cfg", [
+        {"scenario": "vortex-patch", "params": {**SMALL_PATCH, "radius": float("nan")}},
+        {"scenario": "vortex-patch", "params": {**SMALL_PATCH, "output_times": [0.25, float("nan"), 0.5]}},
+        {"scenario": "dirac-fundamental", "params": {"half_width": 1.5, "cells": 64}},
+        {"scenario": "vortex-patch", "params": {**SMALL_PATCH, "cfl": 1.5}},
+    ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation"])
+    def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert not list(out.rglob("report.json"))
 
 
 class TestRunScenario:

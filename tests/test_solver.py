@@ -4,7 +4,6 @@ from math import pi
 
 from hypothesis import given, settings, strategies as st
 
-from vortexlab.burgers import CFLError
 from vortexlab.closed_forms import PatchSpec, patch_density
 from vortexlab.grids import (
     CartesianGrid,
@@ -17,7 +16,6 @@ from vortexlab.solver import (
     SolverConfig,
     required_half_width,
     run,
-    step,
     support_radius,
     sweep_s,
 )
@@ -42,8 +40,10 @@ class TestConfig:
             SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=-0.1)
         with pytest.raises(ConfigError, match="s must"):
             SolverConfig(t_end=1.0, output_times=(1.0,), s=1.5)
-        with pytest.raises(ConfigError, match="transport"):
-            SolverConfig(t_end=1.0, output_times=(1.0,), transport="upstream")
+        with pytest.raises(ConfigError, match="output_times must be finite"):
+            SolverConfig(t_end=1.0, output_times=(0.5, float("nan"), 1.0))
+        with pytest.raises(ConfigError, match="viscosity"):
+            SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=float("nan"))
 
     def test_default_viscosity_is_grid_scale(self):
         g = CartesianGrid(2, 4.0, 64)
@@ -53,58 +53,51 @@ class TestConfig:
 
 
 class TestStep:
+    # run() clamps each step to the next output time, so an output time below the
+    # stable step gives exactly one step of that size
     def test_zero_field_stays_zero(self):
         g = CartesianGrid(2, 2.0, 32)
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=0.0)
-        u = DensityField(g, np.zeros(g.shape))
-        out = step(u, cfg, 1e-3)
-        np.testing.assert_array_equal(out.values, 0.0)
+        cfg = SolverConfig(t_end=1e-3, output_times=(1e-3,), viscosity=0.0)
+        traj = run(cfg, DensityField(g, np.zeros(g.shape)))
+        assert traj.steps == 1
+        np.testing.assert_array_equal(traj.final().values, 0.0)
 
     def test_single_cell_mass_preserved(self):
         g = CartesianGrid(2, 2.0, 32)
         vals = np.zeros(g.shape)
         vals[16, 16] = 5.0
         u = DensityField(g, vals)
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=g.h)
-        out = step(u, cfg, 1e-4)
-        assert total_mass(out) == pytest.approx(total_mass(u), rel=1e-14)
+        cfg = SolverConfig(t_end=1e-4, output_times=(1e-4,), viscosity=g.h)
+        traj = run(cfg, u)
+        assert traj.steps == 1
+        assert total_mass(traj.final()) == pytest.approx(total_mass(u), rel=1e-14)
 
     def test_pure_diffusion_maximum_principle(self):
         g = CartesianGrid(2, 2.0, 32)
         vals = np.zeros(g.shape)
         vals[16, 16] = 5.0
-        u = DensityField(g, vals)
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=g.h)
-        out = u
-        for _ in range(10):
-            out = step(out, cfg, 1e-4)
-        assert out.values.max() <= 5.0
+        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), viscosity=g.h)
+        traj = run(cfg, DensityField(g, vals))
+        assert traj.steps > 1
+        assert traj.final().values.max() <= 5.0
 
-    def test_cfl_violation_raises(self):
-        g = CartesianGrid(2, 2.0, 64)
-        u = patch_field(g)
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=0.0)
-        with pytest.raises(CFLError):
-            step(u, cfg, 10.0)
-
-    @pytest.mark.parametrize("transport", ["mc", "donor"])
-    def test_mass_conserved_both_schemes(self, transport):
+    def test_mass_conserved(self):
         g = CartesianGrid(2, 4.0, 64)
         u = patch_field(g)
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=0.0, transport=transport)
-        out = step(u, cfg, 1e-3)
-        assert total_mass(out) == pytest.approx(total_mass(u), rel=1e-13)
+        cfg = SolverConfig(t_end=1e-3, output_times=(1e-3,), viscosity=0.0)
+        traj = run(cfg, u)
+        assert traj.steps == 1
+        assert total_mass(traj.final()) == pytest.approx(total_mass(u), rel=1e-13)
 
-    @pytest.mark.parametrize("transport", ["mc", "donor"])
-    def test_positivity_both_schemes(self, transport):
+    def test_positivity(self):
         rng = np.random.default_rng(4)
         g = CartesianGrid(2, 4.0, 64)
         u = DensityField(g, rng.random(g.shape) * (g.radius() <= 2.0))
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=0.0, transport=transport)
-        out = u
-        for _ in range(5):
-            out = step(out, cfg, 5e-4)
-        assert out.values.min() >= 0.0
+        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), viscosity=0.0)
+        traj = run(cfg, u)
+        assert traj.steps > 1
+        assert traj.final().values.min() >= 0.0
+        assert traj.clipped_mass <= 1e-12 * total_mass(u)  # run() clips, so check nothing was clipped
 
 
 class TestSupportRadius:
@@ -207,7 +200,7 @@ class TestRunProperties:
         g = CartesianGrid(2, half_width, 16)
         rng = np.random.default_rng(seed)
         u0 = DensityField(g, rng.random(g.shape) * (g.radius() <= half_width / 4))
-        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), viscosity=viscosity, cfl=cfl, transport="mc")
+        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), viscosity=viscosity, cfl=cfl)
         traj = run(cfg, u0)
         assert traj.mass_drift() <= 1e-12
         assert min(float(f.values.min()) for f in traj.fields) >= 0.0
