@@ -11,10 +11,11 @@ open rarefaction fans that are resolved analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .grids import MassFunction, RadialGrid, RadialProfile
+from .grids import MassFunction, RadialGrid, RadialProfile, write_csv
 
 __all__ = [
     "CFLError",
@@ -284,14 +285,11 @@ def check_monotone_inequalities(trajectory, tol: float = 1e-3) -> MonotoneReport
 
 def write_radial_trajectory_csv(trajectory, path) -> None:
     """Rows (t, sigma, r, M, u, v) for every snapshot and node."""
-    with open(path, "w", newline="") as f:
-        f.write("t,sigma,r,M,u,v\n")
+
+    def rows():
         for t, m in trajectory:
             u = density_from_mass(m).values
             v = radial_speed_values(m)
-            g = m.grid
-            for j in range(g.nodes):
-                f.write(
-                    f"{t:.17g},{g.sigma[j]:.17g},{g.r[j]:.17g},"
-                    f"{m.values[j]:.17g},{u[j]:.17g},{v[j]:.17g}\n"
-                )
+            yield from zip(repeat(t), m.grid.sigma, m.grid.r, m.values, u, v)
+
+    write_csv(path, ["t", "sigma", "r", "M", "u", "v"], rows())

@@ -10,11 +10,10 @@ angular factor); multiply by sphere_area(n) for full mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .grids import sphere_area, unit_ball_volume
 
@@ -25,7 +24,6 @@ __all__ = [
     "TwoPatchState",
     "patch_density",
     "patch_mass",
-    "patch_support_radius",
     "barenblatt_density",
     "barenblatt_density_radial",
     "barenblatt_support_radius",
@@ -109,10 +107,6 @@ def patch_mass(spec: PatchSpec, r, t: float):
     return np.minimum(r**spec.n, spec.radius**spec.n * life) / (spec.n * life)
 
 
-def patch_support_radius(spec: PatchSpec, t: float) -> float:
-    return spec.support_radius(t)
-
-
 @dataclass(frozen=True)
 class BarenblattSpec:
     """Self-similar compactly supported profile for the nonlocal diffusion range s in (0,1):
@@ -164,35 +158,27 @@ def barenblatt_support_radius(spec: BarenblattSpec, t: float) -> float:
     return float(np.sqrt(spec.c1 / spec.k1) * t ** (spec.alpha / spec.n))
 
 
-def barenblatt_full_mass(spec: BarenblattSpec, t: float = 1.0) -> float:
-    """Total mass by numerical quadrature of the radial profile (conserved in t)."""
-    edge = barenblatt_support_radius(spec, t)
-    val, _ = quad(
-        lambda r: barenblatt_density_radial(spec, r, t) * r ** (spec.n - 1),
-        0.0,
-        edge,
-        limit=200,
-    )
-    return sphere_area(spec.n) * val
+def barenblatt_full_mass(spec: BarenblattSpec) -> float:
+    """Total mass |S^{n-1}| (c1/k1)^(n/2) c1^(1-s) B(n/2, 2-s) / 2, conserved in t.
+
+    The radial integral reduces to the Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)
+    under the substitution r^2 = (c1/k1) w t^(2 alpha/n).
+    """
+    n, s = spec.n, spec.s
+    beta = gamma(n / 2) * gamma(2.0 - s) / gamma(n / 2 + 2.0 - s)
+    return sphere_area(n) * (spec.c1 / spec.k1) ** (n / 2) * spec.c1 ** (1.0 - s) * beta / 2
 
 
 def barenblatt_with_mass(n: int, s: float, mass: float = 1.0, k1: float = 1.0) -> BarenblattSpec:
-    """Solve for c1 so the profile carries the requested total mass (k1 held fixed).
+    """The profile carrying the requested total mass at fixed k1.
 
-    The mass is monotone increasing in c1, so a bracketed root find on the
-    quadrature mass is reliable; no closed-form relation is assumed.
+    The mass is c1^(n/2 + 1 - s) times the mass at c1 = 1, so c1 follows in
+    closed form.
     """
-
-    def gap(log_c1):
-        return barenblatt_full_mass(BarenblattSpec(n, s, float(np.exp(log_c1)), k1)) - mass
-
-    lo, hi = -2.0, 2.0
-    while gap(lo) > 0:
-        lo -= 2.0
-    while gap(hi) < 0:
-        hi += 2.0
-    log_c1 = brentq(gap, lo, hi, xtol=1e-13, rtol=1e-13)
-    return BarenblattSpec(n, s, float(np.exp(log_c1)), k1)
+    if not mass > 0:
+        raise ValueError("mass must be positive")
+    unit = barenblatt_full_mass(BarenblattSpec(n, s, 1.0, k1))
+    return BarenblattSpec(n, s, (mass / unit) ** (1.0 / (n / 2 + 1.0 - s)), k1)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .grids import (
     second_moment,
     sphere_area,
     unit_ball_volume,
+    write_csv,
 )
 from .potentials import energy, velocity_from_values
 
@@ -81,10 +82,7 @@ class DiagnosticsRecord:
 
 def write_records_csv(records, path) -> None:
     """Fixed column order; None renders as an empty cell."""
-    with open(path, "w", newline="") as f:
-        f.write(",".join(DiagnosticsRecord.COLUMNS) + "\n")
-        for rec in records:
-            f.write(",".join("" if v is None else f"{v:.17g}" for v in rec.row()) + "\n")
+    write_csv(path, DiagnosticsRecord.COLUMNS, (rec.row() for rec in records))
 
 
 def equilibrium_radius(mass: float, n: int) -> float:

@@ -35,6 +35,7 @@ __all__ = [
     "write_grid_array",
     "read_grid_array",
     "write_grid_csv",
+    "write_csv",
 ]
 
 
@@ -324,14 +325,19 @@ def read_grid_array(path):
 def write_grid_csv(grid: CartesianGrid, columns: dict, path) -> None:
     """CSV with cell-center coordinate columns followed by one column per named array.
 
-    Row order is row-major over the grid.  Floats are written with repr-stable
-    precision so identical data produces byte-identical files.
+    Row order is row-major over the grid.  Floats are written with round-trip
+    precision (see write_csv) so identical data produces byte-identical files.
     """
     coords = grid.centers()
     names = ["x"] if grid.n == 1 else ["x", "y"]
     header = names + list(columns.keys())
     cols = [c.ravel() for c in coords] + [np.asarray(v).ravel() for v in columns.values()]
+    write_csv(path, header, zip(*cols))
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV with a header line; numbers are written as .17g and None as an empty cell."""
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for row in rows:
+            f.write(",".join("" if v is None else format(v, ".17g") for v in row) + "\n")

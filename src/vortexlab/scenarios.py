@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .grids import (
     field_from_function,
     radial_average,
     total_mass,
+    write_csv,
     write_grid_array,
     write_grid_csv,
 )
@@ -182,7 +183,7 @@ def _l1_rel(u: DensityField, reference: DensityField, mass: float) -> float:
 
 
 def _interp_at(u: DensityField, point) -> float:
-    """Bilinear interpolation of cell values at a physical point."""
+    """Bilinear interpolation of a 2-D field's cell values at a physical point."""
     g = u.grid
     x = g.axis_centers()
     out = u.values
@@ -193,9 +194,6 @@ def _interp_at(u: DensityField, point) -> float:
         w = (point[k] - x[j]) / g.h
         idx.append(j)
         wts.append(np.clip(w, 0.0, 1.0))
-    if g.n == 1:
-        j, w = idx[0], wts[0]
-        return float((1 - w) * out[j] + w * out[j + 1])
     (i, j), (wx, wy) = idx, wts
     return float(
         (1 - wx) * (1 - wy) * out[i, j]
@@ -375,10 +373,8 @@ def _scenario_s_sweep(params, rng, outdir, u0, cfg, jobs=1):
               rep.distances[0] if rep.distances[0] is not None else float("nan"),
               "monotone", rep.nonincreasing and not rep.partial),
     ]
-    with open(Path(outdir) / "sweep_distances.csv", "w") as f:
-        f.write("s,l1_distance_to_s1\n")
-        for s, d in zip(rep.s_values, rep.distances):
-            f.write(f"{s:.17g},{'' if d is None else format(d, '.17g')}\n")
+    write_csv(Path(outdir) / "sweep_distances.csv", ["s", "l1_distance_to_s1"],
+              zip(rep.s_values, rep.distances))
     return checks, ["sweep_distances.csv"]
 
 
@@ -397,10 +393,8 @@ def _scenario_barenblatt_limit(params, rng, outdir):
         "profile-limit", "L1 distance of the compact self-similar profile to the equal-mass "
         "uniform patch strictly decreases as s -> 1",
         dists[-1], "strict decrease", strictly)]
-    with open(Path(outdir) / "barenblatt_distances.csv", "w") as f:
-        f.write("s,l1_distance\n")
-        for s, d in zip(params["s_values"], dists):
-            f.write(f"{s:.17g},{d:.17g}\n")
+    write_csv(Path(outdir) / "barenblatt_distances.csv", ["s", "l1_distance"],
+              zip(params["s_values"], dists))
     return checks, ["barenblatt_distances.csv"]
 
 
@@ -589,10 +583,8 @@ def _scenario_wasserstein_oracle(params, rng, outdir):
     checks.append(Check(
         "metric-axioms", "symmetry, identity and the triangle inequality hold within 1e-6",
         slack, "1e-6", slack <= 1e-6))
-    with open(Path(outdir) / "oracle_pairs.csv", "w") as f:
-        f.write("pair,quantile_w2,assignment_w2,relative_gap\n")
-        for k, a, b, rel in rows:
-            f.write(f"{k},{a:.17g},{b:.17g},{rel:.17g}\n")
+    write_csv(Path(outdir) / "oracle_pairs.csv",
+              ["pair", "quantile_w2", "assignment_w2", "relative_gap"], rows)
     return checks, ["oracle_pairs.csv"]
 
 
@@ -713,11 +705,15 @@ def catalog(section: int | None = None) -> list:
 # config validation
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _type_ok(value, template) -> bool:
     if isinstance(template, bool):
         return isinstance(value, bool)
     if isinstance(template, (int, float)):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return _is_number(value)
     if isinstance(template, str):
         return isinstance(value, str)
     if isinstance(template, list):
@@ -737,13 +733,18 @@ def validate_params(name: str, params: dict) -> list:
             errors.append(
                 f"params.{key}: expected {type(defaults[key]).__name__}, got {type(value).__name__}"
             )
+        elif isinstance(value, list) and not all(_is_number(v) for v in value):
+            errors.append(f"params: {key} entries must be numbers")
+        elif any(isinstance(v, float) and not isfinite(v)
+                 for v in (value if isinstance(value, list) else [value])):
+            errors.append(f"params: {key} must be finite")
     scenario = REGISTRY[name]
     if not errors and scenario.initial is not None:
         merged = {**defaults, **params}
         try:
             cfg = scenario.config(merged)
             solver.check_box_admissible(scenario.initial(merged), cfg.t_end)
-        except (TypeError, ValueError) as exc:  # ConfigError, or a non-numeric entry
+        except ValueError as exc:  # ConfigError is a ValueError
             errors.append(f"params: {exc}")
     return errors
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from math import pi, sqrt
 
-from scipy.special import beta as beta_fn
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from vortexlab.closed_forms import (
     BarenblattSpec,
@@ -22,6 +23,17 @@ from vortexlab.grids import sphere_area
 # Standard two-patch configuration used throughout: n=2, c1=1, R1=1, R2=2, R3=3,
 # which forces c2=1/4, tau1=1, tau2=4.
 TWO_PATCH = TwoPatchSpec(2, 1.0, 1.0, 2.0, 3.0)
+
+
+def _quadrature_mass(spec, t):
+    """Independent reference for the Beta-function mass: quadrature of the radial profile."""
+    val, _ = quad(
+        lambda r: barenblatt_density_radial(spec, r, t) * r ** (spec.n - 1),
+        0.0,
+        barenblatt_support_radius(spec, t),
+        limit=200,
+    )
+    return sphere_area(spec.n) * val
 
 
 class TestPatch:
@@ -128,23 +140,31 @@ class TestBarenblatt:
 
     def test_mass_conserved_between_times(self):
         spec = BarenblattSpec(2, 0.5, c1=1.0, k1=1.0)
-        m1 = barenblatt_full_mass(spec, 1.0)
-        m4 = barenblatt_full_mass(spec, 4.0)
-        assert m4 == pytest.approx(m1, rel=1e-9)
+        for t in (1.0, 4.0):
+            assert _quadrature_mass(spec, t) == pytest.approx(barenblatt_full_mass(spec), rel=1e-9)
 
     def test_quadrature_against_beta_reduction(self):
-        # closed-form reduction of the radial integral for cross-checking only:
-        # mass = |S^{n-1}| (c1/k1)^{n/2} c1^{1-s} * B(n/2, 2-s)/2
+        # the shipped Beta-function mass against quadrature of the profile
         for n, s, c1, k1 in [(2, 0.5, 1.3, 0.8), (3, 0.7, 2.0, 1.0), (1, 0.4, 1.0, 2.0)]:
             spec = BarenblattSpec(n, s, c1, k1)
-            expected = (
-                sphere_area(n)
-                * (c1 / k1) ** (n / 2)
-                * c1 ** (1 - s)
-                * beta_fn(n / 2, 2 - s)
-                / 2
-            )
-            assert barenblatt_full_mass(spec) == pytest.approx(expected, rel=1e-9)
+            assert barenblatt_full_mass(spec) == pytest.approx(_quadrature_mass(spec, 1.0), rel=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        s=st.floats(0.05, 0.99),
+        mass=st.floats(0.1, 10.0),
+        k1=st.floats(0.2, 5.0),
+    )
+    def test_mass_matching_round_trip(self, n, s, mass, k1):
+        spec = barenblatt_with_mass(n, s, mass=mass, k1=k1)
+        assert spec.k1 == k1
+        assert barenblatt_full_mass(spec) == pytest.approx(mass, rel=1e-12)
+
+    def test_mass_matching_rejects_nonpositive_mass(self):
+        for mass in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="mass must be positive"):
+                barenblatt_with_mass(2, 0.6, mass=mass)
 
     def test_mass_matching_helper(self):
         spec = barenblatt_with_mass(2, 0.6, mass=pi)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vortexlab
 from vortexlab.cli import main
 from vortexlab.scenarios import (
     REGISTRY,
@@ -104,7 +109,13 @@ class TestValidateConfig:
         {"scenario": "vortex-patch", "params": {**SMALL_PATCH, "output_times": [0.25, float("nan"), 0.5]}},
         {"scenario": "dirac-fundamental", "params": {"half_width": 1.5, "cells": 64}},
         {"scenario": "vortex-patch", "params": {**SMALL_PATCH, "cfl": 1.5}},
-    ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation"])
+        {"scenario": "wasserstein-oracle", "params": {"r_max": float("nan")}},
+        {"scenario": "asymptotics", "params": {"radial_times": [1.0, float("nan"), 5.0]}},
+        {"scenario": "two-patch", "params": {"fv_time": float("nan")}},
+        {"scenario": "barenblatt-limit", "params": {"r_max": float("nan")}},
+    ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
+            "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
+            "barenblatt-nan-r-max"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -210,6 +221,14 @@ class TestCli:
 
     def test_usage_error_exit_two(self):
         assert main(["frobnicate"]) == 2
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs most of a CLI process's start-up; only the wasserstein-oracle
+        # runner imports it, lazily
+        code = "import sys, vortexlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": str(Path(vortexlab.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestParallelSweep:
