@@ -3,7 +3,7 @@
     u_t = div(u grad p),   p = (-Lap)^{-s} u,   s in (0, 1],
 
 covering the fractional-diffusion range s < 1 and the planar mean-field case
-s = 1.  The package pairs a viscous Cartesian field solver with an exact
+s = 1.  The package pairs an inviscid Cartesian field solver with an exact
 radial solver built on the mass-function reduction M_t + M M_sigma = 0, a
 catalogue of closed-form solutions (expanding patches, two-patch
 configurations, compact self-similar profiles), and verification diagnostics

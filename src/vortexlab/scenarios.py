@@ -162,20 +162,16 @@ def _dirac_initial(params) -> DensityField:
     return DensityField(grid, vals)
 
 
-def _field_config(params, diagnostics="basic", viscosity=0.0) -> solver.SolverConfig:
+def _field_config(params, diagnostics="basic") -> solver.SolverConfig:
     """Scenarios without output_times report at t_end only."""
     return solver.SolverConfig(
         t_end=params["t_end"], output_times=tuple(params.get("output_times", [params["t_end"]])),
-        viscosity=viscosity, cfl=params["cfl"], diagnostics=diagnostics,
+        cfl=params["cfl"], diagnostics=diagnostics,
     )
 
 
 def _full_diagnostics_config(params) -> solver.SolverConfig:
     return _field_config(params, diagnostics="full")
-
-
-def _grid_viscosity_config(params) -> solver.SolverConfig:
-    return _field_config(params, viscosity=None)  # eps = h
 
 
 def _l1_rel(u: DensityField, reference: DensityField, mass: float) -> float:
@@ -262,7 +258,7 @@ def _scenario_vortex_patch(params, rng, outdir, u0, cfg):
     diagnostics.write_records_csv(traj.records, Path(outdir) / "diagnostics.csv")
     write_grid_array(grid, traj.final().values, Path(outdir) / "final_field.bin")
     write_grid_csv(grid, {"u": traj.final().values}, Path(outdir) / "final_field.csv")
-    (Path(outdir) / "run_summary.json").write_text(json.dumps({**traj.summary(), "chosen_viscosity": cfg.viscosity}, indent=2))
+    (Path(outdir) / "run_summary.json").write_text(json.dumps(traj.summary(), indent=2))
     return checks, ["diagnostics.csv", "final_field.bin", "final_field.csv", "run_summary.json"]
 
 
@@ -635,7 +631,7 @@ REGISTRY = {
             "cells": 128, "half_width": 4.0, "radius": 1.0, "tau": 1.0,
             "t_end": 1.0, "s_values": [0.7, 0.85, 1.0], "cfl": 0.45,
         },
-        _scenario_s_sweep, _patch_initial, _grid_viscosity_config,
+        _scenario_s_sweep, _patch_initial, _field_config,
     ),
     "barenblatt-limit": Scenario(
         "barenblatt-limit", 6,
@@ -710,15 +706,14 @@ def _is_number(value) -> bool:
 
 
 def _type_ok(value, template) -> bool:
+    """An int default takes only an int, a float default any number; bool is not a number."""
     if isinstance(template, bool):
         return isinstance(value, bool)
-    if isinstance(template, (int, float)):
+    if isinstance(template, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(template, float):
         return _is_number(value)
-    if isinstance(template, str):
-        return isinstance(value, str)
-    if isinstance(template, list):
-        return isinstance(value, list)
-    return True
+    return isinstance(value, type(template))
 
 
 def validate_params(name: str, params: dict) -> list:
@@ -735,6 +730,8 @@ def validate_params(name: str, params: dict) -> list:
             )
         elif isinstance(value, list) and not all(_is_number(v) for v in value):
             errors.append(f"params: {key} entries must be numbers")
+        elif isinstance(value, list) and not all(_type_ok(v, defaults[key][0]) for v in value):
+            errors.append(f"params: {key} entries must be integers")
         elif any(isinstance(v, float) and not isfinite(v)
                  for v in (value if isinstance(value, list) else [value])):
             errors.append(f"params: {key} must be finite")

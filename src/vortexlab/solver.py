@@ -1,12 +1,12 @@
-"""Explicit time integration of u_t = eps*Lap u + div(u grad p), p = (-Lap)^{-s} u,
-on Cartesian grids: the vanishing-viscosity approximation of the transport flow.
+"""Explicit time integration of u_t = div(u grad p), p = (-Lap)^{-s} u, on
+Cartesian grids.
 
 The one scheme is conservative upwind transport of a monotonized-central (MC)
 limited reconstruction, with face velocities averaged from the adjacent cells,
-plus an explicit flux-form diffusion stencil, advanced with two-stage SSP
-stepping (Gottlieb-Shu-Tadmor 2001); it keeps patch edges to a few cells.
-`run` is the only entry point; it takes each step at cfl times the smaller of
-the advective and diffusive stability limits, clamped to the next output time.
+advanced with two-stage SSP stepping (Gottlieb-Shu-Tadmor 2001); it keeps
+patch edges to a few cells and creates no density outside the reach of its
+stencil.  `run` is the only entry point; it takes each step at
+cfl * h / max sum_k |v_k|, clamped to the next output time.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
 the box must be sized so the support never reaches the boundary (checked
 against the support growth bound before a run starts).  Negative values
@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 BOUND_SLACK = 0.05  # warn when max u * (t + 1/max u0) exceeds 1 + this
+SUPPORT_FLOOR = 0.01  # support_radius counts cells above this fraction of the peak
+BOX_MARGIN = 0.9  # the support growth bound must stay inside this share of the half-width
 
 
 class ConfigError(ValueError):
@@ -70,17 +72,15 @@ class NumericalError(RuntimeError):
 class SolverConfig:
     """Numerical parameters of a run.
 
-    viscosity=None selects the grid-scale default eps = h; 0 disables the
-    diffusive term entirely.  output_times must lie in (0, t_end] and
-    end at t_end, so the run stops at the horizon it reports.  The scheme
-    (MC-limited transport, two-stage SSP stepping) is second order away from
-    extrema and keeps cell values within local bounds for cfl <= 0.5.
+    output_times must lie in (0, t_end] and end at t_end, so the run stops
+    at the horizon it reports.  The scheme (MC-limited transport, two-stage
+    SSP stepping, no added diffusion) is second order away from extrema and
+    keeps cell values within local bounds for cfl <= 0.5.
     """
 
     t_end: float
     output_times: tuple
     s: float = 1.0
-    viscosity: float | None = None
     cfl: float = 0.45
     diagnostics: str = "basic"  # or "full"
 
@@ -96,16 +96,11 @@ class SolverConfig:
             raise ConfigError("output_times must lie in (0, t_end] and end at t_end")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("cfl must lie in (0, 1]")
-        if self.viscosity is not None and not 0.0 <= self.viscosity < np.inf:
-            raise ConfigError("viscosity must be finite and >= 0")
         if not 0.0 < self.s <= 1.0:
             raise ConfigError("s must lie in (0, 1]")
         if self.diagnostics not in ("basic", "full"):
             raise ConfigError("diagnostics must be 'basic' or 'full'")
         object.__setattr__(self, "output_times", outs)
-
-    def effective_viscosity(self, grid: CartesianGrid) -> float:
-        return grid.h if self.viscosity is None else float(self.viscosity)
 
 
 @dataclass
@@ -137,7 +132,6 @@ class Trajectory:
         return {
             "t_end": self.config.t_end,
             "s": self.config.s,
-            "viscosity": self.config.viscosity,
             "cfl": self.config.cfl,
             "steps": self.steps,
             "wall_time_s": round(self.wall_time, 3),
@@ -148,20 +142,18 @@ class Trajectory:
         }
 
 
-def support_radius(u: DensityField, center=None, floor_fraction: float = 0.01) -> float:
-    """Largest distance from `center` to a cell holding more than
-    floor_fraction * max(u); 0 for an identically zero field."""
-    if not 0.0 < floor_fraction <= 0.1:
-        raise ValueError("floor_fraction must lie in (0, 0.1]")
+def support_radius(u: DensityField) -> float:
+    """Largest distance from the origin to a cell holding more than
+    SUPPORT_FLOOR * max(u); 0 for an identically zero field."""
     peak = float(u.values.max())
     if peak == 0.0:
         return 0.0
-    mask = u.values > floor_fraction * peak
-    return float(u.grid.radius(center)[mask].max())
+    mask = u.values > SUPPORT_FLOOR * peak
+    return float(u.grid.radius()[mask].max())
 
 
-def required_half_width(u0: DensityField, t_end: float, center=None, margin: float = 0.9) -> float:
-    """Half-width needed so the support growth bound stays inside margin * L.
+def required_half_width(u0: DensityField, t_end: float) -> float:
+    """Half-width needed so the support growth bound stays inside BOX_MARGIN * L.
 
     Two valid sizing rules apply and the smaller wins: the bounded-data bound
     R0 (1 + ||u0||_inf T)^{1/n} and the measure-data bound R0 + (n M_rad T)^{1/n}
@@ -169,16 +161,16 @@ def required_half_width(u0: DensityField, t_end: float, center=None, margin: flo
     point masses make the first bound meaningless, hence the second.
     """
     n = u0.grid.n
-    r0 = support_radius(u0, center)
+    r0 = support_radius(u0)
     peak = float(u0.values.max())
     m_rad = total_mass(u0) / sphere_area(n)
     bounded = r0 * (1.0 + peak * t_end) ** (1.0 / n)
     measure = r0 + (n * m_rad * t_end) ** (1.0 / n)
-    return min(bounded, measure) / margin
+    return min(bounded, measure) / BOX_MARGIN
 
 
-def check_box_admissible(u0: DensityField, t_end: float, center=None) -> None:
-    need = required_half_width(u0, t_end, center)
+def check_box_admissible(u0: DensityField, t_end: float) -> None:
+    need = required_half_width(u0, t_end)
     if need > u0.grid.half_width:
         raise ConfigError(
             f"box too small for horizon T={t_end}: the support growth bound "
@@ -198,15 +190,9 @@ def _max_speed_sum(comps) -> float:
     return float(acc.max())
 
 
-def _stable_dt(grid: CartesianGrid, comps, eps: float, cfl: float) -> float:
-    h = grid.h
+def _stable_dt(grid: CartesianGrid, comps, cfl: float) -> float:
     speed = _max_speed_sum(comps)
-    dt = np.inf
-    if speed > 0:
-        dt = h / speed
-    if eps > 0:
-        dt = min(dt, h * h / (2.0 * grid.n * eps))
-    return cfl * dt
+    return cfl * (grid.h / speed) if speed > 0 else np.inf
 
 
 def _mc_slope(u: np.ndarray) -> np.ndarray:
@@ -224,7 +210,7 @@ def _mc_slope(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _advance(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float) -> np.ndarray:
+def _advance(grid: CartesianGrid, vals: np.ndarray, comps, dt: float) -> np.ndarray:
     h = grid.h
     new = vals.copy()
     for axis in range(grid.n):
@@ -238,19 +224,15 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float
         flux = np.maximum(v_face, 0.0) * left + np.minimum(v_face, 0.0) * right
         out[:-1] -= (dt / h) * flux
         out[1:] += (dt / h) * flux
-        if eps > 0:
-            grad = u[1:] - u[:-1]
-            out[:-1] += (dt * eps / (h * h)) * grad
-            out[1:] -= (dt * eps / (h * h)) * grad
     return new
 
 
-def _ssp_update(grid: CartesianGrid, vals: np.ndarray, comps, eps: float, dt: float, cfg: SolverConfig):
+def _ssp_update(grid: CartesianGrid, vals: np.ndarray, comps, dt: float, cfg: SolverConfig):
     """One two-stage SSP step of size dt from the velocity `comps` of `vals`.  Returns
     the new values and the mass clipped from them; only a negative value triggers a clip."""
-    new = _advance(grid, vals, comps, eps, dt)
+    new = _advance(grid, vals, comps, dt)
     comps1 = velocity_from_values(grid, np.maximum(new, 0.0), cfg.s)
-    new = 0.5 * (vals + _advance(grid, new, comps1, eps, dt))
+    new = 0.5 * (vals + _advance(grid, new, comps1, dt))
     if not np.isfinite(new).all():
         raise NumericalError("non-finite values after an explicit step")
     negative = new < 0.0
@@ -298,7 +280,6 @@ def run(cfg: SolverConfig, u0: DensityField) -> Trajectory:
     peak0 = float(u0.values.max())
     if peak0 > 0.0:
         check_box_admissible(u0, cfg.t_end)
-    eps = cfg.effective_viscosity(grid)
     tau = 1.0 / peak0 if peak0 > 0 else np.inf
     mass0 = total_mass(u0)
     reference = None
@@ -311,10 +292,10 @@ def run(cfg: SolverConfig, u0: DensityField) -> Trajectory:
     for target in cfg.output_times:
         while t < target - 1e-12:
             comps = velocity_from_values(grid, u.values, cfg.s)
-            dt = min(_stable_dt(grid, comps, eps, cfg.cfl), target - t)
+            dt = min(_stable_dt(grid, comps, cfg.cfl), target - t)
             if not dt > 0:
                 raise NumericalError("time step collapsed to zero")
-            vals, clipped = _ssp_update(grid, u.values, comps, eps, dt, cfg)
+            vals, clipped = _ssp_update(grid, u.values, comps, dt, cfg)
             traj.clipped_mass += clipped
             u = DensityField(grid, vals)
             t += dt
@@ -360,9 +341,10 @@ def _run_sweep_member(args):
 
 
 def sweep_s(cfg: SolverConfig, u0: DensityField, s_values, jobs: int = 1) -> SweepReport:
-    """Run identical initial data for each exponent (viscosity fixed) and
-    report L1 distances of the final states to the s=1 member, expected to be
-    nonincreasing as s increases toward 1.  Failures abort that member only."""
+    """Run identical initial data for each exponent with the same inviscid
+    scheme and report L1 distances of the final states to the s=1 member,
+    expected to be nonincreasing as s increases toward 1.  Failures abort that
+    member only."""
     s_values = sorted(float(s) for s in s_values)
     if 1.0 not in s_values:
         raise ConfigError("the sweep must include s = 1")

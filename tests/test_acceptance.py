@@ -50,11 +50,11 @@ def patch_run():
     start = time.perf_counter()
     cfg = solver.SolverConfig(
         t_end=3.0, output_times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-        viscosity=0.0, cfl=0.45, diagnostics="full",
+        cfl=0.45, diagnostics="full",
     )
     traj = solver.run(cfg, u0)
     err = grid.cell_volume * float(np.abs(traj.final().values - exact.values).sum()) / total_mass(u0)
-    return {"traj": traj, "l1": err, "eps": cfg.viscosity, "grid": grid, "spec": spec, "u0": u0,
+    return {"traj": traj, "l1": err, "grid": grid, "spec": spec, "u0": u0,
             "elapsed": time.perf_counter() - start}
 
 
@@ -66,7 +66,7 @@ def gaussian_run():
     u0 = field_from_function(grid, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
     cfg = solver.SolverConfig(
         t_end=3.0, output_times=(0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-        viscosity=0.0, cfl=0.45, diagnostics="full",
+        cfl=0.45, diagnostics="full",
     )
     return {"traj": solver.run(cfg, u0), "grid": grid, "u0": u0}
 
@@ -192,8 +192,7 @@ def test_criterion_04_field_solver_patch(patch_run):
     ok = drift <= 1e-9 and patch_run["l1"] <= 0.05 and worst_excess <= 0.0 and patch_run["elapsed"] < 300
     report("04 field-solver-patch", ok,
            f"mass drift {drift:.2e} <= 1e-9, relative L1 {patch_run['l1']:.3f} <= 0.05, "
-           f"support excess {worst_excess:.4f} <= 0, runtime {patch_run['elapsed']:.0f}s < 300s "
-           f"(viscosity {patch_run['eps']:.3g})")
+           f"support excess {worst_excess:.4f} <= 0, runtime {patch_run['elapsed']:.0f}s < 300s")
 
 
 def test_criterion_05_universal_bound(patch_run, gaussian_run):
@@ -273,7 +272,7 @@ def test_criterion_08_non_comparison():
         grid, lambda p: closed_forms.two_patch_state(spec, np.linalg.norm(p, axis=-1), 0.0).density
     )
     u2_0 = field_from_function(grid, lambda p: closed_forms.patch_density(small, p, 0.0))
-    cfg = solver.SolverConfig(t_end=3.0, output_times=(3.0,), viscosity=0.0, cfl=0.45)
+    cfg = solver.SolverConfig(t_end=3.0, output_times=(3.0,), cfl=0.45)
     tr1 = solver.run(cfg, u1_0)
     tr2 = solver.run(cfg, u2_0)
     x = grid.axis_centers()
@@ -303,7 +302,7 @@ def test_criterion_09_limit_toward_unit_exponent():
     grid = CartesianGrid(2, 4.0, 128)
     spec_p = closed_forms.PatchSpec(2, radius=1.0, tau=1.0)
     u0 = field_from_function(grid, lambda p: closed_forms.patch_density(spec_p, p, 0.0))
-    cfg = solver.SolverConfig(t_end=1.0, output_times=(1.0,), viscosity=grid.h, cfl=0.45)
+    cfg = solver.SolverConfig(t_end=1.0, output_times=(1.0,), cfl=0.45)
     rep = solver.sweep_s(cfg, u0, [0.7, 0.85, 1.0])
     elapsed = time.perf_counter() - start
     report("09 fractional-to-unit-limit",
@@ -397,7 +396,7 @@ def test_criterion_13_fundamental_solution():
     vals = np.zeros(grid.shape)
     vals[256, 256] = pi / grid.cell_volume
     u0 = DensityField(grid, vals)
-    cfg = solver.SolverConfig(t_end=3.0, output_times=(1.0, 3.0), viscosity=0.0, cfl=0.45)
+    cfg = solver.SolverConfig(t_end=3.0, output_times=(1.0, 3.0), cfl=0.45)
     traj = solver.run(cfg, u0)
     patch = closed_forms.PatchSpec(2, radius=1.0, tau=0.0)
     offset = np.array([grid.h / 2, grid.h / 2])  # live cell center

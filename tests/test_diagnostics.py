@@ -295,7 +295,7 @@ class TestLongHorizonRelaxation:
         u0 = field_from_function(
             grid, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq))
         )
-        cfg = SolverConfig(t_end=49.0, output_times=(4.0, 15.0, 49.0), viscosity=0.0, cfl=0.45)
+        cfg = SolverConfig(t_end=49.0, output_times=(4.0, 15.0, 49.0), cfl=0.45)
         traj = run(cfg, u0)
         mass = total_mass(u0)
         errs = [

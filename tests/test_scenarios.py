@@ -55,14 +55,21 @@ class TestValidateConfig:
         errs = validate_config({"scenario": "vortex-patch", "params": {"cells": "many"}})
         assert errs and errs[0].startswith("params.cells")
 
+    def test_float_for_int_rejected(self):
+        # a float cell count used to reach the grid builder and raise a TypeError
+        errs = validate_config({"scenario": "vortex-patch", "params": {"cells": 64.0}})
+        assert errs == ["params.cells: expected int, got float"]
+        errs = validate_config({"scenario": "two-patch", "params": {"fv_nodes": [256, 512.0]}})
+        assert errs == ["params: fv_nodes entries must be integers"]
+        assert validate_config({"scenario": "vortex-patch", "params": {"radius": 1}}) == []
+
     def test_box_too_small_names_the_rule(self):
         errs = validate_config(
             {"scenario": "vortex-patch", "params": {"half_width": 1.5, "cells": 64}}
         )
         assert errs and "support growth bound" in errs[0]
 
-    def test_negative_viscosity_rejected(self):
-        # viscosity is not an exposed scenario knob; exercise the rule through cfl instead
+    def test_bad_cfl_rejected(self):
         errs = validate_config({"scenario": "vortex-patch", "params": {"cfl": -0.5}})
         assert errs and "cfl" in errs[0]
 
@@ -113,9 +120,11 @@ class TestValidateConfig:
         {"scenario": "asymptotics", "params": {"radial_times": [1.0, float("nan"), 5.0]}},
         {"scenario": "two-patch", "params": {"fv_time": float("nan")}},
         {"scenario": "barenblatt-limit", "params": {"r_max": float("nan")}},
+        {"scenario": "wasserstein-oracle", "params": {"pairs": 2.5}},
+        {"scenario": "two-patch", "params": {"fv_nodes": [256.5, 512]}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
-            "barenblatt-nan-r-max"])
+            "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -160,10 +169,9 @@ class TestRunScenario:
         result = run_scenario(ScenarioSpec("vortex-patch", params=SMALL_PATCH, outdir=str(tmp_path)))
         summary = json.loads((tmp_path / "vortex-patch" / "run_summary.json").read_text())
         assert set(summary) == {
-            "t_end", "s", "viscosity", "cfl", "steps", "wall_time_s", "mass_drift_relative",
-            "clipped_mass", "max_sup_bound_ratio", "warnings", "chosen_viscosity",
+            "t_end", "s", "cfl", "steps", "wall_time_s", "mass_drift_relative",
+            "clipped_mass", "max_sup_bound_ratio", "warnings",
         }
-        assert summary["chosen_viscosity"] == 0.0
         assert "l1-error" in {c.name for c in result.checks}
 
     def test_seed_changes_random_suite(self, tmp_path):
