@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .burgers import CFLError
-from .scenarios import REGISTRY, ScenarioSpec, catalog, run_scenario, validate_config
+from .scenarios import REGISTRY, ScenarioSpec, catalog, read_config, run_scenario, validate_config
 from .solver import ConfigError, NumericalError
 
 EXIT_PASS = 0
@@ -46,11 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_target(target: str):
     path = Path(target)
     if path.suffix == ".json" or path.exists():
-        errors = validate_config(path)
-        if errors:
-            return None, None, errors
-        obj = json.loads(path.read_text())
-        return obj["scenario"], obj.get("params", {}), []
+        return read_config(path)  # run_scenario checks the params by building them
     if target in REGISTRY:
         return target, {}, []
     return None, None, [f"unknown scenario or missing config file: '{target}'"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from math import isfinite, pi, sqrt
 from pathlib import Path
 
@@ -42,6 +42,7 @@ __all__ = [
     "REGISTRY",
     "list_scenarios",
     "catalog",
+    "read_config",
     "validate_config",
     "run_scenario",
 ]
@@ -111,67 +112,125 @@ class Scenario:
     summary: str
     defaults: dict
     runner: object
-    # scenarios that advance a Cartesian field: params -> initial DensityField
-    # and params -> SolverConfig; validation and the runner share both
-    initial: object = None
-    config: object = None
+    # merged params -> the inputs of runner(params, rng, outdir, jobs, **inputs);
+    # raises ValueError on bad input, so validation builds and a run builds once
+    build: object
 
 
 # ---------------------------------------------------------------------------
-# shared builders
+# builders
 
 
 def _grid(params) -> CartesianGrid:
     return CartesianGrid(2, params["half_width"], params["cells"])
 
 
-def _patch_spec(params) -> closed_forms.PatchSpec:
-    return closed_forms.PatchSpec(2, radius=params["radius"], tau=params["tau"])
-
-
-def _two_patch_spec(params) -> closed_forms.TwoPatchSpec:
-    return closed_forms.TwoPatchSpec(2, 1.0, params["r1"], params["r2"], params["r3"])
-
-
-def _patch_initial(params) -> DensityField:
-    spec = _patch_spec(params)
-    return field_from_function(_grid(params), lambda p: closed_forms.patch_density(spec, p, 0.0))
-
-
-def _two_patch_initial(params) -> DensityField:
-    spec = _two_patch_spec(params)
-    return field_from_function(
-        _grid(params),
-        lambda p: closed_forms.two_patch_state(spec, np.linalg.norm(p, axis=-1), 0.0).density,
+def _field_inputs(params, u0, diagnostics="basic") -> dict:
+    """A field run's u0 and SolverConfig (output at t_end only without output_times), box-checked."""
+    cfg = solver.SolverConfig(
+        t_end=params["t_end"], output_times=tuple(params.get("output_times", [params["t_end"]])),
+        cfl=params["cfl"], diagnostics=diagnostics,
     )
+    solver.check_box_admissible(u0, cfg.t_end)
+    return {"u0": u0, "cfg": cfg}
 
 
-def _gaussian_initial(params) -> DensityField:
+def _patch_inputs(params, diagnostics="basic") -> dict:
+    spec = closed_forms.PatchSpec(2, radius=params["radius"], tau=params["tau"])
+    u0 = field_from_function(_grid(params), lambda p: closed_forms.patch_density(spec, p, 0.0))
+    return {**_field_inputs(params, u0, diagnostics), "spec": spec}
+
+
+def _build_vortex_patch(params) -> dict:
+    return _patch_inputs(params, "full")
+
+
+def _build_radial_vs_field(params) -> dict:
+    inputs = _patch_inputs(params)
+    return {**inputs, "rgrid": RadialGrid(2, 0.95 * inputs["u0"].grid.half_width, params["radial_nodes"])}
+
+
+def _build_s_sweep(params) -> dict:
+    inputs = _patch_inputs(params)
+    s_values = solver.sweep_exponents(params["s_values"])
+    if len(s_values) < 2:
+        raise ValueError("s_values must hold at least 2 exponents")
+    for s in s_values:  # each member's SolverConfig checks its exponent
+        replace(inputs["cfg"], s=s)
+    return {**inputs, "s_values": s_values}
+
+
+def _build_non_comparison(params) -> dict:
+    spec = closed_forms.TwoPatchSpec(2, 1.0, params["r1"], params["r2"], params["r3"])
+    x0 = np.array([0.5 * (params["r2"] + params["r3"]), 0.0])
+    small = closed_forms.PatchSpec(
+        2, radius=params["small_radius"], tau=params["small_tau"], center=tuple(x0)
+    )
+    grid = _grid(params)
+    u1_0 = field_from_function(
+        grid, lambda p: closed_forms.two_patch_state(spec, np.linalg.norm(p, axis=-1), 0.0).density
+    )
+    u2_0 = field_from_function(grid, lambda p: closed_forms.patch_density(small, p, 0.0))
+    return {**_field_inputs(params, u1_0), "u2_0": u2_0, "spec": spec, "small": small, "x0": x0}
+
+
+def _build_asymptotics(params) -> dict:
+    times = params["radial_times"]
+    if len(times) < 2 or times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("radial_times must hold at least 2 positive, strictly increasing times")
     peak = params["peak"]
     width_sq = params["mass"] / (2.0 * pi * peak)
-    return field_from_function(
+    u0 = field_from_function(
         _grid(params), lambda p: peak * np.exp(-(p**2).sum(axis=-1) / (2.0 * width_sq))
     )
+    rgrid = RadialGrid(2, params["radial_r_max"], params["radial_nodes"])
+    r_width_sq = params["radial_width_sq"]
+    m_rad = params["radial_mass"]
+    u0r = RadialProfile(rgrid, (m_rad / r_width_sq) * np.exp(-rgrid.r**2 / (2 * r_width_sq)))
+    return {**_field_inputs(params, u0, "full"), "rgrid": rgrid, "m0": burgers.mass_transform(u0r)}
 
 
-def _dirac_initial(params) -> DensityField:
+def _build_dirac(params) -> dict:
     grid = _grid(params)
     vals = np.zeros(grid.shape)
     center = grid.cells // 2
     vals[center, center] = params["mass"] / grid.cell_volume
-    return DensityField(grid, vals)
+    patch = closed_forms.PatchSpec(2, radius=diagnostics.equilibrium_radius(params["mass"], 2), tau=0.0)
+    return {**_field_inputs(params, DensityField(grid, vals)), "patch": patch}
 
 
-def _field_config(params, diagnostics="basic") -> solver.SolverConfig:
-    """Scenarios without output_times report at t_end only."""
-    return solver.SolverConfig(
-        t_end=params["t_end"], output_times=tuple(params.get("output_times", [params["t_end"]])),
-        cfl=params["cfl"], diagnostics=diagnostics,
-    )
+def _build_two_patch(params) -> dict:
+    if len(params["fv_nodes"]) < 2:
+        raise ValueError("fv_nodes must hold at least 2 grid sizes to fit an order")
+    if not params["check_times"]:
+        raise ValueError("check_times must hold at least 1 time")
+    if min(params["fv_time"], *params["check_times"]) <= 0:
+        raise ValueError("fv_time and check_times must be positive")
+    spec = closed_forms.TwoPatchSpec(2, params["c1"], params["r1"], params["r2"], params["r3"])
+    sigma_max = params["sigma_max"]
+    knots_r = np.array([0.0, spec.r1, spec.r2, spec.r3, (2 * sigma_max) ** 0.5])
+    sigma = knots_r**2 / 2
+    mass = closed_forms.two_patch_state(spec, knots_r, 0.0).mass
+    sol = burgers.CharacteristicSolution(2, sigma, mass)
+    rgrids = [RadialGrid(2, (2 * sigma_max) ** 0.5, nodes) for nodes in params["fv_nodes"]]
+    return {"spec": spec, "sol": sol, "rgrids": rgrids}
 
 
-def _full_diagnostics_config(params) -> solver.SolverConfig:
-    return _field_config(params, diagnostics="full")
+def _build_barenblatt_limit(params) -> dict:
+    if len(params["s_values"]) < 2:
+        raise ValueError("s_values must hold at least 2 exponents")
+    specs = [closed_forms.barenblatt_with_mass(2, s, mass=params["mass"]) for s in params["s_values"]]
+    return {"r": np.linspace(0.0, params["r_max"], params["radial_points"]), "specs": specs}
+
+
+def _build_wasserstein_oracle(params) -> dict:
+    if min(params["pairs"], params["triples"], params["atoms"]) < 1:
+        raise ValueError("pairs, triples and atoms must each be at least 1")
+    return {"rgrid": RadialGrid(2, params["r_max"], params["nodes"])}
+
+
+# ---------------------------------------------------------------------------
+# check helpers
 
 
 def _l1_rel(u: DensityField, reference: DensityField, mass: float) -> float:
@@ -215,10 +274,9 @@ def _monotone_nonincreasing(values, scale, tol=1e-3):
 # scenario runners
 
 
-def _scenario_vortex_patch(params, rng, outdir, u0, cfg):
+def _scenario_vortex_patch(params, rng, outdir, jobs, u0, cfg, spec):
     grid = u0.grid
     traj = solver.run(cfg, u0)
-    spec = _patch_spec(params)
     exact = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, params["t_end"]))
     err = _l1_rel(traj.final(), exact, total_mass(u0))
     checks = [
@@ -262,18 +320,8 @@ def _scenario_vortex_patch(params, rng, outdir, u0, cfg):
     return checks, ["diagnostics.csv", "final_field.bin", "final_field.csv", "run_summary.json"]
 
 
-def _two_patch_solution(spec, sigma_max):
-    knots_r = np.array([0.0, spec.r1, spec.r2, spec.r3, (2 * sigma_max) ** 0.5])
-    sigma = knots_r**2 / 2
-    mass = closed_forms.two_patch_state(spec, knots_r, 0.0).mass
-    return burgers.CharacteristicSolution(2, sigma, mass)
-
-
-def _scenario_two_patch(params, rng, outdir):
-    spec = closed_forms.TwoPatchSpec(2, params["c1"], params["r1"], params["r2"], params["r3"])
-    sigma_max = params["sigma_max"]
-    sol = _two_patch_solution(spec, sigma_max)
-    sigma = np.linspace(0.0, sigma_max, 2000)
+def _scenario_two_patch(params, rng, outdir, jobs, spec, sol, rgrids):
+    sigma = np.linspace(0.0, params["sigma_max"], 2000)
     worst = 0.0
     for t in params["check_times"]:
         exact = closed_forms.two_patch_state(spec, (2 * sigma) ** 0.5, t).mass
@@ -293,14 +341,13 @@ def _scenario_two_patch(params, rng, outdir):
 
     # Godunov convergence against the characteristic solution
     errs, widths, iface_cells = [], [], None
-    for nodes in params["fv_nodes"]:
-        rgrid = RadialGrid(2, (2 * sigma_max) ** 0.5, nodes)
+    for rgrid in rgrids:
         m0 = burgers.evolve_to_mass_function(sol, 0.0, rgrid)
         traj = burgers.run_finite_volume(m0, [params["fv_time"]], cfl=0.9)
         exact = burgers.evolve_characteristics(sol, params["fv_time"], rgrid.sigma)
         errs.append(float(np.trapezoid(np.abs(traj[-1][1].values - exact), rgrid.sigma)))
         widths.append(rgrid.d_sigma)
-        if nodes == params["fv_nodes"][-1]:
+        if rgrid is rgrids[-1]:
             # interface positions at the finest level: half-height crossings in sigma
             m_final = traj[-1][1]
             u_fv = burgers.density_from_mass(m_final).values
@@ -321,20 +368,14 @@ def _scenario_two_patch(params, rng, outdir):
     checks.append(Check(
         "fv-interfaces", "finite-volume interface positions within 2 cells of the closed form",
         iface_cells, "2 cells", iface_cells <= 2.0))
-    rgrid = RadialGrid(2, (2 * sigma_max) ** 0.5, params["fv_nodes"][0])
     traj = burgers.run_finite_volume(
-        burgers.evolve_to_mass_function(sol, 0.0, rgrid), list(params["check_times"]), cfl=0.9
+        burgers.evolve_to_mass_function(sol, 0.0, rgrids[0]), list(params["check_times"]), cfl=0.9
     )
     burgers.write_radial_trajectory_csv(traj, Path(outdir) / "two_patch_trajectory.csv")
     return checks, ["two_patch_trajectory.csv"]
 
 
-def _scenario_non_comparison(params, rng, outdir, u1_0, cfg):
-    spec = _two_patch_spec(params)
-    x0 = np.array([0.5 * (params["r2"] + params["r3"]), 0.0])
-    small = closed_forms.PatchSpec(
-        2, radius=params["small_radius"], tau=params["small_tau"], center=tuple(x0)
-    )
+def _scenario_non_comparison(params, rng, outdir, jobs, u0, cfg, u2_0, spec, small, x0):
     t_rev = params["t_end"]
     u1_x0 = [closed_forms.two_patch_density_at_point(spec, x0, t) for t in (0.0, t_rev)]
     u2_x0 = [float(closed_forms.patch_density(small, x0, t)) for t in (0.0, t_rev)]
@@ -344,12 +385,11 @@ def _scenario_non_comparison(params, rng, outdir, u1_0, cfg):
         Check("closed-form-reversal", "closed forms give u1(x0,T) = 0 < u2(x0,T)",
               u2_x0[1] - u1_x0[1], "> 0", u1_x0[1] == 0.0 and u2_x0[1] > 0.0),
     ]
-    grid = u1_0.grid
-    u2_0 = field_from_function(grid, lambda p: closed_forms.patch_density(small, p, 0.0))
-    ordered = bool(np.all(u1_0.values >= u2_0.values - 1e-12))
+    grid = u0.grid
+    ordered = bool(np.all(u0.values >= u2_0.values - 1e-12))
     checks.append(Check("grid-ordering", "sampled initial data keeps u1 >= u2 everywhere",
                         1.0 if ordered else 0.0, "true", ordered))
-    tr1 = solver.run(cfg, u1_0)
+    tr1 = solver.run(cfg, u0)
     tr2 = solver.run(cfg, u2_0)
     margin = _interp_at(tr2.final(), x0) - _interp_at(tr1.final(), x0)
     checks.append(Check(
@@ -360,8 +400,8 @@ def _scenario_non_comparison(params, rng, outdir, u1_0, cfg):
     return checks, ["final_fields.csv"]
 
 
-def _scenario_s_sweep(params, rng, outdir, u0, cfg, jobs=1):
-    rep = solver.sweep_s(cfg, u0, params["s_values"], jobs=jobs)
+def _scenario_s_sweep(params, rng, outdir, jobs, u0, cfg, spec, s_values):
+    rep = solver.sweep_s(cfg, u0, s_values, jobs=jobs)
     checks = [
         Check("sweep-complete", "every sweep member ran to completion",
               float(len(rep.errors)), "0", not rep.partial),
@@ -374,14 +414,11 @@ def _scenario_s_sweep(params, rng, outdir, u0, cfg, jobs=1):
     return checks, ["sweep_distances.csv"]
 
 
-def _scenario_barenblatt_limit(params, rng, outdir):
-    r = np.linspace(0.0, params["r_max"], params["radial_points"])
-    mass = params["mass"]
-    patch_radius = diagnostics.equilibrium_radius(mass, 2)
+def _scenario_barenblatt_limit(params, rng, outdir, jobs, r, specs):
+    patch_radius = diagnostics.equilibrium_radius(params["mass"], 2)
     target = np.where(r <= patch_radius, 1.0, 0.0)
     dists = []
-    for s in params["s_values"]:
-        spec = closed_forms.barenblatt_with_mass(2, s, mass=mass)
+    for spec in specs:
         prof = closed_forms.barenblatt_density_radial(spec, r, 1.0)
         dists.append(float(np.trapezoid(np.abs(prof - target) * r, r) * 2 * pi))
     strictly = all(b < a for a, b in zip(dists, dists[1:]))
@@ -394,7 +431,7 @@ def _scenario_barenblatt_limit(params, rng, outdir):
     return checks, ["barenblatt_distances.csv"]
 
 
-def _scenario_asymptotics(params, rng, outdir, u0, cfg):
+def _scenario_asymptotics(params, rng, outdir, jobs, u0, cfg, rgrid, m0):
     checks = []
     # (a) planar Gaussian relaxation: entropy decay and moment identities
     traj = solver.run(cfg, u0)
@@ -436,11 +473,6 @@ def _scenario_asymptotics(params, rng, outdir, u0, cfg):
     diagnostics.write_records_csv(traj.records, Path(outdir) / "gaussian_diagnostics.csv")
 
     # (b) radial relaxation toward the uniform patch, in mass-function variables
-    rgrid = RadialGrid(2, params["radial_r_max"], params["radial_nodes"])
-    width_sq = params["radial_width_sq"]
-    m_rad = params["radial_mass"]
-    u0r = RadialProfile(rgrid, (m_rad / width_sq) * np.exp(-rgrid.r**2 / (2 * width_sq)))
-    m0 = burgers.mass_transform(u0r)
     times = list(params["radial_times"])
     rtraj = burgers.run_finite_volume(m0, times, cfl=0.9)
     r1 = (2 * m0.total) ** 0.5
@@ -487,10 +519,9 @@ def _scenario_asymptotics(params, rng, outdir, u0, cfg):
     return checks, ["gaussian_diagnostics.csv", "radial_trajectory.csv"]
 
 
-def _scenario_dirac(params, rng, outdir, u0, cfg):
+def _scenario_dirac(params, rng, outdir, jobs, u0, cfg, patch):
     grid = u0.grid
     traj = solver.run(cfg, u0)
-    patch = closed_forms.PatchSpec(2, radius=diagnostics.equilibrium_radius(params["mass"], 2), tau=0.0)
     # the single live cell sits half a cell off the origin; compare against the patch there
     offset = np.array([grid.h / 2, grid.h / 2])
     worst_l1 = 0.0
@@ -511,11 +542,9 @@ def _scenario_dirac(params, rng, outdir, u0, cfg):
     return checks, ["dirac_diagnostics.csv"]
 
 
-def _scenario_radial_vs_field(params, rng, outdir, u0, cfg):
+def _scenario_radial_vs_field(params, rng, outdir, jobs, u0, cfg, spec, rgrid):
     grid = u0.grid
     traj = solver.run(cfg, u0)
-    spec = _patch_spec(params)
-    rgrid = RadialGrid(2, 0.95 * grid.half_width, params["radial_nodes"])
     worst_iface = 0.0
     worst_l1 = 0.0
     for t, u in zip(traj.times[1:], traj.fields[1:]):
@@ -542,10 +571,9 @@ def _scenario_radial_vs_field(params, rng, outdir, u0, cfg):
     return checks, []
 
 
-def _scenario_wasserstein_oracle(params, rng, outdir):
+def _scenario_wasserstein_oracle(params, rng, outdir, jobs, rgrid):
     from scipy.optimize import linear_sum_assignment
 
-    rgrid = RadialGrid(2, params["r_max"], params["nodes"])
     worst = 0.0
     rows = []
     for k in range(params["pairs"]):
@@ -604,7 +632,7 @@ REGISTRY = {
             "t_end": 3.0, "output_times": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
             "cfl": 0.45,
         },
-        _scenario_vortex_patch, _patch_initial, _full_diagnostics_config,
+        _scenario_vortex_patch, _build_vortex_patch,
     ),
     "two-patch": Scenario(
         "two-patch", 6,
@@ -613,7 +641,7 @@ REGISTRY = {
             "c1": 1.0, "r1": 1.0, "r2": 2.0, "r3": 3.0, "sigma_max": 11.0,
             "check_times": [1.0, 3.0], "fv_nodes": [256, 512, 1024], "fv_time": 1.0,
         },
-        _scenario_two_patch,
+        _scenario_two_patch, _build_two_patch,
     ),
     "non-comparison": Scenario(
         "non-comparison", 6,
@@ -622,7 +650,7 @@ REGISTRY = {
             "r1": 1.0, "r2": 2.0, "r3": 3.0, "small_radius": 0.1, "small_tau": 4.0,
             "cells": 432, "half_width": 6.75, "t_end": 3.0, "cfl": 0.45,
         },
-        _scenario_non_comparison, _two_patch_initial, _field_config,
+        _scenario_non_comparison, _build_non_comparison,
     ),
     "s-sweep": Scenario(
         "s-sweep", 3,
@@ -631,7 +659,7 @@ REGISTRY = {
             "cells": 128, "half_width": 4.0, "radius": 1.0, "tau": 1.0,
             "t_end": 1.0, "s_values": [0.7, 0.85, 1.0], "cfl": 0.45,
         },
-        _scenario_s_sweep, _patch_initial, _field_config,
+        _scenario_s_sweep, _build_s_sweep,
     ),
     "barenblatt-limit": Scenario(
         "barenblatt-limit", 6,
@@ -640,7 +668,7 @@ REGISTRY = {
             "s_values": [0.6, 0.7, 0.8, 0.9, 0.95], "mass": 1.0,
             "radial_points": 512, "r_max": 3.0,
         },
-        _scenario_barenblatt_limit,
+        _scenario_barenblatt_limit, _build_barenblatt_limit,
     ),
     "asymptotics": Scenario(
         "asymptotics", 8,
@@ -653,7 +681,7 @@ REGISTRY = {
             "radial_mass": 0.5, "radial_times": [1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0],
             "rate_tol": 1e-3,
         },
-        _scenario_asymptotics, _gaussian_initial, _full_diagnostics_config,
+        _scenario_asymptotics, _build_asymptotics,
     ),
     "dirac-fundamental": Scenario(
         "dirac-fundamental", 3,
@@ -662,7 +690,7 @@ REGISTRY = {
             "cells": 512, "half_width": 2.2, "mass": pi, "t_end": 3.0,
             "output_times": [1.0, 3.0], "cfl": 0.45,
         },
-        _scenario_dirac, _dirac_initial, _field_config,
+        _scenario_dirac, _build_dirac,
     ),
     "radial-vs-field": Scenario(
         "radial-vs-field", 7,
@@ -672,7 +700,7 @@ REGISTRY = {
             "t_end": 3.0, "output_times": [1.0, 3.0], "cfl": 0.45,
             "radial_nodes": 96,
         },
-        _scenario_radial_vs_field, _patch_initial, _field_config,
+        _scenario_radial_vs_field, _build_radial_vs_field,
     ),
     "wasserstein-oracle": Scenario(
         "wasserstein-oracle", 4,
@@ -680,7 +708,7 @@ REGISTRY = {
         {
             "nodes": 64, "r_max": 3.0, "pairs": 20, "triples": 10, "atoms": 400,
         },
-        _scenario_wasserstein_oracle,
+        _scenario_wasserstein_oracle, _build_wasserstein_oracle,
     ),
 }
 
@@ -716,10 +744,12 @@ def _type_ok(value, template) -> bool:
     return isinstance(value, type(template))
 
 
-def validate_params(name: str, params: dict) -> list:
+def _build_inputs(name: str, params: dict):
+    """(inputs, errors): the scenario's build on its merged params once the
+    key, type and finiteness rules hold, else None and what stopped it."""
     errors = []
     if name not in REGISTRY:
-        return [f"scenario: unknown scenario '{name}'"]
+        return None, [f"scenario: unknown scenario '{name}'"]
     defaults = REGISTRY[name].defaults
     for key, value in params.items():
         if key not in defaults:
@@ -735,41 +765,44 @@ def validate_params(name: str, params: dict) -> list:
         elif any(isinstance(v, float) and not isfinite(v)
                  for v in (value if isinstance(value, list) else [value])):
             errors.append(f"params: {key} must be finite")
-    scenario = REGISTRY[name]
-    if not errors and scenario.initial is not None:
-        merged = {**defaults, **params}
+    if errors:
+        return None, errors
+    try:
+        return REGISTRY[name].build({**defaults, **params}), []
+    except ValueError as exc:  # ConfigError is a ValueError
+        return None, [f"params: {exc}"]
+
+
+def validate_params(name: str, params: dict) -> list:
+    return _build_inputs(name, params)[1]
+
+
+def read_config(source):
+    """(scenario name, params, errors) of a config mapping or JSON file path.
+    Only the config's shape is checked; its params are checked by building them."""
+    obj = source
+    if isinstance(source, (str, Path)):
         try:
-            cfg = scenario.config(merged)
-            solver.check_box_admissible(scenario.initial(merged), cfg.t_end)
-        except ValueError as exc:  # ConfigError is a ValueError
-            errors.append(f"params: {exc}")
-    return errors
+            obj = json.loads(Path(source).read_text())
+        except OSError as exc:
+            return None, {}, [f"file: {exc}"]
+        except json.JSONDecodeError as exc:
+            return None, {}, [f"json: line {exc.lineno} column {exc.colno}: {exc.msg}"]
+    if not isinstance(obj, dict):
+        return None, {}, ["config: expected a JSON object"]
+    name = obj.get("scenario")
+    if not isinstance(name, str):
+        return None, {}, ["scenario: missing or not a string"]
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        return None, {}, ["params: expected an object"]
+    return name, params, [f"{k}: unknown top-level key" for k in sorted(set(obj) - {"scenario", "params"})]
 
 
 def validate_config(source) -> list:
     """Validate a config mapping or a JSON file path; returns a list of errors."""
-    if isinstance(source, (str, Path)):
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            return [f"file: {exc}"]
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return [f"json: line {exc.lineno} column {exc.colno}: {exc.msg}"]
-    else:
-        obj = source
-    if not isinstance(obj, dict):
-        return ["config: expected a JSON object"]
-    name = obj.get("scenario")
-    if not isinstance(name, str):
-        return ["scenario: missing or not a string"]
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        return ["params: expected an object"]
-    extra = set(obj) - {"scenario", "params"}
-    errors = [f"{k}: unknown top-level key" for k in sorted(extra)]
-    return errors + validate_params(name, params)
+    name, params, errors = read_config(source)
+    return errors if name is None else errors + validate_params(name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +810,7 @@ def validate_config(source) -> list:
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    errors = validate_params(spec.name, spec.params)
+    inputs, errors = _build_inputs(spec.name, spec.params)
     if errors:
         raise solver.ConfigError("; ".join(errors))
     scenario = REGISTRY[spec.name]
@@ -786,11 +819,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     start = time.perf_counter()
-    args = (params, rng, outdir)
-    if scenario.initial is not None:
-        args += (scenario.initial(params), scenario.config(params))
-    kwargs = {"jobs": spec.jobs} if spec.name == "s-sweep" else {}
-    checks, outputs = scenario.runner(*args, **kwargs)
+    checks, outputs = scenario.runner(params, rng, outdir, spec.jobs, **inputs)
     result = ScenarioResult(
         spec.name, scenario.section, params, spec.seed, checks,
         outputs + ["report.json", "report.txt"], time.perf_counter() - start,

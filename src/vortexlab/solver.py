@@ -340,14 +340,20 @@ def _run_sweep_member(args):
         return s, None, repr(exc)
 
 
+def sweep_exponents(s_values) -> list:
+    """A sweep's exponents in increasing order; the s = 1 member is the reference."""
+    s_values = sorted(float(s) for s in s_values)
+    if 1.0 not in s_values:
+        raise ConfigError("the sweep must include s = 1")
+    return s_values
+
+
 def sweep_s(cfg: SolverConfig, u0: DensityField, s_values, jobs: int = 1) -> SweepReport:
     """Run identical initial data for each exponent with the same inviscid
     scheme and report L1 distances of the final states to the s=1 member,
     expected to be nonincreasing as s increases toward 1.  Failures abort that
     member only."""
-    s_values = sorted(float(s) for s in s_values)
-    if 1.0 not in s_values:
-        raise ConfigError("the sweep must include s = 1")
+    s_values = sweep_exponents(s_values)
     tasks = [(cfg, u0, s) for s in s_values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -133,6 +133,27 @@ class TestVelocity:
         keep = rg.r > 0.2  # binned speeds near the origin average over few cells
         assert np.abs(speed_prof.values[keep] - expected.values[keep]).max() < 4 * u.grid.h
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cells=st.sampled_from([32, 40, 48, 56, 64]),
+        rings=st.lists(
+            st.tuples(st.floats(0.2, 1.0), st.floats(0.1, 0.4), st.floats(0.2, 2.0)),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_radial_consistency_property(self, cells, rings):
+        # |v|(r) = M(r)/r^{n-1} for any radial density, not only the pinned disk
+        g = CartesianGrid(2, 2.0, cells)
+        r = g.radius()
+        u = DensityField(g, sum(a * np.exp(-((r - c) ** 2) / (2 * w**2)) for c, w, a in rings))
+        speed = velocity(u, 1.0).magnitude()
+        rg = RadialGrid(2, 1.8, 24)
+        speed_prof = radial_average(DensityField(g, speed), rg)
+        expected = radial_velocity(mass_transform(radial_average(u, rg)))
+        keep = rg.r > 0.2
+        err = np.abs(speed_prof.values[keep] - expected.values[keep]).max()
+        assert err <= 4 * g.h * speed.max()
+
     def test_rejects_bad_exponent(self):
         u = disk_field(N=32)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -122,15 +123,52 @@ class TestValidateConfig:
         {"scenario": "barenblatt-limit", "params": {"r_max": float("nan")}},
         {"scenario": "wasserstein-oracle", "params": {"pairs": 2.5}},
         {"scenario": "two-patch", "params": {"fv_nodes": [256.5, 512]}},
+        {"scenario": "wasserstein-oracle", "params": {"r_max": -1.0}},
+        {"scenario": "wasserstein-oracle", "params": {"nodes": 1}},
+        {"scenario": "barenblatt-limit", "params": {"mass": -1.0}},
+        {"scenario": "barenblatt-limit", "params": {"s_values": [0.6, 1.2]}},
+        {"scenario": "two-patch", "params": {"fv_time": -1.0}},
+        {"scenario": "two-patch", "params": {"r1": 2.5}},
+        {"scenario": "two-patch", "params": {"sigma_max": -1.0}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_nodes": 4}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_times": [50.0, 1.0]}},
+        {"scenario": "radial-vs-field", "params": {"cells": 32, "radial_nodes": 4}},
+        {"scenario": "two-patch", "params": {"fv_nodes": []}},
+        {"scenario": "two-patch", "params": {"check_times": []}},
+        {"scenario": "barenblatt-limit", "params": {"s_values": []}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_times": []}},
+        {"scenario": "barenblatt-limit", "params": {"s_values": [0.9]}},
+        {"scenario": "s-sweep", "params": {"cells": 32, "s_values": [1.0]}},
+        {"scenario": "wasserstein-oracle", "params": {"pairs": 0}},
+        {"scenario": "wasserstein-oracle", "params": {"triples": 0}},
+        {"scenario": "two-patch", "params": {"fv_nodes": [256]}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_times": [5.0]}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_times": [1.0, 1.0, 5.0]}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_times": [0.0, 5.0]}},
+        {"scenario": "wasserstein-oracle", "params": {"atoms": 0}},
+        {"scenario": "s-sweep", "params": {"cells": 32, "s_values": [0.85, 1.0, 1.2]}},
+        {"scenario": "non-comparison", "params": {"cells": 32, "small_radius": -0.1}},
+        {"scenario": "dirac-fundamental", "params": {"cells": 32, "mass": 0.0}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
-            "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes"])
+            "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
+            "oracle-negative-r-max", "oracle-one-node", "barenblatt-negative-mass",
+            "barenblatt-s-above-one", "two-patch-negative-fv-time", "two-patch-unordered-radii",
+            "two-patch-negative-sigma-max", "asymptotics-few-radial-nodes",
+            "asymptotics-decreasing-radial-times", "radial-vs-field-few-radial-nodes",
+            "two-patch-empty-fv-nodes", "two-patch-empty-check-times", "barenblatt-empty-s-values",
+            "asymptotics-empty-radial-times", "barenblatt-one-exponent", "s-sweep-one-exponent",
+            "oracle-zero-pairs", "oracle-zero-triples", "two-patch-one-fv-grid",
+            "asymptotics-one-radial-time", "asymptotics-repeated-radial-time",
+            "asymptotics-zero-radial-time", "oracle-zero-atoms", "s-sweep-s-above-one",
+            "non-comparison-negative-small-radius", "dirac-zero-mass"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert not list(out.rglob("report.json"))
+        assert main(["validate", str(path)]) == 2
 
 
 class TestRunScenario:
@@ -183,6 +221,18 @@ class TestRunScenario:
         fb = (b / "wasserstein-oracle" / "oracle_pairs.csv").read_bytes()
         assert fa != fb
 
+    def test_run_builds_once(self, tmp_path, monkeypatch):
+        scenario = REGISTRY["vortex-patch"]
+        calls = []
+
+        def counting_build(params):
+            calls.append(params)
+            return scenario.build(params)
+
+        monkeypatch.setitem(REGISTRY, "vortex-patch", dataclasses.replace(scenario, build=counting_build))
+        run_scenario(ScenarioSpec("vortex-patch", params=SMALL_PATCH, outdir=str(tmp_path)))
+        assert len(calls) == 1
+
     def test_invalid_override_raises_before_outputs(self, tmp_path):
         from vortexlab.solver import ConfigError
 
@@ -232,8 +282,12 @@ class TestCli:
 
     def test_import_loads_no_scipy(self):
         # scipy costs most of a CLI process's start-up; only the wasserstein-oracle
-        # runner imports it, lazily
-        code = "import sys, vortexlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # runner imports it, lazily, so neither import nor validation loads it
+        code = (
+            "import sys, vortexlab.cli; from vortexlab.scenarios import REGISTRY, validate_params; "
+            "assert all(validate_params(name, {}) == [] for name in REGISTRY); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(vortexlab.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
