@@ -2,8 +2,9 @@
 potentials, energies, and the fractional bilinear form.
 
 All Cartesian convolutions are free-space: fields are compactly supported in
-the box, the kernel is tabulated on the doubled grid, and the product is taken
-with zero padding (no periodic images).  The velocity kernel
+the box (or in the block of it that is passed), the kernel is tabulated on
+that block's doubled grid, and the product is taken with zero padding (no
+periodic images; Hockney-Eastwood).  The velocity kernel
 
     K(z) = C(n,s) * z / |z|^{n+2-2s},   C(n,s) = 2 Gamma(n/2+1-s) / (4^s pi^{n/2} Gamma(s))
 
@@ -87,80 +88,102 @@ def _cell_average_log(h: float) -> float:
     return integral / h**2
 
 
-def _offsets(grid: CartesianGrid) -> np.ndarray:
-    m = np.arange(2 * grid.cells)
-    return np.where(m < grid.cells, m, m - 2 * grid.cells) * grid.h
+def _offsets(cells: int, h: float) -> np.ndarray:
+    m = np.arange(2 * cells)
+    return np.where(m < cells, m, m - 2 * cells) * h
+
+
+def _geometry(grid: CartesianGrid, shape: tuple):
+    """Kernel offsets per axis and their lengths on the doubled grid of a `shape` block."""
+    z = [_offsets(cells, grid.h) for cells in shape]
+    if grid.n == 1:
+        return (z[0],), np.abs(z[0])
+    coords = np.meshgrid(*z, indexing="ij")
+    return coords, np.hypot(coords[0], coords[1])
+
+
+def _velocity_spectra(n: int, s: float, coords, rad) -> tuple:
+    """rfftn of each velocity kernel component tabulated at `coords`."""
+    cv = velocity_constant(n, s)
+    spectra = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = rad ** (-(n + 2.0 - 2.0 * s))
+        for k in range(n):
+            kern = cv * coords[k] * inv
+            kern[(0,) * n] = 0.0  # antisymmetric kernel averages to zero over the singular cell
+            spectra.append(np.fft.rfftn(kern, axes=range(n)))
+    return tuple(spectra)
 
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
     velocity_fft: tuple  # rfftn of each velocity kernel component on the doubled grid
     scalar_fft: object   # rfftn of the scalar kernel, or None when not representable
-    pad_shape: tuple
 
 
 @lru_cache(maxsize=4)
 def _kernel_table(grid: CartesianGrid, s: float) -> KernelTable:
     n = grid.n
-    pad_shape = (2 * grid.cells,) * n
-    axes = range(n)
-    z = _offsets(grid)
-    if n == 1:
-        coords = (z,)
-        rad = np.abs(z)
-    else:
-        coords = np.meshgrid(z, z, indexing="ij")
-        rad = np.hypot(coords[0], coords[1])
+    coords, rad = _geometry(grid, grid.shape)
     origin = (0,) * n
-
-    cv = velocity_constant(n, s)
-    vel_fft = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = rad ** (-(n + 2.0 - 2.0 * s))
-        for k in range(n):
-            kern = cv * coords[k] * inv
-            kern[origin] = 0.0  # antisymmetric kernel averages to zero over the singular cell
-            vel_fft.append(np.fft.rfftn(kern, s=pad_shape, axes=axes))
-
     scalar_fft = None
     if s < 1.0 and n > 2.0 * s:
         cr = _riesz_constant(n, s)
         with np.errstate(divide="ignore"):
             kern = cr * rad ** (2.0 * s - n)
         kern[origin] = cr * _cell_average_power(n, grid.h, 2.0 * s - n)
-        scalar_fft = np.fft.rfftn(kern, s=pad_shape, axes=axes)
+        scalar_fft = np.fft.rfftn(kern, axes=range(n))
     elif s == 1.0:
         if n == 2:
             with np.errstate(divide="ignore"):
                 kern = -np.log(rad) / (2.0 * pi)
             kern[origin] = -_cell_average_log(grid.h) / (2.0 * pi)
         else:
-            kern = -0.5 * np.abs(z)
+            kern = -0.5 * rad
             kern[origin] = -grid.h / 8.0
-        scalar_fft = np.fft.rfftn(kern, s=pad_shape, axes=axes)
-    return KernelTable(tuple(vel_fft), scalar_fft, pad_shape)
+        scalar_fft = np.fft.rfftn(kern, axes=range(n))
+    return KernelTable(_velocity_spectra(n, s, coords, rad), scalar_fft)
 
 
-def _padded_fft(grid: CartesianGrid, values: np.ndarray, pad_shape):
-    pad = np.zeros(pad_shape)
-    pad[tuple(slice(0, grid.cells) for _ in range(grid.n))] = values
-    return np.fft.rfftn(pad)
+@lru_cache(maxsize=1)
+def _window_spectra(grid: CartesianGrid, s: float, shape: tuple) -> tuple:
+    # one entry: a run's window only grows, so an evicted shape does not come back
+    return _velocity_spectra(grid.n, s, *_geometry(grid, shape))
 
 
-def _crop(grid: CartesianGrid, arr: np.ndarray) -> np.ndarray:
-    return arr[tuple(slice(0, grid.cells) for _ in range(grid.n))]
+def _convolve(values: np.ndarray, spectra, scale: float) -> list:
+    """scale * (kernel * values) on the block of `values`, one array per spectrum, from the
+    free-space product on that block's doubled grid."""
+    block = tuple(slice(0, cells) for cells in values.shape)
+    axes = range(values.ndim)
+    # Pad in an array of the doubled grid, not with rfftn(values, s=...): the bits are
+    # the same, but then every temporary of a solve has one size, which glibc reuses
+    # instead of trimming the heap and faulting it back in on the next solve.
+    padded = np.zeros(tuple(2 * cells for cells in values.shape))
+    padded[block] = values
+    fval = np.fft.rfftn(padded, axes=axes)
+    pad = padded.shape
+    del padded  # not needed by the inverse transforms; keeping it raises peak memory
+    return [scale * np.fft.irfftn(fval * kf, s=pad, axes=axes)[block] for kf in spectra]
 
 
 def velocity_from_values(grid: CartesianGrid, values: np.ndarray, s: float):
-    """Velocity components for a (possibly signed) cell-value array."""
+    """Velocity components of a (possibly signed) cell-value array on `grid`, or on
+    any block W of its cells.
+
+    The block is convolved with zero padding on its own doubled grid 2W, with the
+    kernel at the same offsets as the whole-box solve: every offset between two
+    cells of W is below W's side, so no periodic image enters.  When the values
+    vanish outside W the result is the whole-box velocity restricted to W; only the
+    FFT size differs, so only rounding differs.  The whole box uses the cached
+    `_kernel_table`; a smaller block uses a one-entry cache of its own spectra.
+    """
     s = _check_exponent(s)
-    table = _kernel_table(grid, s)
-    fval = _padded_fft(grid, values, table.pad_shape)
-    scale = grid.cell_volume
-    return [
-        scale * _crop(grid, np.fft.irfftn(fval * kf, s=table.pad_shape, axes=range(grid.n)))
-        for kf in table.velocity_fft
-    ]
+    if values.shape == grid.shape:
+        spectra = _kernel_table(grid, s).velocity_fft
+    else:
+        spectra = _window_spectra(grid, s, values.shape)
+    return _convolve(values, spectra, grid.cell_volume)
 
 
 def velocity(u: DensityField, s: float = 1.0) -> VectorField:
@@ -179,8 +202,7 @@ def potential_values(grid: CartesianGrid, values: np.ndarray, s: float) -> np.nd
     table = _kernel_table(grid, s)
     if table.scalar_fft is None:
         raise ValueError(f"scalar kernel not representable for n={grid.n}, s={s}")
-    fval = _padded_fft(grid, values, table.pad_shape)
-    return grid.cell_volume * _crop(grid, np.fft.irfftn(fval * table.scalar_fft, s=table.pad_shape, axes=range(grid.n)))
+    return _convolve(values, (table.scalar_fft,), grid.cell_volume)[0]
 
 
 def radial_velocity(m: MassFunction) -> RadialProfile:

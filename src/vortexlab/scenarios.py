@@ -178,6 +178,8 @@ def _build_asymptotics(params) -> dict:
     times = params["radial_times"]
     if len(times) < 2 or times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("radial_times must hold at least 2 positive, strictly increasing times")
+    if min(params["peak"], params["radial_width_sq"]) <= 0:
+        raise ValueError("peak and radial_width_sq must be positive")
     peak = params["peak"]
     width_sq = params["mass"] / (2.0 * pi * peak)
     u0 = field_from_function(
@@ -208,6 +210,8 @@ def _build_two_patch(params) -> dict:
         raise ValueError("fv_time and check_times must be positive")
     spec = closed_forms.TwoPatchSpec(2, params["c1"], params["r1"], params["r2"], params["r3"])
     sigma_max = params["sigma_max"]
+    if sigma_max < spec.r3**2 / 2:
+        raise ValueError("sigma_max must be at least r3^2/2, the outer interface's sigma")
     knots_r = np.array([0.0, spec.r1, spec.r2, spec.r3, (2 * sigma_max) ** 0.5])
     sigma = knots_r**2 / 2
     mass = closed_forms.two_patch_state(spec, knots_r, 0.0).mass
@@ -219,6 +223,8 @@ def _build_two_patch(params) -> dict:
 def _build_barenblatt_limit(params) -> dict:
     if len(params["s_values"]) < 2:
         raise ValueError("s_values must hold at least 2 exponents")
+    if not params["r_max"] > 0 or params["radial_points"] < 2:
+        raise ValueError("r_max must be positive and radial_points at least 2")
     specs = [closed_forms.barenblatt_with_mass(2, s, mass=params["mass"]) for s in params["s_values"]]
     return {"r": np.linspace(0.0, params["r_max"], params["radial_points"]), "specs": specs}
 

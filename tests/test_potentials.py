@@ -186,6 +186,33 @@ class TestVelocitySymmetry:
                 assert np.abs(flipped[j] - sign * np.flip(comp, k)).max() <= tol
 
 
+class TestWindowedVelocity:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cells=st.integers(8, 32).map(lambda k: 2 * k),
+        s=st.floats(0.3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_block_solve_matches_whole_box(self, cells, s, seed, data):
+        # values vanish outside the block W, and the solve on W's own doubled grid
+        # uses the kernel at the same offsets as the whole-box solve
+        g = CartesianGrid(2, 1.0, cells)
+        window = []
+        for _ in range(g.n):
+            lo = data.draw(st.integers(0, cells - 1))
+            window.append(slice(lo, data.draw(st.integers(lo + 1, cells))))
+        window = tuple(window)
+        vals = np.zeros(g.shape)
+        vals[window] = np.random.default_rng(seed).random(vals[window].shape)
+        whole = velocity_from_values(g, vals, s)
+        block = velocity_from_values(g, vals[window], s)
+        tol = 1e-12 * max(np.abs(c).max() for c in whole)
+        for w, b in zip(whole, block):
+            assert b.shape == vals[window].shape
+            assert np.abs(w[window] - b).max() <= tol
+
+
 class TestRadialVelocity:
     def test_zero_mass(self):
         rg = RadialGrid(2, 2.0, 32)

@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vortexlab
@@ -149,6 +151,10 @@ class TestValidateConfig:
         {"scenario": "s-sweep", "params": {"cells": 32, "s_values": [0.85, 1.0, 1.2]}},
         {"scenario": "non-comparison", "params": {"cells": 32, "small_radius": -0.1}},
         {"scenario": "dirac-fundamental", "params": {"cells": 32, "mass": 0.0}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "peak": 0.0}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_width_sq": 0.0}},
+        {"scenario": "barenblatt-limit", "params": {"r_max": -1.0}},
+        {"scenario": "barenblatt-limit", "params": {"radial_points": 1}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -161,14 +167,21 @@ class TestValidateConfig:
             "oracle-zero-pairs", "oracle-zero-triples", "two-patch-one-fv-grid",
             "asymptotics-one-radial-time", "asymptotics-repeated-radial-time",
             "asymptotics-zero-radial-time", "oracle-zero-atoms", "s-sweep-s-above-one",
-            "non-comparison-negative-small-radius", "dirac-zero-mass"])
+            "non-comparison-negative-small-radius", "dirac-zero-mass", "asymptotics-zero-peak",
+            "asymptotics-zero-radial-width-sq", "barenblatt-negative-r-max",
+            "barenblatt-one-radial-point"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 2
-        assert not list(out.rglob("report.json"))
-        assert main(["validate", str(path)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            assert not list(out.rglob("report.json"))
+            assert main(["validate", str(path)]) == 2
+        # a bad value is rejected by a rule, not by an accident of arithmetic such as
+        # a complex square root cast back to float
+        assert not [w for w in caught if issubclass(w.category, np.exceptions.ComplexWarning)]
 
 
 class TestRunScenario:

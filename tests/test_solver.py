@@ -11,9 +11,14 @@ from vortexlab.grids import (
     field_from_function,
     total_mass,
 )
+from vortexlab.potentials import velocity_from_values
 from vortexlab.solver import (
     ConfigError,
     SolverConfig,
+    _ssp_update,
+    _stable_dt,
+    _step,
+    _support_window,
     required_half_width,
     run,
     support_radius,
@@ -154,6 +159,18 @@ class TestRun:
         assert all(rec.entropy is not None for rec in traj.records)
         assert _kernel_table.cache_info().misses == 1
 
+    def test_compact_run_builds_no_whole_box_kernel(self):
+        # every step solves on the support window, so a basic run of a compact
+        # patch never tabulates the kernel of the whole box
+        from vortexlab.potentials import _kernel_table
+
+        g = CartesianGrid(2, 4.0, 64)
+        cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.3))
+        _kernel_table.cache_clear()
+        traj = run(cfg, patch_field(g))
+        assert traj.steps > 1
+        assert _kernel_table.cache_info().misses == 0
+
     def test_summary_fields(self):
         g = CartesianGrid(2, 4.0, 64)
         cfg = SolverConfig(t_end=0.5, output_times=(0.5,))
@@ -174,6 +191,72 @@ class TestRunProperties:
         g = CartesianGrid(2, half_width, 16)
         rng = np.random.default_rng(seed)
         u0 = DensityField(g, rng.random(g.shape) * (g.radius() <= half_width / 4))
+        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), cfl=cfl)
+        traj = run(cfg, u0)
+        assert traj.mass_drift() <= 1e-12
+        assert min(float(f.values.min()) for f in traj.fields) >= 0.0
+        assert traj.clipped_mass <= 1e-12 * total_mass(u0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        s=st.floats(0.3, 1.0),
+        cfl=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_window_step_matches_whole_box_step(self, s, cfl, seed, data):
+        # the halo cells and their MC slopes are zero, so no flux crosses the
+        # window's faces and the step on the window is the whole-box step
+        g = CartesianGrid(2, 2.0, 48)
+        block = []
+        for _ in range(g.n):
+            lo = data.draw(st.integers(0, g.cells - 1))
+            block.append(slice(lo, data.draw(st.integers(lo + 1, min(lo + 20, g.cells)))))
+        vals = np.zeros(g.shape)
+        vals[tuple(block)] = np.random.default_rng(seed).random(vals[tuple(block)].shape)
+        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=s, cfl=cfl)
+        dt, new, clipped = _step(g, vals, 1.0, cfg)
+        comps = velocity_from_values(g, vals, s)
+        whole_dt = min(_stable_dt(g, comps, cfl), 1.0)
+        whole, whole_clipped = _ssp_update(g, vals, comps, whole_dt, cfg)
+        assert dt == pytest.approx(whole_dt, rel=1e-12)
+        assert np.abs(new - whole).max() <= 1e-13 * vals.max()
+        assert clipped == pytest.approx(whole_clipped, abs=1e-13 * vals.max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cells=st.sampled_from([24, 32]),
+        half_width=st.floats(1.0, 4.0),
+        cfl=st.floats(0.05, 0.5),
+        both_walls=st.booleans(),
+        high=st.booleans(),
+        transpose=st.booleans(),
+        gap=st.integers(2, 3),
+        width=st.integers(1, 8),
+        across=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_wall_window_keeps_mass_positivity_and_clip_ledger(
+        self, cells, half_width, cfl, both_walls, high, transpose, gap, width, across, seed
+    ):
+        # a rectangle a few cells from one wall, or spanning the box between two,
+        # so the support window is shifted against or clipped by the box walls
+        g = CartesianGrid(2, half_width, cells)
+        if both_walls:
+            along = (gap, cells - gap)
+        elif high:
+            along = (cells - gap - width, cells - gap)
+        else:
+            along = (gap, gap + width)
+        mid = cells // 2 - across // 2
+        bounds = [along, (mid, mid + across)]
+        if transpose:
+            bounds.reverse()
+        block = tuple(slice(lo, hi) for lo, hi in bounds)
+        vals = np.zeros(g.shape)
+        vals[block] = np.random.default_rng(seed).random(vals[block].shape)
+        assert any(w.start == 0 or w.stop == cells for w in _support_window(vals))
+        u0 = DensityField(g, vals)
         cfg = SolverConfig(t_end=0.1, output_times=(0.1,), cfl=cfl)
         traj = run(cfg, u0)
         assert traj.mass_drift() <= 1e-12
