@@ -153,18 +153,33 @@ def _window_spectra(grid: CartesianGrid, s: float, shape: tuple) -> tuple:
 
 def _convolve(values: np.ndarray, spectra, scale: float) -> list:
     """scale * (kernel * values) on the block of `values`, one array per spectrum, from the
-    free-space product on that block's doubled grid."""
+    free-space product on that block's doubled grid.
+
+    The transforms are rfftn/irfftn of the zero-padded block taken one axis at a time,
+    and pruned: the forward rfft zero-pads only the block's own rows, and the inverse
+    irfft runs only on the rows that survive the crop.  Each line sees the same
+    transform as in the unpruned product, so the bits are the same.  The product of
+    each spectrum goes into one complex buffer, which the inverse fft along the
+    leading axis overwrites in place.  The buffer lives for one call: a workspace kept
+    across calls raised peak memory and page faults, because without large frees
+    glibc never raises its mmap threshold and maps every temporary afresh.
+    """
     block = tuple(slice(0, cells) for cells in values.shape)
-    axes = range(values.ndim)
-    # Pad in an array of the doubled grid, not with rfftn(values, s=...): the bits are
-    # the same, but then every temporary of a solve has one size, which glibc reuses
-    # instead of trimming the heap and faulting it back in on the next solve.
-    padded = np.zeros(tuple(2 * cells for cells in values.shape))
-    padded[block] = values
-    fval = np.fft.rfftn(padded, axes=axes)
-    pad = padded.shape
-    del padded  # not needed by the inverse transforms; keeping it raises peak memory
-    return [scale * np.fft.irfftn(fval * kf, s=pad, axes=axes)[block] for kf in spectra]
+    lead = range(values.ndim - 1)
+    cols = 2 * values.shape[-1]
+    fval = np.fft.rfft(values, n=cols, axis=-1)
+    for axis in lead:
+        fval = np.fft.fft(fval, n=2 * values.shape[axis], axis=axis)
+    buf = np.empty_like(fval)
+    out = []
+    for kf in spectra:
+        np.multiply(fval, kf, out=buf)
+        for axis in lead:
+            np.fft.ifft(buf, axis=axis, out=buf)
+        part = np.fft.irfft(buf[block[:-1]], n=cols, axis=-1)[block]
+        part *= scale
+        out.append(part)
+    return out
 
 
 def velocity_from_values(grid: CartesianGrid, values: np.ndarray, s: float):

@@ -207,35 +207,51 @@ def _stable_dt(grid: CartesianGrid, comps, cfl: float) -> float:
     return cfl * (grid.h / speed) if speed > 0 else np.inf
 
 
-def _mc_slope(u: np.ndarray) -> np.ndarray:
-    """Monotonized-central limited slope along axis 0; zero in boundary cells."""
-    dm = u[1:-1] - u[:-2]
-    dp = u[2:] - u[1:-1]
-    cen = 0.5 * (dm + dp)
-    lim = np.where(
-        dm * dp > 0,
-        np.sign(cen) * np.minimum(np.abs(cen), 2.0 * np.minimum(np.abs(dm), np.abs(dp))),
-        0.0,
-    )
-    out = np.zeros_like(u)
-    out[1:-1] = lim
-    return out
+def _cut(ndim: int, axis: int, start, stop) -> tuple:
+    """Index of the cells start:stop along `axis`, all cells along the other axes."""
+    return tuple(slice(start, stop) if k == axis else slice(None) for k in range(ndim))
+
+
+def _mc_slope(u: np.ndarray, axis: int) -> np.ndarray:
+    """Monotonized-central limited slope along `axis`; zero in boundary cells."""
+    lo, hi = _cut(u.ndim, axis, None, -1), _cut(u.ndim, axis, 1, None)
+    slope = np.zeros_like(u)
+    lim = slope[_cut(u.ndim, axis, 1, -1)]
+    diff = np.subtract(u[hi], u[lo])  # diff[i] = u[i+1] - u[i]
+    dm, dp = diff[lo], diff[hi]
+    cen = np.add(dm, dp)
+    cen *= 0.5
+    mag = np.abs(diff)
+    np.minimum(mag[lo], mag[hi], out=lim)
+    lim *= 2.0
+    np.minimum(np.abs(cen, out=mag[lo]), lim, out=lim)
+    np.multiply(np.sign(cen, out=cen), lim, out=lim)
+    # zero unless dm * dp > 0, by a where and not a multiply by the mask: 0 * inf and
+    # 0 * NaN are NaN, and 0 times a negative slope is -0
+    flat = np.multiply(dm, dp, out=mag[lo]) > 0
+    np.copyto(lim, 0.0, where=np.logical_not(flat, out=flat))
+    return slope
 
 
 def _advance(grid: CartesianGrid, vals: np.ndarray, comps, dt: float) -> np.ndarray:
-    h = grid.h
+    rate = dt / grid.h
     new = vals.copy()
     for axis in range(grid.n):
-        v = np.moveaxis(comps[axis], axis, 0)
-        u = np.moveaxis(vals, axis, 0)
-        out = np.moveaxis(new, axis, 0)
-        v_face = 0.5 * (v[:-1] + v[1:])
-        slope = _mc_slope(u)
-        left = u[:-1] + 0.5 * slope[:-1]
-        right = u[1:] - 0.5 * slope[1:]
-        flux = np.maximum(v_face, 0.0) * left + np.minimum(v_face, 0.0) * right
-        out[:-1] -= (dt / h) * flux
-        out[1:] += (dt / h) * flux
+        lo, hi = _cut(vals.ndim, axis, None, -1), _cut(vals.ndim, axis, 1, None)
+        half = _mc_slope(vals, axis)
+        half *= 0.5
+        left = np.add(vals[lo], half[lo])
+        right = np.subtract(vals[hi], half[hi], out=half[hi])
+        face = np.add(comps[axis][lo], comps[axis][hi])
+        face *= 0.5
+        flux = np.maximum(face, 0.0)
+        flux *= left
+        np.minimum(face, 0.0, out=face)
+        face *= right
+        flux += face
+        flux *= rate
+        new[lo] -= flux
+        new[hi] += flux
     return new
 
 

@@ -16,6 +16,10 @@ from vortexlab.grids import (
     total_mass,
 )
 from vortexlab.potentials import (
+    _convolve,
+    _geometry,
+    _kernel_table,
+    _velocity_spectra,
     bilinear_form,
     bilinear_limit_constant,
     energy,
@@ -184,6 +188,47 @@ class TestVelocitySymmetry:
             for j, comp in enumerate((vx, vy)):
                 sign = -1.0 if j == k else 1.0
                 assert np.abs(flipped[j] - sign * np.flip(comp, k)).max() <= tol
+
+
+def reference_convolve(values, spectra, scale):
+    """The free-space product with the block zero-padded in an explicit doubled-grid
+    array and unpruned rfftn/irfftn, which `_convolve` must reproduce bit for bit."""
+    block = tuple(slice(0, cells) for cells in values.shape)
+    axes = range(values.ndim)
+    padded = np.zeros(tuple(2 * cells for cells in values.shape))
+    padded[block] = values
+    fval = np.fft.rfftn(padded, axes=axes)
+    return [scale * np.fft.irfftn(fval * kf, s=padded.shape, axes=axes)[block] for kf in spectra]
+
+
+class TestPrunedConvolution:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        cells=st.integers(4, 24).map(lambda k: 2 * k),
+        s=st.floats(0.3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_explicit_padding(self, n, cells, s, seed, data):
+        # random block shapes (odd, non-square) with the block's velocity spectra,
+        # and the whole box with its velocity and scalar spectra
+        g = CartesianGrid(n, 1.0, cells)
+        rng = np.random.default_rng(seed)
+        shape = tuple(data.draw(st.integers(1, cells)) for _ in range(n))
+        table = _kernel_table(g, s)
+        cases = [
+            (shape, _velocity_spectra(n, s, *_geometry(g, shape))),
+            (g.shape, table.velocity_fft + (() if table.scalar_fft is None else (table.scalar_fft,))),
+        ]
+        for block, spectra in cases:
+            vals = rng.normal(size=block) * (rng.random(block) < 0.7)
+            got = _convolve(vals, spectra, g.cell_volume)
+            want = reference_convolve(vals, spectra, g.cell_volume)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == block
+                assert np.array_equal(a, b)
 
 
 class TestWindowedVelocity:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from math import pi
@@ -14,7 +16,9 @@ from vortexlab.grids import (
 from vortexlab.potentials import velocity_from_values
 from vortexlab.solver import (
     ConfigError,
+    NumericalError,
     SolverConfig,
+    _advance,
     _ssp_update,
     _stable_dt,
     _step,
@@ -29,6 +33,49 @@ from vortexlab.solver import (
 def patch_field(grid, t=0.0, radius=1.0, tau=1.0):
     spec = PatchSpec(2, radius=radius, tau=tau)
     return field_from_function(grid, lambda p: patch_density(spec, p, t))
+
+
+def reference_mc_slope(u):
+    dm = u[1:-1] - u[:-2]
+    dp = u[2:] - u[1:-1]
+    cen = 0.5 * (dm + dp)
+    lim = np.where(
+        dm * dp > 0,
+        np.sign(cen) * np.minimum(np.abs(cen), 2.0 * np.minimum(np.abs(dm), np.abs(dp))),
+        0.0,
+    )
+    out = np.zeros_like(u)
+    out[1:-1] = lim
+    return out
+
+
+def reference_advance(grid, vals, comps, dt):
+    """MC transport written on `np.moveaxis` views, the formulation `_advance` must
+    reproduce bit for bit."""
+    h = grid.h
+    new = vals.copy()
+    for axis in range(grid.n):
+        v = np.moveaxis(comps[axis], axis, 0)
+        u = np.moveaxis(vals, axis, 0)
+        out = np.moveaxis(new, axis, 0)
+        v_face = 0.5 * (v[:-1] + v[1:])
+        slope = reference_mc_slope(u)
+        left = u[:-1] + 0.5 * slope[:-1]
+        right = u[1:] - 0.5 * slope[1:]
+        flux = np.maximum(v_face, 0.0) * left + np.minimum(v_face, 0.0) * right
+        out[:-1] -= (dt / h) * flux
+        out[1:] += (dt / h) * flux
+    return new
+
+
+def rough_field(rng, shape):
+    """Random values with zero plateaus, flat runs and cells near 1e-300."""
+    vals = rng.random(shape)
+    vals[rng.random(shape) < 0.3] = 0.0
+    vals[rng.random(shape) < 0.2] = 0.5
+    tiny = rng.random(shape) < 0.15
+    vals[tiny] = 1e-300 * rng.random(int(tiny.sum()))
+    return vals
 
 
 class TestConfig:
@@ -285,6 +332,81 @@ class TestRunProperties:
         lo1, hi1 = bbox(traj.final())
         assert (lo0 - lo1).max() <= 2 * traj.steps
         assert (hi1 - hi0).max() <= 2 * traj.steps
+
+
+class TestTransport:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        dt=st.floats(1e-6, 0.05),
+        nan=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_moveaxis_formulation(self, n, seed, dt, nan, data):
+        # a NaN cell spreads exactly as far as in the reference: the limiter's zero
+        # branch keeps the slopes next to it zero
+        g = CartesianGrid(n, 1.0, 32)
+        shape = tuple(data.draw(st.integers(1, 40)) for _ in range(n))
+        rng = np.random.default_rng(seed)
+        vals = rough_field(rng, shape)
+        if nan:
+            vals[tuple(rng.integers(cells) for cells in shape)] = np.nan
+        comps = [rng.normal(size=shape) * (rng.random(shape) < 0.8) for _ in range(n)]
+        with np.errstate(invalid="ignore"):
+            got, want = _advance(g, vals, comps, dt), reference_advance(g, vals, comps, dt)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_transpose(self, seed, data):
+        # each axis sweep is the other's transpose bit for bit; with both components
+        # nonzero the two sweeps add into a cell in the other order, so that case
+        # agrees to rounding only
+        g = CartesianGrid(2, 1.0, 32)
+        shape = (data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40)))
+        rng = np.random.default_rng(seed)
+        vals = rough_field(rng, shape)
+        vx, vy = (rng.normal(size=shape) for _ in range(2))
+        zero = np.zeros(shape)
+        for comps in ((vx, zero), (zero, vy)):
+            swapped = (comps[1].T, comps[0].T)
+            assert np.array_equal(_advance(g, vals.T, swapped, 0.01), _advance(g, vals, comps, 0.01).T)
+        both = _advance(g, vals, (vx, vy), 0.01)
+        assert np.abs(_advance(g, vals.T, (vy.T, vx.T), 0.01) - both.T).max() <= 1e-15 * max(
+            1.0, np.abs(both).max()
+        )
+
+    def test_nan_cell_raises(self):
+        g = CartesianGrid(2, 2.0, 32)
+        vals = np.zeros(g.shape)
+        vals[12:20, 12:20] = 1.0
+        vals[15, 16] = np.nan
+        cfg = SolverConfig(t_end=0.1, output_times=(0.1,))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            _step(g, vals, 0.1, cfg)
+
+
+class TestAllocationBudget:
+    # numpy reports its buffers to tracemalloc, so these peaks are deterministic;
+    # the bounds are in units of the block's own bytes
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_velocity_solve_and_transport(self):
+        g = CartesianGrid(2, 4.0, 384)
+        vals = np.exp(-g.radius() ** 2)
+        comps = velocity_from_values(g, vals, 1.0)  # builds and caches the kernel table
+        solve = self.peak_bytes(lambda: velocity_from_values(g, vals, 1.0))
+        advance = self.peak_bytes(lambda: _advance(g, vals, comps, 1e-3))
+        assert solve <= 14 * vals.nbytes
+        assert advance <= 11 * vals.nbytes
 
 
 class TestSweep:
