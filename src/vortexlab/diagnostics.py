@@ -6,9 +6,11 @@ The renormalized flow uses y = x/a, a = (1+t)^{1/n}, tau = log(1+t) and
 U = (1+t) u; an expanding uniform patch becomes a stationary indicator in these
 variables, and the entropy
 
-    Ent(U) = int [ 1/2 |grad(P - P0)|^2 + U0 (P - P0) + U |y|^2 / (2n) ] dy    (n = 2)
+    Ent(U) = 1/2 int (U P - U0 P0) dy + int U |y|^2 / (2n) dy    (n = 2),
 
-decays along orbits at rate D(U) = int U |V - y/n|^2 dy.  The renormalized
+P and P0 the potentials (-Lap)^{-1} of U and U0, decays along orbits at rate
+D(U) = int U |V - y/n|^2 dy.  Ent and D read only the cells of U and U0, so a
+record runs on their support window, like a solver step.  The renormalized
 quantities are evaluated on the grid of the physical field u: the s = 1
 kernels are homogeneous up to a constant, so no contracted y-grid is built.
 The planar entropy needs a fixed smooth reference density U0 of equal mass;
@@ -32,7 +34,7 @@ from .grids import (
     unit_ball_volume,
     write_csv,
 )
-from .potentials import energy, velocity_from_values
+from .potentials import _support_window, energy, velocity_from_values
 
 __all__ = [
     "DiagnosticsRecord",
@@ -136,7 +138,8 @@ def entropy_and_dissipation(u: DensityField, t: float, mass: float):
         Ent = 1/2 energy(u, reference) + int u |x|^2 dx / (2n(1+t)),
         D   = int u |a v - x/(n a)|^2 dx.
 
-    `mass` must match the mass of u to 1e-8 relative.
+    v is solved on the support window of u, exact up to rounding since D
+    multiplies it by u.  `mass` must match the mass of u to 1e-8 relative.
     """
     g = u.grid
     if g.n != 2:
@@ -144,9 +147,11 @@ def entropy_and_dissipation(u: DensityField, t: float, mass: float):
     a = _spatial_scale(t, g.n)
     reference = mollified_reference(g, mass, radius=a * equilibrium_radius(mass, g.n))
     ent = 0.5 * energy(u, 1.0, reference=reference) + second_moment(u) / (2.0 * g.n * (1.0 + t))
-    v_comps = velocity_from_values(g, u.values, 1.0)
-    dev = sum((a * v - x / (g.n * a)) ** 2 for v, x in zip(v_comps, g.centers()))
-    return ent, g.cell_volume * float((u.values * dev).sum())
+    window = _support_window(u.values)
+    block = u.values[window]
+    v_comps = velocity_from_values(g, block, 1.0)
+    dev = sum((a * v - x[window] / (g.n * a)) ** 2 for v, x in zip(v_comps, g.centers()))
+    return ent, g.cell_volume * float((block * dev).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,15 @@ finite differencing compounds the singularity; at s = 1 the constant reduces
 to 1/|S^{n-1}| and the radial speed of a radial field equals M(r)/r^{n-1}.
 The singular cell of the velocity kernel averages to zero by antisymmetry; the
 singular cell of scalar kernels uses the analytic cell average.
+
+Every convolution takes its spectra from `_kernel_table`, one cached entry keyed
+by block shape.  Field steps and diagnostics records both run on the support
+window of `_support_window`, so a compact run never tabulates the whole box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gamma, pi
 
 import numpy as np
@@ -47,6 +50,8 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+WINDOW_HALO = 2  # cells past supp u reached by the two SSP stages of one step
+WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fewer kernel builds)
 
 
 def _check_exponent(s: float) -> float:
@@ -115,40 +120,58 @@ def _velocity_spectra(n: int, s: float, coords, rad) -> tuple:
     return tuple(spectra)
 
 
-@dataclass(frozen=True, eq=False)
-class KernelTable:
-    velocity_fft: tuple  # rfftn of each velocity kernel component on the doubled grid
-    scalar_fft: object   # rfftn of the scalar kernel, or None when not representable
+class _KernelTable:
+    """Kernel spectra on the doubled grid of one block shape: the velocity spectra at
+    once, the scalar spectrum on first use (most tables only serve steps)."""
 
+    def __init__(self, grid: CartesianGrid, s: float, shape: tuple):
+        self.grid, self.s, self.shape = grid, s, shape
+        self.velocity = _velocity_spectra(grid.n, s, *_geometry(grid, shape))
 
-@lru_cache(maxsize=4)
-def _kernel_table(grid: CartesianGrid, s: float) -> KernelTable:
-    n = grid.n
-    coords, rad = _geometry(grid, grid.shape)
-    origin = (0,) * n
-    scalar_fft = None
-    if s < 1.0 and n > 2.0 * s:
-        cr = _riesz_constant(n, s)
-        with np.errstate(divide="ignore"):
-            kern = cr * rad ** (2.0 * s - n)
-        kern[origin] = cr * _cell_average_power(n, grid.h, 2.0 * s - n)
-        scalar_fft = np.fft.rfftn(kern, axes=range(n))
-    elif s == 1.0:
-        if n == 2:
+    @cached_property
+    def scalar(self):
+        # the geometry is built again, not kept: keeping it raised peak memory
+        grid, s, n = self.grid, self.s, self.grid.n
+        _, rad = _geometry(grid, self.shape)
+        origin = (0,) * n
+        if s < 1.0 and n > 2.0 * s:
+            cr = _riesz_constant(n, s)
+            with np.errstate(divide="ignore"):
+                kern = cr * rad ** (2.0 * s - n)
+            kern[origin] = cr * _cell_average_power(n, grid.h, 2.0 * s - n)
+        elif s == 1.0 and n == 2:
             with np.errstate(divide="ignore"):
                 kern = -np.log(rad) / (2.0 * pi)
             kern[origin] = -_cell_average_log(grid.h) / (2.0 * pi)
-        else:
+        elif s == 1.0:
             kern = -0.5 * rad
             kern[origin] = -grid.h / 8.0
-        scalar_fft = np.fft.rfftn(kern, axes=range(n))
-    return KernelTable(_velocity_spectra(n, s, coords, rad), scalar_fft)
+        else:
+            raise ValueError(f"scalar kernel not representable for n={n}, s={s}")
+        return np.fft.rfftn(kern, axes=range(n))
 
 
 @lru_cache(maxsize=1)
-def _window_spectra(grid: CartesianGrid, s: float, shape: tuple) -> tuple:
-    # one entry: a run's window only grows, so an evicted shape does not come back
-    return _velocity_spectra(grid.n, s, *_geometry(grid, shape))
+def _kernel_table(grid: CartesianGrid, s: float, shape: tuple) -> _KernelTable:
+    # one entry: a run's window only grows and a record's window is mostly the step's
+    return _KernelTable(grid, s, shape)
+
+
+def _support_window(vals: np.ndarray):
+    """Slices of the block holding u != 0 plus WINDOW_HALO cells on each side, each
+    side rounded up to a multiple of WINDOW_QUANTUM cells and kept inside the box;
+    None when u vanishes.  A NaN counts as support, so a step still fails on it."""
+    positive = vals != 0.0
+    if not positive.any():
+        return None
+    window = []
+    for axis, cells in enumerate(vals.shape):
+        hit = np.flatnonzero(positive.any(axis=tuple(k for k in range(vals.ndim) if k != axis)))
+        lo, hi = int(hit[0]) - WINDOW_HALO, int(hit[-1]) + 1 + WINDOW_HALO
+        size = min(-(-(hi - lo) // WINDOW_QUANTUM) * WINDOW_QUANTUM, cells)
+        start = min(max(lo - (size - (hi - lo)) // 2, 0), cells - size)
+        window.append(slice(start, start + size))
+    return tuple(window)
 
 
 def _convolve(values: np.ndarray, spectra, scale: float) -> list:
@@ -190,15 +213,11 @@ def velocity_from_values(grid: CartesianGrid, values: np.ndarray, s: float):
     kernel at the same offsets as the whole-box solve: every offset between two
     cells of W is below W's side, so no periodic image enters.  When the values
     vanish outside W the result is the whole-box velocity restricted to W; only the
-    FFT size differs, so only rounding differs.  The whole box uses the cached
-    `_kernel_table`; a smaller block uses a one-entry cache of its own spectra.
+    FFT size differs, so only rounding differs.  The kernel spectra come from the
+    one-entry `_kernel_table` of W's shape.
     """
     s = _check_exponent(s)
-    if values.shape == grid.shape:
-        spectra = _kernel_table(grid, s).velocity_fft
-    else:
-        spectra = _window_spectra(grid, s, values.shape)
-    return _convolve(values, spectra, grid.cell_volume)
+    return _convolve(values, _kernel_table(grid, s, values.shape).velocity, grid.cell_volume)
 
 
 def velocity(u: DensityField, s: float = 1.0) -> VectorField:
@@ -207,17 +226,14 @@ def velocity(u: DensityField, s: float = 1.0) -> VectorField:
 
 
 def potential_values(grid: CartesianGrid, values: np.ndarray, s: float) -> np.ndarray:
-    """Scalar potential (-Lap)^{-s} applied to a cell-value array.
+    """Scalar potential (-Lap)^{-s} of cell values on `grid` or on a block of it.
 
     Available for s < 1 with n > 2s (decaying kernel) and for s = 1 in n <= 2,
     where the logarithmic / linear kernel only produces meaningful numbers for
     zero-total-mass inputs or inside renormalized differences.
     """
     s = _check_exponent(s)
-    table = _kernel_table(grid, s)
-    if table.scalar_fft is None:
-        raise ValueError(f"scalar kernel not representable for n={grid.n}, s={s}")
-    return _convolve(values, (table.scalar_fft,), grid.cell_volume)[0]
+    return _convolve(values, (_kernel_table(grid, s, values.shape).scalar,), grid.cell_volume)[0]
 
 
 def radial_velocity(m: MassFunction) -> RadialProfile:
@@ -230,34 +246,31 @@ def radial_velocity(m: MassFunction) -> RadialProfile:
 
 
 def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = None) -> float:
-    """Interaction energy int u * (-Lap)^{-s} u dx.
-
-    For s < 1 (with n > 2s) this is the plain convolution + quadrature value.
-    For s = 1 on the plane the raw integral diverges with the box; the
-    renormalized value int |grad w|^2 + 2 int u0 w with w the potential of
-    (u - u0) is returned instead and requires an equal-mass reference u0.
+    """Interaction energy h^n sum u G_h u of the discrete G_h = (-Lap)^{-s}, minus
+    h^n sum r G_h r for a reference r, which must have equal mass and is required
+    where the kernel does not decay (n <= 2s); the difference is then the
+    renormalized int |grad G(u - r)|^2 + 2 int r G(u - r).  It is evaluated as
+    h^n sum (u - r) G_h (u + r), equal for the symmetric G_h, on the support window
+    of u and r: no other cell enters, so the window changes only rounding.
     """
     s = _check_exponent(s)
     grid = u.grid
     cv = grid.cell_volume
-    if s < 1.0:
-        if grid.n <= 2.0 * s:
-            raise ValueError(f"energy undefined for n={grid.n}, s={s}: potential kernel does not decay")
-        p = potential_values(grid, u.values, s)
-        return cv * float((u.values * p).sum())
-    if grid.n != 2:
-        raise ValueError("s=1 energy on Cartesian grids is the renormalized planar form only")
+    vals = u.values
     if reference is None:
-        raise ValueError("s=1 planar energy needs an equal-mass reference density")
-    mass_u = cv * u.values.sum()
-    mass_ref = cv * reference.values.sum()
-    if abs(mass_u - mass_ref) > 1e-8 * max(abs(mass_u), 1e-300):
-        raise ValueError(f"reference mass {mass_ref:.12g} does not match field mass {mass_u:.12g}")
-    diff = u.values - reference.values
-    w = potential_values(grid, diff, 1.0)
-    grad_w = velocity_from_values(grid, diff, 1.0)  # components of -grad w
-    grad_sq = sum(c * c for c in grad_w)
-    return cv * float(grad_sq.sum()) + 2.0 * cv * float((reference.values * w).sum())
+        if grid.n <= 2.0 * s:
+            raise ValueError(f"energy for n={grid.n}, s={s} needs an equal-mass reference density")
+        diff = total = vals
+    else:
+        mass_u = cv * vals.sum()
+        mass_ref = cv * reference.values.sum()
+        if abs(mass_u - mass_ref) > 1e-8 * max(abs(mass_u), 1e-300):
+            raise ValueError(f"reference mass {mass_ref:.12g} does not match field mass {mass_u:.12g}")
+        diff, total = vals - reference.values, vals + reference.values
+    window = _support_window(np.abs(diff) + np.abs(total))
+    if window is None:
+        return 0.0
+    return cv * float((diff[window] * potential_values(grid, total[window], s)).sum())
 
 
 def radial_energy(u: RadialProfile) -> float:

@@ -13,15 +13,16 @@ against the support growth bound before a run starts).  Negative values
 produced by rounding are clipped at zero and the clipped mass is accumulated
 in a ledger.
 
-Each step works on the support window W: the bounding box of u > 0 plus a
-WINDOW_HALO-cell halo per side, each side rounded up to a multiple of
-WINDOW_QUANTUM cells and kept inside the box.  The velocity of u[W], the CFL
-maximum, both SSP stages and the clip are computed on W and written into a
-zero array of the box.  This is the whole-box step, not an approximation of
+Each step works on the support window W of `potentials._support_window`: the
+bounding box of u > 0 plus a WINDOW_HALO-cell halo per side, each side rounded
+up to a multiple of WINDOW_QUANTUM cells and kept inside the box.  The velocity
+of u[W], the CFL maximum, both SSP stages and the clip are computed on W and
+written into a zero array of the box.  This is the whole-box step, not an approximation of
 it: the two stages move density at most one cell each, so the halo cells and
 their MC slopes are zero and no flux crosses a face of W; the velocity of u[W]
 is the whole-box convolution restricted to W up to FFT rounding, since u
 vanishes outside W; and outside supp u the velocity never enters the update.
+Full diagnostics records run on support windows too.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .grids import (
     sphere_area,
     total_mass,
 )
-from .potentials import energy, velocity_from_values
+from .potentials import _support_window, energy, velocity_from_values
 
 __all__ = [
     "ConfigError",
@@ -68,8 +69,6 @@ __all__ = [
 BOUND_SLACK = 0.05  # warn when max u * (t + 1/max u0) exceeds 1 + this
 SUPPORT_FLOOR = 0.01  # support_radius counts cells above this fraction of the peak
 BOX_MARGIN = 0.9  # the support growth bound must stay inside this share of the half-width
-WINDOW_HALO = 2  # cells past supp u reached by the two SSP stages of one step
-WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fewer kernel builds)
 
 
 class ConfigError(ValueError):
@@ -298,23 +297,6 @@ def _make_record(u, t, tau, cfg, mass0, reference) -> DiagnosticsRecord:
         rec.entropy, rec.dissipation = entropy_and_dissipation(u, t, mass0)
         rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)
     return rec
-
-
-def _support_window(vals: np.ndarray):
-    """Slices of the block holding u > 0 plus WINDOW_HALO cells on each side, each
-    side rounded up to a multiple of WINDOW_QUANTUM cells and kept inside the box;
-    None when u vanishes.  A NaN counts as support, so the step still fails on it."""
-    positive = vals != 0.0
-    if not positive.any():
-        return None
-    window = []
-    for axis, cells in enumerate(vals.shape):
-        hit = np.flatnonzero(positive.any(axis=tuple(k for k in range(vals.ndim) if k != axis)))
-        lo, hi = int(hit[0]) - WINDOW_HALO, int(hit[-1]) + 1 + WINDOW_HALO
-        size = min(-(-(hi - lo) // WINDOW_QUANTUM) * WINDOW_QUANTUM, cells)
-        start = min(max(lo - (size - (hi - lo)) // 2, 0), cells - size)
-        window.append(slice(start, start + size))
-    return tuple(window)
 
 
 def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig):

@@ -107,11 +107,9 @@ def y_grid_entropy_and_dissipation(u, t, mass):
     yg = CartesianGrid(2, u.grid.half_width / sqrt(1.0 + t), u.grid.cells)
     big_u = DensityField(yg, (1.0 + t) * u.values)
     ref = mollified_reference(yg, mass).values
-    diff = big_u.values - ref
     cv = yg.cell_volume
-    grad_sq = sum(c * c for c in velocity_from_values(yg, diff, 1.0))
-    w = potential_values(yg, diff, 1.0)
-    ent = 0.5 * cv * float(grad_sq.sum()) + cv * float((ref * w).sum()) + second_moment(big_u) / 4.0
+    pairing = lambda vals: cv * float((vals * potential_values(yg, vals, 1.0)).sum())
+    ent = 0.5 * (pairing(big_u.values) - pairing(ref)) + second_moment(big_u) / 4.0
     v = velocity_from_values(yg, big_u.values, 1.0)
     dev = sum((vk - yk / 2.0) ** 2 for vk, yk in zip(v, yg.centers()))
     return ent, cv * float((big_u.values * dev).sum())

@@ -5,6 +5,7 @@ from math import pi
 from hypothesis import given, settings, strategies as st
 from vortexlab.burgers import mass_transform
 from vortexlab.closed_forms import PatchSpec, TwoPatchSpec, patch_mass, two_patch_state
+from vortexlab.diagnostics import mollified_reference
 from vortexlab.grids import (
     CartesianGrid,
     DensityField,
@@ -17,13 +18,12 @@ from vortexlab.grids import (
 )
 from vortexlab.potentials import (
     _convolve,
-    _geometry,
     _kernel_table,
-    _velocity_spectra,
     bilinear_form,
     bilinear_limit_constant,
     energy,
     log_lipschitz_modulus,
+    potential_values,
     radial_energy,
     radial_velocity,
     velocity,
@@ -35,6 +35,17 @@ from vortexlab.potentials import (
 def disk_field(N=128, L=2.0, R=1.0, height=1.0):
     g = CartesianGrid(2, L, N)
     return DensityField(g, height * (g.radius() <= R).astype(float))
+
+
+def gradient_form_energy(u, ref):
+    """Renormalized planar energy int |grad w|^2 + 2 int r w with w = G(u - r), from
+    whole-box convolutions: an independent evaluation of what `energy` computes as
+    the difference <u,Gu> - <r,Gr> on the support window."""
+    g = u.grid
+    diff = u.values - ref.values
+    grad_sq = sum(c * c for c in velocity_from_values(g, diff, 1.0))
+    w = potential_values(g, diff, 1.0)
+    return g.cell_volume * float(grad_sq.sum()) + 2.0 * g.cell_volume * float((ref.values * w).sum())
 
 
 def brute_force_velocity(u, s=1.0):
@@ -211,17 +222,14 @@ class TestPrunedConvolution:
         data=st.data(),
     )
     def test_matches_explicit_padding(self, n, cells, s, seed, data):
-        # random block shapes (odd, non-square) with the block's velocity spectra,
-        # and the whole box with its velocity and scalar spectra
+        # a random block shape (odd, non-square) and the whole box, each with the
+        # velocity spectra of its table and the scalar spectrum where one exists
         g = CartesianGrid(n, 1.0, cells)
         rng = np.random.default_rng(seed)
         shape = tuple(data.draw(st.integers(1, cells)) for _ in range(n))
-        table = _kernel_table(g, s)
-        cases = [
-            (shape, _velocity_spectra(n, s, *_geometry(g, shape))),
-            (g.shape, table.velocity_fft + (() if table.scalar_fft is None else (table.scalar_fft,))),
-        ]
-        for block, spectra in cases:
+        for block in (shape, g.shape):
+            table = _kernel_table(g, s, block)
+            spectra = table.velocity + ((table.scalar,) if s == 1.0 or n > 2.0 * s else ())
             vals = rng.normal(size=block) * (rng.random(block) < 0.7)
             got = _convolve(vals, spectra, g.cell_volume)
             want = reference_convolve(vals, spectra, g.cell_volume)
@@ -253,7 +261,11 @@ class TestWindowedVelocity:
         whole = velocity_from_values(g, vals, s)
         block = velocity_from_values(g, vals[window], s)
         tol = 1e-12 * max(np.abs(c).max() for c in whole)
-        for w, b in zip(whole, block):
+        cases = [(w, b, tol) for w, b in zip(whole, block)]
+        # the scalar potential takes any block the same way
+        whole = potential_values(g, vals, s)
+        cases.append((whole, potential_values(g, vals[window], s), 1e-12 * np.abs(whole).max()))
+        for w, b, tol in cases:
             assert b.shape == vals[window].shape
             assert np.abs(w[window] - b).max() <= tol
 
@@ -353,6 +365,24 @@ class TestEnergy:
         ref = DensityField(g, wide * (total_mass(u) / (wide.sum() * g.cell_volume)))
         e = energy(u, 1.0, reference=ref)
         assert e > 0  # concentrating mass raises the interaction energy
+
+    @pytest.mark.parametrize(
+        "profile",
+        [lambda r: (r <= 1.0) * 1.0, lambda r: 2.0 * np.exp(-2.0 * pi * r**2)],
+        ids=["disk", "gaussian"],
+    )
+    def test_planar_energy_matches_gradient_form(self, profile):
+        # <u,Gu> - <r,Gr> and int |grad w|^2 + 2 int r w agree in the continuum; the
+        # discrete forms differ by O(h^2)
+        gaps = []
+        for cells in (64, 128, 256):
+            g = CartesianGrid(2, 4.0, cells)
+            u = DensityField(g, profile(g.radius()))
+            mass = total_mass(u)
+            ref = mollified_reference(g, mass)
+            gaps.append(abs(energy(u, 1.0, reference=ref) - gradient_form_energy(u, ref)) / mass**2)
+        orders = np.log2(np.array(gaps[:-1]) / gaps[1:])
+        assert orders.min() >= 1.8
 
 
 class TestBilinearForm:

@@ -196,7 +196,8 @@ class TestRun:
         assert traj.mass_drift() <= 1e-9
 
     def test_full_diagnostics_build_one_kernel_table(self):
-        # the renormalized entropy and dissipation are evaluated on the run's grid
+        # steps and records of a compact patch share one support window, so the
+        # one-entry cache tabulates a single table (of the window, not the box)
         from vortexlab.potentials import _kernel_table
 
         g = CartesianGrid(2, 4.0, 32)
@@ -206,17 +207,25 @@ class TestRun:
         assert all(rec.entropy is not None for rec in traj.records)
         assert _kernel_table.cache_info().misses == 1
 
-    def test_compact_run_builds_no_whole_box_kernel(self):
-        # every step solves on the support window, so a basic run of a compact
-        # patch never tabulates the kernel of the whole box
-        from vortexlab.potentials import _kernel_table
+    def test_compact_run_builds_no_whole_box_kernel(self, monkeypatch):
+        # every step and every full diagnostics record runs on a support window,
+        # so a run of a compact patch never tabulates a table of the box's shape
+        from vortexlab import potentials
 
+        shapes = []
+        table = potentials._kernel_table
+
+        def recording_table(grid, s, shape):
+            shapes.append(shape)
+            return table(grid, s, shape)
+
+        monkeypatch.setattr(potentials, "_kernel_table", recording_table)
         g = CartesianGrid(2, 4.0, 64)
-        cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.3))
-        _kernel_table.cache_clear()
-        traj = run(cfg, patch_field(g))
-        assert traj.steps > 1
-        assert _kernel_table.cache_info().misses == 0
+        for diagnostics in ("basic", "full"):
+            cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.3), diagnostics=diagnostics)
+            traj = run(cfg, patch_field(g))
+            assert traj.steps > 1
+        assert shapes and g.shape not in shapes
 
     def test_summary_fields(self):
         g = CartesianGrid(2, 4.0, 64)
