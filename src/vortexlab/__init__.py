@@ -38,7 +38,6 @@ from .closed_forms import (
 )
 from .burgers import (
     CharacteristicSolution,
-    characteristic_solution,
     check_monotone_inequalities,
     density_from_mass,
     dirac_solution,

@@ -20,7 +20,6 @@ from .grids import MassFunction, RadialGrid, RadialProfile, write_csv
 __all__ = [
     "CFLError",
     "CharacteristicSolution",
-    "characteristic_solution",
     "dirac_solution",
     "mass_transform",
     "density_from_mass",
@@ -69,10 +68,6 @@ class CharacteristicSolution:
     @property
     def total(self) -> float:
         return float(self.mass_knots[-1])
-
-
-def characteristic_solution(m0: MassFunction) -> CharacteristicSolution:
-    return CharacteristicSolution(m0.grid.n, m0.grid.sigma, m0.values)
 
 
 def dirac_solution(total: float, n: int, sigma_max: float) -> CharacteristicSolution:
@@ -257,13 +252,6 @@ class MonotoneReport:
     @property
     def passed(self) -> bool:
         return bool(np.all(self.upper_excess <= self.tol) and np.all(self.lower_deficit <= self.tol))
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"monotone rate checks [{status}]: max rate {self.upper_excess.max():.3e}, "
-            f"max lower-bound deficit {self.lower_deficit.max():.3e} (tol {self.tol:.1e})"
-        )
 
 
 def check_monotone_inequalities(trajectory, tol: float = 1e-3) -> MonotoneReport:

@@ -2,7 +2,7 @@
 validate configs.  Exit codes: 0 all checks pass, 1 check failure, 2 usage or
 config error, 3 numerical failure.
 
-    python -m vortexlab.cli run <scenario|config.json> [--out DIR] [--seed S] [--jobs K]
+    python -m vortexlab.cli run <scenario|config.json> [--out DIR] [--seed S]
     python -m vortexlab.cli list [--json] [--section N]
     python -m vortexlab.cli validate <config.json>
 """
@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("target", help="scenario name or path to a JSON config")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
     p_run.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel workers for sweep members")
 
     p_list = sub.add_parser("list", help="list scenarios with their claims and defaults")
     p_list.add_argument("--json", action="store_true", dest="as_json")
@@ -58,7 +57,7 @@ def _cmd_run(args) -> int:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    spec = ScenarioSpec(name=name, params=params, outdir=args.out, seed=args.seed, jobs=args.jobs)
+    spec = ScenarioSpec(name=name, params=params, outdir=args.out, seed=args.seed)
     try:
         result = run_scenario(spec)
     except ConfigError as exc:

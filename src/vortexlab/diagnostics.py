@@ -174,18 +174,20 @@ def quantile_radii(m: MassFunction, masses) -> np.ndarray:
     return (m.grid.n * sigma) ** (1.0 / m.grid.n)
 
 
-def wasserstein_radial(m1: MassFunction, m2: MassFunction, p: float = 2.0, n_quad: int = 4096) -> float:
-    """W_p between equal-mass radial measures about a common center, computed
+N_QUAD = 4096  # midpoint nodes in the mass variable, shared by every W2 evaluation
+
+
+def wasserstein_radial(m1: MassFunction, m2: MassFunction) -> float:
+    """W2 between equal-mass radial measures about a common center, computed
     through the monotone (quantile) coupling:
 
-        W_p^p = int_0^{M_tot} |Q_1(q) - Q_2(q)|^p dq
+        W_2^2 = int_0^{M_tot} |Q_1(q) - Q_2(q)|^2 dq
 
-    by midpoint quadrature in the mass variable.  Sharing the quadrature nodes
-    across calls makes the triangle inequality hold exactly in the discrete
-    values (Minkowski), so the quantity is a metric up to quadrature error.
+    by midpoint quadrature on N_QUAD nodes in the mass variable.  Every call
+    uses the same nodes, so the triangle inequality holds exactly in the
+    discrete values (Minkowski), and the quantity is a metric up to quadrature
+    error.
     """
-    if p < 1:
-        raise ValueError("order p must be >= 1")
     if m1.grid.n != m2.grid.n:
         raise ValueError("mass functions must share a dimension")
     f1 = m1.full_mass()
@@ -195,10 +197,10 @@ def wasserstein_radial(m1: MassFunction, m2: MassFunction, p: float = 2.0, n_qua
     total = 0.5 * (f1 + f2)
     if total == 0.0:
         return 0.0
-    q = (np.arange(n_quad) + 0.5) * (total / n_quad)
+    q = (np.arange(N_QUAD) + 0.5) * (total / N_QUAD)
     r1 = quantile_radii(m1, q)
     r2 = quantile_radii(m2, q)
-    return float((np.abs(r1 - r2) ** p).sum() * (total / n_quad)) ** (1.0 / p)
+    return float(((r1 - r2) ** 2).sum() * (total / N_QUAD)) ** 0.5
 
 
 @dataclass
@@ -221,7 +223,7 @@ class ContinuityReport:
         return float(r.max())
 
 
-def wasserstein_continuity_check(trajectory, constant: float, n_quad: int = 4096) -> ContinuityReport:
+def wasserstein_continuity_check(trajectory, constant: float) -> ContinuityReport:
     """Apply the time-modulus check to a list of (t, MassFunction) snapshots.
 
     `constant` is a calibrated regression bound, frozen after a pilot run; the
@@ -234,6 +236,6 @@ def wasserstein_continuity_check(trajectory, constant: float, n_quad: int = 4096
     n = trajectory[0][1].grid.n
     dists, bounds = [], []
     for (t1, m1), (t2, m2) in zip(trajectory[:-1], trajectory[1:]):
-        dists.append(wasserstein_radial(m1, m2, 2.0, n_quad))
+        dists.append(wasserstein_radial(m1, m2))
         bounds.append(constant * (t2 ** (1.0 / n) - t1 ** (1.0 / n)))
     return ContinuityReport(times, np.array(dists), np.array(bounds), constant)

@@ -52,6 +52,7 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 WINDOW_HALO = 2  # cells past supp u reached by the two SSP stages of one step
 WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fewer kernel builds)
+LIPSCHITZ_SAMPLES = 24  # log_lipschitz_modulus samples at most this many cells per axis
 
 
 def _check_exponent(s: float) -> float:
@@ -357,7 +358,7 @@ def bilinear_form(v: DensityField, w: DensityField, s: float) -> float:
 # velocity regularity diagnostic
 
 
-def log_lipschitz_modulus(u: DensityField, max_per_axis: int = 24) -> float:
+def log_lipschitz_modulus(u: DensityField) -> float:
     """Smallest C with |grad p(x) - grad p(y)| <= C (||u||_1 + ||u||_inf) *
     |x-y| (|log|x-y|| 1_{|x-y|<=1/e} + 1) over a subsampled set of cell pairs
     (s = 1 velocity field)."""
@@ -366,7 +367,7 @@ def log_lipschitz_modulus(u: DensityField, max_per_axis: int = 24) -> float:
     if norm_scale == 0.0:
         return 0.0
     comps = velocity_from_values(u.grid, vals, 1.0)
-    stride = max(1, int(np.ceil(u.grid.cells / max_per_axis)))
+    stride = max(1, int(np.ceil(u.grid.cells / LIPSCHITZ_SAMPLES)))
     sel = (slice(None, None, stride),) * u.grid.n
     pts = np.stack([c[sel].ravel() for c in u.grid.centers()], axis=1)
     gp = np.stack([c[sel].ravel() for c in comps], axis=1)  # -grad p, sign irrelevant

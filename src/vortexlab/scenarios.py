@@ -102,7 +102,6 @@ class ScenarioSpec:
     params: dict = field(default_factory=dict)
     outdir: str = "out"
     seed: int = 0
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ class Scenario:
     summary: str
     defaults: dict
     runner: object
-    # merged params -> the inputs of runner(params, rng, outdir, jobs, **inputs);
+    # merged params -> the inputs of runner(params, rng, outdir, **inputs);
     # raises ValueError on bad input, so validation builds and a run builds once
     build: object
 
@@ -264,23 +263,27 @@ def _interp_at(u: DensityField, point) -> float:
     )
 
 
-def _entropy_scale(mass: float, n: int = 2) -> float:
-    """Reference-independent magnitude of the entropy functional for mass-M data
-    (the equilibrium second-moment term); absolute entropy values shift with the
-    choice of reference density, so monotonicity slacks are taken against this."""
-    return mass * diagnostics.equilibrium_radius(mass, n) ** 2 / (2 * n)
+MONOTONE_SLACK = 1e-3  # entropy and energy may rise by this share of _entropy_scale between outputs
 
 
-def _monotone_nonincreasing(values, scale, tol=1e-3):
+def _entropy_scale(mass: float) -> float:
+    """Reference-independent magnitude of the planar entropy functional for mass-M
+    data (the equilibrium second-moment term M R0^2 / 2n, n = 2); absolute entropy
+    values shift with the choice of reference density, so monotonicity slacks are
+    taken against this."""
+    return mass * diagnostics.equilibrium_radius(mass, 2) ** 2 / 4
+
+
+def _monotone_nonincreasing(values, scale):
     worst = max(b - a for a, b in zip(values, values[1:]))
-    return worst, worst <= tol * scale
+    return worst, worst <= MONOTONE_SLACK * scale
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
 
-def _scenario_vortex_patch(params, rng, outdir, jobs, u0, cfg, spec):
+def _scenario_vortex_patch(params, rng, outdir, u0, cfg, spec):
     grid = u0.grid
     traj = solver.run(cfg, u0)
     exact = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, params["t_end"]))
@@ -295,9 +298,9 @@ def _scenario_vortex_patch(params, rng, outdir, jobs, u0, cfg, spec):
     ]
     tau = params["tau"]
     worst = 0.0
-    for t, u in zip(traj.times[1:], traj.fields[1:]):
+    for t, rec in zip(traj.times[1:], traj.records[1:]):
         allowed = params["radius"] * (1 + t / tau) ** 0.5 * (1 + 3 * grid.h / params["radius"])
-        worst = max(worst, solver.support_radius(u) - allowed)
+        worst = max(worst, rec.support_radius - allowed)
     checks.append(Check(
         "support-growth", "support radius <= R0 (1 + ||u0||inf t)^(1/n) (1 + 3h/R0) at every output",
         worst, "0 (excess)", worst <= 0.0))
@@ -312,9 +315,9 @@ def _scenario_vortex_patch(params, rng, outdir, jobs, u0, cfg, spec):
     ent_worst, ent_ok = _monotone_nonincreasing([r.entropy for r in traj.records], scale)
     en_worst, en_ok = _monotone_nonincreasing([r.energy for r in traj.records], scale)
     checks.append(Check("entropy-monotone", "renormalized entropy nonincreasing across outputs (1e-3 relative slack)",
-                        ent_worst, f"{1e-3 * scale:.2e}", ent_ok))
+                        ent_worst, f"{MONOTONE_SLACK * scale:.2e}", ent_ok))
     checks.append(Check("energy-monotone", "renormalized interaction energy nonincreasing across outputs",
-                        en_worst, f"{1e-3 * scale:.2e}", en_ok))
+                        en_worst, f"{MONOTONE_SLACK * scale:.2e}", en_ok))
     d_max = max(r.dissipation for r in traj.records)
     d_cap = constants()["patch_dissipation_per_h"] * grid.h
     checks.append(Check("dissipation-smallness", "entropy dissipation of the patch stays O(h)",
@@ -326,7 +329,7 @@ def _scenario_vortex_patch(params, rng, outdir, jobs, u0, cfg, spec):
     return checks, ["diagnostics.csv", "final_field.bin", "final_field.csv", "run_summary.json"]
 
 
-def _scenario_two_patch(params, rng, outdir, jobs, spec, sol, rgrids):
+def _scenario_two_patch(params, rng, outdir, spec, sol, rgrids):
     sigma = np.linspace(0.0, params["sigma_max"], 2000)
     worst = 0.0
     for t in params["check_times"]:
@@ -381,7 +384,7 @@ def _scenario_two_patch(params, rng, outdir, jobs, spec, sol, rgrids):
     return checks, ["two_patch_trajectory.csv"]
 
 
-def _scenario_non_comparison(params, rng, outdir, jobs, u0, cfg, u2_0, spec, small, x0):
+def _scenario_non_comparison(params, rng, outdir, u0, cfg, u2_0, spec, small, x0):
     t_rev = params["t_end"]
     u1_x0 = [closed_forms.two_patch_density_at_point(spec, x0, t) for t in (0.0, t_rev)]
     u2_x0 = [float(closed_forms.patch_density(small, x0, t)) for t in (0.0, t_rev)]
@@ -406,8 +409,8 @@ def _scenario_non_comparison(params, rng, outdir, jobs, u0, cfg, u2_0, spec, sma
     return checks, ["final_fields.csv"]
 
 
-def _scenario_s_sweep(params, rng, outdir, jobs, u0, cfg, spec, s_values):
-    rep = solver.sweep_s(cfg, u0, s_values, jobs=jobs)
+def _scenario_s_sweep(params, rng, outdir, u0, cfg, spec, s_values):
+    rep = solver.sweep_s(cfg, u0, s_values)
     checks = [
         Check("sweep-complete", "every sweep member ran to completion",
               float(len(rep.errors)), "0", not rep.partial),
@@ -420,7 +423,7 @@ def _scenario_s_sweep(params, rng, outdir, jobs, u0, cfg, spec, s_values):
     return checks, ["sweep_distances.csv"]
 
 
-def _scenario_barenblatt_limit(params, rng, outdir, jobs, r, specs):
+def _scenario_barenblatt_limit(params, rng, outdir, r, specs):
     patch_radius = diagnostics.equilibrium_radius(params["mass"], 2)
     target = np.where(r <= patch_radius, 1.0, 0.0)
     dists = []
@@ -437,7 +440,7 @@ def _scenario_barenblatt_limit(params, rng, outdir, jobs, r, specs):
     return checks, ["barenblatt_distances.csv"]
 
 
-def _scenario_asymptotics(params, rng, outdir, jobs, u0, cfg, rgrid, m0):
+def _scenario_asymptotics(params, rng, outdir, u0, cfg, rgrid, m0):
     checks = []
     # (a) planar Gaussian relaxation: entropy decay and moment identities
     traj = solver.run(cfg, u0)
@@ -449,10 +452,10 @@ def _scenario_asymptotics(params, rng, outdir, jobs, u0, cfg, rgrid, m0):
     scale = _entropy_scale(total_mass(u0))
     ent_worst, ent_ok = _monotone_nonincreasing(ents, scale)
     checks.append(Check("entropy-monotone", "Ent(U) nonincreasing along the renormalized orbit",
-                        ent_worst, f"{1e-3 * scale:.2e}", ent_ok))
+                        ent_worst, f"{MONOTONE_SLACK * scale:.2e}", ent_ok))
     en_worst, en_ok = _monotone_nonincreasing([r.energy for r in traj.records], scale)
     checks.append(Check("energy-monotone", "renormalized interaction energy nonincreasing",
-                        en_worst, f"{1e-3 * scale:.2e}", en_ok))
+                        en_worst, f"{MONOTONE_SLACK * scale:.2e}", en_ok))
     # discrete dissipation identity away from the endpoints
     worst_rel = 0.0
     for k in range(1, len(traj.records) - 1):
@@ -525,7 +528,7 @@ def _scenario_asymptotics(params, rng, outdir, jobs, u0, cfg, rgrid, m0):
     return checks, ["gaussian_diagnostics.csv", "radial_trajectory.csv"]
 
 
-def _scenario_dirac(params, rng, outdir, jobs, u0, cfg, patch):
+def _scenario_dirac(params, rng, outdir, u0, cfg, patch):
     grid = u0.grid
     traj = solver.run(cfg, u0)
     # the single live cell sits half a cell off the origin; compare against the patch there
@@ -548,7 +551,7 @@ def _scenario_dirac(params, rng, outdir, jobs, u0, cfg, patch):
     return checks, ["dirac_diagnostics.csv"]
 
 
-def _scenario_radial_vs_field(params, rng, outdir, jobs, u0, cfg, spec, rgrid):
+def _scenario_radial_vs_field(params, rng, outdir, u0, cfg, spec, rgrid):
     grid = u0.grid
     traj = solver.run(cfg, u0)
     worst_iface = 0.0
@@ -577,7 +580,7 @@ def _scenario_radial_vs_field(params, rng, outdir, jobs, u0, cfg, spec, rgrid):
     return checks, []
 
 
-def _scenario_wasserstein_oracle(params, rng, outdir, jobs, rgrid):
+def _scenario_wasserstein_oracle(params, rng, outdir, rgrid):
     from scipy.optimize import linear_sum_assignment
 
     worst = 0.0
@@ -825,7 +828,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     start = time.perf_counter()
-    checks, outputs = scenario.runner(params, rng, outdir, spec.jobs, **inputs)
+    checks, outputs = scenario.runner(params, rng, outdir, **inputs)
     result = ScenarioResult(
         spec.name, scenario.section, params, spec.seed, checks,
         outputs + ["report.json", "report.txt"], time.perf_counter() - start,

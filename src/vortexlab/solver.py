@@ -280,7 +280,9 @@ def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> flo
     return wasserstein_radial(m_run, m_patch)
 
 
-def _make_record(u, t, tau, cfg, mass0, reference) -> DiagnosticsRecord:
+def _make_record(u, t, tau, mass0, reference) -> DiagnosticsRecord:
+    """Basic diagnostics of u at time t, and the full ones when the run built a
+    reference density (n = 2, s = 1, positive mass)."""
     peak = float(u.values.max())
     rec = DiagnosticsRecord(
         t=t,
@@ -292,8 +294,8 @@ def _make_record(u, t, tau, cfg, mass0, reference) -> DiagnosticsRecord:
         support_radius=support_radius(u),
         sup_bound_ratio=peak * (t + tau),
     )
-    if cfg.diagnostics == "full" and u.grid.n == 2:
-        rec.energy = energy(u, 1.0, reference=reference) if cfg.s == 1.0 else None
+    if reference is not None:
+        rec.energy = energy(u, 1.0, reference=reference)
         rec.entropy, rec.dissipation = entropy_and_dissipation(u, t, mass0)
         rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)
     return rec
@@ -329,26 +331,25 @@ def run(cfg: SolverConfig, u0: DensityField) -> Trajectory:
         check_box_admissible(u0, cfg.t_end)
     tau = 1.0 / peak0 if peak0 > 0 else np.inf
     mass0 = total_mass(u0)
-    reference = None
-    if cfg.diagnostics == "full" and grid.n == 2 and mass0 > 0:
-        reference = mollified_reference(grid, mass0)
+    full = cfg.diagnostics == "full" and grid.n == 2 and cfg.s == 1.0 and mass0 > 0
+    reference = mollified_reference(grid, mass0) if full else None
 
     t0 = _time.perf_counter()
-    traj = Trajectory([0.0], [u0], [_make_record(u0, 0.0, tau, cfg, mass0, reference)], cfg)
-    t, u = 0.0, u0
+    traj = Trajectory([0.0], [u0], [_make_record(u0, 0.0, tau, mass0, reference)], cfg)
+    t, vals = 0.0, u0.values
     for target in cfg.output_times:
         while t < target - 1e-12:
-            dt, vals, clipped = _step(grid, u.values, target - t, cfg)
+            dt, vals, clipped = _step(grid, vals, target - t, cfg)
             traj.clipped_mass += clipped
-            u = DensityField(grid, vals)
             t += dt
             traj.steps += 1
-        ratio = float(u.values.max()) * (t + tau)
-        if ratio > 1.0 + BOUND_SLACK:
-            traj.warnings.append(f"sup bound ratio {ratio:.4f} at t={t:.6g}")
+        u = DensityField(grid, vals)
+        rec = _make_record(u, t, tau, mass0, reference)
+        if rec.sup_bound_ratio > 1.0 + BOUND_SLACK:
+            traj.warnings.append(f"sup bound ratio {rec.sup_bound_ratio:.4f} at t={t:.6g}")
         traj.times.append(t)
         traj.fields.append(u)
-        traj.records.append(_make_record(u, t, tau, cfg, mass0, reference))
+        traj.records.append(rec)
     traj.wall_time = _time.perf_counter() - t0
     return traj
 
@@ -374,15 +375,6 @@ class SweepReport:
         return all(b <= a * (1 + 1e-9) + 1e-12 for a, b in zip(ok, ok[1:]))
 
 
-def _run_sweep_member(args):
-    """(s, trajectory, None), or (s, None, error text) so a failure costs only its member."""
-    cfg, u0, s = args
-    try:
-        return s, run(replace(cfg, s=s), u0), None
-    except Exception as exc:
-        return s, None, repr(exc)
-
-
 def sweep_exponents(s_values) -> list:
     """A sweep's exponents in increasing order; the s = 1 member is the reference."""
     s_values = sorted(float(s) for s in s_values)
@@ -391,22 +383,18 @@ def sweep_exponents(s_values) -> list:
     return s_values
 
 
-def sweep_s(cfg: SolverConfig, u0: DensityField, s_values, jobs: int = 1) -> SweepReport:
-    """Run identical initial data for each exponent with the same inviscid
-    scheme and report L1 distances of the final states to the s=1 member,
-    expected to be nonincreasing as s increases toward 1.  Failures abort that
-    member only."""
+def sweep_s(cfg: SolverConfig, u0: DensityField, s_values) -> SweepReport:
+    """Run identical initial data for each exponent, in increasing order, with the
+    same inviscid scheme and report L1 distances of the final states to the s=1
+    member, expected to be nonincreasing as s increases toward 1.  A member that
+    raises is recorded in `errors` with distance None; the others still run."""
     s_values = sweep_exponents(s_values)
-    tasks = [(cfg, u0, s) for s in s_values]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_sweep_member, tasks))
-    else:
-        outcomes = [_run_sweep_member(task) for task in tasks]
-    results = {s: traj for s, traj, err in outcomes if err is None}
-    errors = {s: err for s, _, err in outcomes if err is not None}
+    results, errors = {}, {}
+    for s in s_values:
+        try:
+            results[s] = run(replace(cfg, s=s), u0)
+        except Exception as exc:
+            errors[s] = repr(exc)
     distances = []
     ref = results.get(1.0)
     for s in s_values:

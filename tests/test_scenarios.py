@@ -293,6 +293,10 @@ class TestCli:
     def test_usage_error_exit_two(self):
         assert main(["frobnicate"]) == 2
 
+    def test_removed_jobs_option_exit_two(self, tmp_path):
+        assert main(["run", "s-sweep", "--jobs", "2", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "s-sweep").exists()
+
     def test_import_loads_no_scipy(self):
         # scipy costs most of a CLI process's start-up; only the wasserstein-oracle
         # runner imports it, lazily, so neither import nor validation loads it
@@ -306,13 +310,12 @@ class TestCli:
         assert out.stdout.strip() == "[]"
 
 
-class TestParallelSweep:
-    def test_sweep_scenario_with_workers(self, tmp_path):
+class TestSweepScenario:
+    def test_sweep_scenario_passes(self, tmp_path):
         spec = ScenarioSpec(
             "s-sweep",
             params={"cells": 64, "t_end": 0.25, "s_values": [0.85, 1.0]},
             outdir=str(tmp_path),
-            jobs=2,
         )
         result = run_scenario(spec)
         assert result.passed
