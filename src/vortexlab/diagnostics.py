@@ -89,6 +89,8 @@ def write_records_csv(records, path) -> None:
 
 def equilibrium_radius(mass: float, n: int) -> float:
     """Radius with omega_n R^n = mass (support of the unit-height limit profile)."""
+    if not mass >= 0:
+        raise ValueError(f"mass must be >= 0, got {mass}")
     return (mass / unit_ball_volume(n)) ** (1.0 / n)
 
 

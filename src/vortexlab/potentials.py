@@ -4,15 +4,18 @@ potentials, energies, and the fractional bilinear form.
 All Cartesian convolutions are free-space: fields are compactly supported in
 the box (or in the block of it that is passed), the kernel is tabulated on
 that block's doubled grid, and the product is taken with zero padding (no
-periodic images; Hockney-Eastwood).  The velocity kernel
+periodic images; Hockney-Eastwood).  One scalar kernel serves every (n, s):
 
-    K(z) = C(n,s) * z / |z|^{n+2-2s},   C(n,s) = 2 Gamma(n/2+1-s) / (4^s pi^{n/2} Gamma(s))
+    G(z) = -C (|z|^a - 1) / a,  a = 2s - n,  C(n,s) = 2 Gamma(n/2+1-s) / (4^s pi^{n/2} Gamma(s)),
 
-is the analytic gradient of the inverse fractional Laplacian's kernel, so no
-finite differencing compounds the singularity; at s = 1 the constant reduces
-to 1/|S^{n-1}| and the radial speed of a radial field equals M(r)/r^{n-1}.
-The singular cell of the velocity kernel averages to zero by antisymmetry; the
-singular cell of scalar kernels uses the analytic cell average.
+with its limit -C ln|z| at n = 2s (-ln|z|/(2 pi) at (2, 1)).  It is C |z|^{2s-n}/(n-2s)
+(the Riesz kernel for n > 2s, -|z|/2 at (1, 1)) less the constant C/(n-2s), which
+would cancel every digit of the potential's differences as s -> n/2; `energy` adds
+it back where n > 2s.  The velocity kernel K = -grad G = C z / |z|^{n+2-2s} is
+tabulated analytically, so no finite differencing compounds the singularity; at
+s = 1, C = 1/|S^{n-1}| and the radial speed of a radial field is M(r)/r^{n-1}.
+The singular cell of G takes the analytic cell average; that of K averages to
+zero by antisymmetry.
 
 Every convolution takes its spectra from `_kernel_table`, one cached entry keyed
 by block shape.  Field steps and diagnostics records both run on the support
@@ -67,31 +70,25 @@ def velocity_constant(n: int, s: float) -> float:
     return 2.0 * gamma(n / 2.0 + 1.0 - s) / (4.0**s * pi ** (n / 2.0) * gamma(s))
 
 
-def _riesz_constant(n: int, s: float) -> float:
-    # kernel of (-Lap)^{-s}: C |z|^{2s-n}, needs n > 2s
-    return gamma(n / 2.0 - s) / (4.0**s * pi ** (n / 2.0) * gamma(s))
-
-
 def _angular_integral(f) -> float:
     """Integrate f(theta) over [0, pi/4] with 64-point Gauss-Legendre."""
     theta = 0.125 * pi * (_GL_NODES + 1.0)
     return float(0.125 * pi * np.sum(_GL_WEIGHTS * f(theta)))
 
 
-def _cell_average_power(n: int, h: float, a: float) -> float:
-    """Average of |z|^a over the cell [-h/2, h/2]^n containing the origin (a > -n... > -2)."""
+def _box_cox(x, a: float):
+    """(x^a - 1) / a without cancellation as a -> 0, and its limit ln x at a = 0."""
+    return np.log(x) if a == 0.0 else np.expm1(a * np.log(x)) / a
+
+
+def _cell_average_box_cox(n: int, h: float, a: float) -> float:
+    """Average of _box_cox(|z|, a) over the cell [-h/2, h/2]^n containing the origin (a > -n)."""
     if n == 1:
-        return (h / 2.0) ** a / (a + 1.0)
+        return (_box_cox(h / 2.0, a) - 1.0) / (1.0 + a)
     rho = lambda th: (h / 2.0) / np.cos(th)
-    integral = 8.0 * _angular_integral(lambda th: rho(th) ** (a + 2.0) / (a + 2.0))
-    return integral / h**2
-
-
-def _cell_average_log(h: float) -> float:
-    """Average of ln|z| over the square cell of side h centered at the origin."""
-    rho = lambda th: (h / 2.0) / np.cos(th)
-    integral = 8.0 * _angular_integral(lambda th: 0.5 * rho(th) ** 2 * (np.log(rho(th)) - 0.5))
-    return integral / h**2
+    # int_0^rho box_cox(r, a) r dr = rho^2 (2 box_cox(rho, a) - 1) / (2 (a + 2))
+    integral = 8.0 * _angular_integral(lambda th: rho(th) ** 2 * (2.0 * _box_cox(rho(th), a) - 1.0))
+    return integral / (2.0 * (a + 2.0) * h**2)
 
 
 def _offsets(cells: int, h: float) -> np.ndarray:
@@ -108,47 +105,35 @@ def _geometry(grid: CartesianGrid, shape: tuple):
     return coords, np.hypot(coords[0], coords[1])
 
 
-def _velocity_spectra(n: int, s: float, coords, rad) -> tuple:
-    """rfftn of each velocity kernel component tabulated at `coords`."""
-    cv = velocity_constant(n, s)
-    spectra = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = rad ** (-(n + 2.0 - 2.0 * s))
-        for k in range(n):
-            kern = cv * coords[k] * inv
-            kern[(0,) * n] = 0.0  # antisymmetric kernel averages to zero over the singular cell
-            spectra.append(np.fft.rfftn(kern, axes=range(n)))
-    return tuple(spectra)
-
-
 class _KernelTable:
-    """Kernel spectra on the doubled grid of one block shape: the velocity spectra at
-    once, the scalar spectrum on first use (most tables only serve steps)."""
+    """Kernel spectra on the doubled grid of one block shape, each built on first use
+    (steps use the scalar one only).  Each builds its geometry: keeping it raised peak memory."""
 
     def __init__(self, grid: CartesianGrid, s: float, shape: tuple):
         self.grid, self.s, self.shape = grid, s, shape
-        self.velocity = _velocity_spectra(grid.n, s, *_geometry(grid, shape))
+
+    @cached_property
+    def velocity(self) -> tuple:
+        n, s = self.grid.n, self.s
+        coords, rad = _geometry(self.grid, self.shape)
+        cv = velocity_constant(n, s)
+        spectra = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = rad ** (-(n + 2.0 - 2.0 * s))
+            for k in range(n):
+                kern = cv * coords[k] * inv
+                kern[(0,) * n] = 0.0  # antisymmetric kernel averages to zero over the singular cell
+                spectra.append(np.fft.rfftn(kern, axes=range(n)))
+        return tuple(spectra)
 
     @cached_property
     def scalar(self):
-        # the geometry is built again, not kept: keeping it raised peak memory
-        grid, s, n = self.grid, self.s, self.grid.n
-        _, rad = _geometry(grid, self.shape)
-        origin = (0,) * n
-        if s < 1.0 and n > 2.0 * s:
-            cr = _riesz_constant(n, s)
-            with np.errstate(divide="ignore"):
-                kern = cr * rad ** (2.0 * s - n)
-            kern[origin] = cr * _cell_average_power(n, grid.h, 2.0 * s - n)
-        elif s == 1.0 and n == 2:
-            with np.errstate(divide="ignore"):
-                kern = -np.log(rad) / (2.0 * pi)
-            kern[origin] = -_cell_average_log(grid.h) / (2.0 * pi)
-        elif s == 1.0:
-            kern = -0.5 * rad
-            kern[origin] = -grid.h / 8.0
-        else:
-            raise ValueError(f"scalar kernel not representable for n={n}, s={s}")
+        n, h, a = self.grid.n, self.grid.h, 2.0 * self.s - self.grid.n
+        _, rad = _geometry(self.grid, self.shape)
+        cv = velocity_constant(n, self.s)
+        with np.errstate(divide="ignore"):
+            kern = -cv * _box_cox(rad, a)
+        kern[(0,) * n] = -cv * _cell_average_box_cox(n, h, a)
         return np.fft.rfftn(kern, axes=range(n))
 
 
@@ -227,11 +212,12 @@ def velocity(u: DensityField, s: float = 1.0) -> VectorField:
 
 
 def potential_values(grid: CartesianGrid, values: np.ndarray, s: float) -> np.ndarray:
-    """Scalar potential (-Lap)^{-s} of cell values on `grid` or on a block of it.
-
-    Available for s < 1 with n > 2s (decaying kernel) and for s = 1 in n <= 2,
-    where the logarithmic / linear kernel only produces meaningful numbers for
-    zero-total-mass inputs or inside renormalized differences.
+    """Scalar potential p = G_h * u of cell values on `grid` or on a block of it, for
+    every (n, s): h^n times the sum of G (module docstring) over cell-center
+    offsets, with the singular cell averaged.  G is the kernel of (-Lap)^{-s} up to
+    a constant, so only differences of p, such as the field solver's face
+    velocities, and pairings with zero-mass data carry meaning on their own; for
+    n > 2s, p plus C/(n-2s) times the mass is the Riesz potential.
     """
     s = _check_exponent(s)
     return _convolve(values, (_kernel_table(grid, s, values.shape).scalar,), grid.cell_volume)[0]
@@ -247,12 +233,12 @@ def radial_velocity(m: MassFunction) -> RadialProfile:
 
 
 def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = None) -> float:
-    """Interaction energy h^n sum u G_h u of the discrete G_h = (-Lap)^{-s}, minus
-    h^n sum r G_h r for a reference r, which must have equal mass and is required
-    where the kernel does not decay (n <= 2s); the difference is then the
-    renormalized int |grad G(u - r)|^2 + 2 int r G(u - r).  It is evaluated as
-    h^n sum (u - r) G_h (u + r), equal for the symmetric G_h, on the support window
-    of u and r: no other cell enters, so the window changes only rounding.
+    """Interaction energy h^n sum u G_h u of the discrete G_h = (-Lap)^{-s} (the Riesz
+    kernel where n > 2s), minus h^n sum r G_h r for a reference r, which must have
+    equal mass and is required where the kernel does not decay (n <= 2s); the
+    difference is then the renormalized int |grad G(u - r)|^2 + 2 int r G(u - r).
+    It is evaluated as h^n sum (u - r) G_h (u + r), equal for the symmetric G_h, on the
+    support window of u and r: no other cell enters, so the window changes only rounding.
     """
     s = _check_exponent(s)
     grid = u.grid
@@ -271,7 +257,10 @@ def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = Non
     window = _support_window(np.abs(diff) + np.abs(total))
     if window is None:
         return 0.0
-    return cv * float((diff[window] * potential_values(grid, total[window], s)).sum())
+    pairing = cv * float((diff[window] * potential_values(grid, total[window], s)).sum())
+    if grid.n > 2.0 * s:  # the Riesz kernel's constant C / (n - 2s), left out of G_h
+        pairing += velocity_constant(grid.n, s) / (grid.n - 2.0 * s) * cv**2 * float(diff.sum() * total.sum())
+    return pairing
 
 
 def radial_energy(u: RadialProfile) -> float:

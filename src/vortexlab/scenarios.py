@@ -220,11 +220,12 @@ def _build_two_patch(params) -> dict:
 
 
 def _build_barenblatt_limit(params) -> dict:
-    if len(params["s_values"]) < 2:
-        raise ValueError("s_values must hold at least 2 exponents")
+    s_values = sorted(params["s_values"])  # the check reads the distances as s -> 1
+    if len(set(s_values)) < max(len(s_values), 2):
+        raise ValueError("s_values must hold at least 2 exponents, none repeated")
     if not params["r_max"] > 0 or params["radial_points"] < 2:
         raise ValueError("r_max must be positive and radial_points at least 2")
-    specs = [closed_forms.barenblatt_with_mass(2, s, mass=params["mass"]) for s in params["s_values"]]
+    specs = [closed_forms.barenblatt_with_mass(2, s, mass=params["mass"]) for s in s_values]
     return {"r": np.linspace(0.0, params["r_max"], params["radial_points"]), "specs": specs}
 
 
@@ -436,7 +437,7 @@ def _scenario_barenblatt_limit(params, rng, outdir, r, specs):
         "uniform patch strictly decreases as s -> 1",
         dists[-1], "strict decrease", strictly)]
     write_csv(Path(outdir) / "barenblatt_distances.csv", ["s", "l1_distance"],
-              zip(params["s_values"], dists))
+              zip((spec.s for spec in specs), dists))
     return checks, ["barenblatt_distances.csv"]
 
 

@@ -1,12 +1,15 @@
 """Explicit time integration of u_t = div(u grad p), p = (-Lap)^{-s} u, on
 Cartesian grids.
 
-The one scheme is conservative upwind transport of a monotonized-central (MC)
-limited reconstruction, with face velocities averaged from the adjacent cells,
-advanced with two-stage SSP stepping (Gottlieb-Shu-Tadmor 2001); it keeps
-patch edges to a few cells and creates no density outside the reach of its
-stencil.  `run` is the only entry point; it takes each step at
-cfl * h / max sum_k |v_k|, clamped to the next output time.
+The one scheme is the finite-volume method of Carrillo, Chertock and Huang
+(Commun. Comput. Phys. 17, 2015): each stage computes one potential p = G_h * u
+and takes the face velocities as its exact discrete gradient xi = -(p_{i+1} - p_i)/h;
+the flux is upwind transport of a monotonized-central (MC) limited
+reconstruction, advanced with two-stage SSP stepping (Gottlieb-Shu-Tadmor 2001).
+G_h is symmetric, so by summation by parts E_h = 1/2 h^n sum u p decays at the
+semi-discrete rate -h^n sum_faces (xi+^2 u_L + xi-^2 u_R) <= 0.  `run` steps at
+cfl * h over the largest cell speed (the sum over axes of the faster of the
+cell's two faces), clamped to the next output time.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
 the box must be sized so the support never reaches the boundary (checked
 against the support growth bound before a run starts).  Negative values
@@ -15,11 +18,11 @@ in a ledger.
 
 Each step works on the support window W of `potentials._support_window`: the
 bounding box of u > 0 plus a WINDOW_HALO-cell halo per side, each side rounded
-up to a multiple of WINDOW_QUANTUM cells and kept inside the box.  The velocity
+up to a multiple of WINDOW_QUANTUM cells and kept inside the box.  The potential
 of u[W], the CFL maximum, both SSP stages and the clip are computed on W and
 written into a zero array of the box.  This is the whole-box step, not an approximation of
 it: the two stages move density at most one cell each, so the halo cells and
-their MC slopes are zero and no flux crosses a face of W; the velocity of u[W]
+their MC slopes are zero and no flux crosses a face of W; the potential of u[W]
 is the whole-box convolution restricted to W up to FFT rounding, since u
 vanishes outside W; and outside supp u the velocity never enters the update.
 Full diagnostics records run on support windows too.
@@ -52,7 +55,7 @@ from .grids import (
     sphere_area,
     total_mass,
 )
-from .potentials import _support_window, energy, velocity_from_values
+from .potentials import _support_window, energy, potential_values
 
 __all__ = [
     "ConfigError",
@@ -194,21 +197,27 @@ def check_box_admissible(u0: DensityField, t_end: float) -> None:
 # the explicit update
 
 
-def _max_speed_sum(comps) -> float:
-    acc = np.zeros_like(comps[0])
-    for c in comps:
-        acc += np.abs(c)
-    return float(acc.max())
-
-
-def _stable_dt(grid: CartesianGrid, comps, cfl: float) -> float:
-    speed = _max_speed_sum(comps)
-    return cfl * (grid.h / speed) if speed > 0 else np.inf
-
-
 def _cut(ndim: int, axis: int, start, stop) -> tuple:
     """Index of the cells start:stop along `axis`, all cells along the other axes."""
     return tuple(slice(start, stop) if k == axis else slice(None) for k in range(ndim))
+
+
+def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float) -> list:
+    """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals, one array per axis."""
+    p = potential_values(grid, vals, s)
+    return [np.diff(p, axis=axis) / -grid.h for axis in range(grid.n)]
+
+
+def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
+    """cfl * h over the largest cell speed, the sum over axes of the faster of the
+    cell's two faces along that axis (a zero face past each end of the block)."""
+    speed = 0.0
+    for axis, xi in enumerate(faces):
+        mag = np.abs(xi)
+        rim = np.zeros(mag.shape[:axis] + (1,) + mag.shape[axis + 1:])
+        speed = speed + np.maximum(np.concatenate([mag, rim], axis), np.concatenate([rim, mag], axis))
+    top = float(speed.max())
+    return cfl * (grid.h / top) if top > 0 else np.inf
 
 
 def _mc_slope(u: np.ndarray, axis: int) -> np.ndarray:
@@ -232,7 +241,8 @@ def _mc_slope(u: np.ndarray, axis: int) -> np.ndarray:
     return slope
 
 
-def _advance(grid: CartesianGrid, vals: np.ndarray, comps, dt: float) -> np.ndarray:
+def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float) -> np.ndarray:
+    """vals after one upwind step of size dt on the face velocities `faces`."""
     rate = dt / grid.h
     new = vals.copy()
     for axis in range(grid.n):
@@ -241,25 +251,22 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, comps, dt: float) -> np.ndar
         half *= 0.5
         left = np.add(vals[lo], half[lo])
         right = np.subtract(vals[hi], half[hi], out=half[hi])
-        face = np.add(comps[axis][lo], comps[axis][hi])
-        face *= 0.5
-        flux = np.maximum(face, 0.0)
+        flux = np.maximum(faces[axis], 0.0)
         flux *= left
-        np.minimum(face, 0.0, out=face)
-        face *= right
-        flux += face
+        np.minimum(faces[axis], 0.0, out=left)
+        left *= right
+        flux += left
         flux *= rate
         new[lo] -= flux
         new[hi] += flux
     return new
 
 
-def _ssp_update(grid: CartesianGrid, vals: np.ndarray, comps, dt: float, cfg: SolverConfig):
-    """One two-stage SSP step of size dt from the velocity `comps` of `vals`.  Returns
+def _ssp_update(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, cfg: SolverConfig):
+    """One two-stage SSP step of size dt from the face velocities `faces` of `vals`.  Returns
     the new values and the mass clipped from them; only a negative value triggers a clip."""
-    new = _advance(grid, vals, comps, dt)
-    comps1 = velocity_from_values(grid, np.maximum(new, 0.0), cfg.s)
-    new = 0.5 * (vals + _advance(grid, new, comps1, dt))
+    new = _advance(grid, vals, faces, dt)
+    new = 0.5 * (vals + _advance(grid, new, _face_velocities(grid, np.maximum(new, 0.0), cfg.s), dt))
     if not np.isfinite(new).all():
         raise NumericalError("non-finite values after an explicit step")
     negative = new < 0.0
@@ -309,11 +316,11 @@ def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfi
     if window is None:
         return max_dt, vals, 0.0
     block = vals[window]
-    comps = velocity_from_values(grid, block, cfg.s)
-    dt = min(_stable_dt(grid, comps, cfg.cfl), max_dt)
+    faces = _face_velocities(grid, block, cfg.s)
+    dt = min(_stable_dt(grid, faces, cfg.cfl), max_dt)
     if not dt > 0:
         raise NumericalError("time step collapsed to zero")
-    block, clipped = _ssp_update(grid, block, comps, dt, cfg)
+    block, clipped = _ssp_update(grid, block, faces, dt, cfg)
     if block.shape != grid.shape:  # a window that fills the box is already the box array
         new = np.zeros(grid.shape)
         new[window] = block

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from math import pi
 
+from scipy.integrate import dblquad, quad
 from hypothesis import given, settings, strategies as st
 from vortexlab.burgers import mass_transform
 from vortexlab.closed_forms import PatchSpec, TwoPatchSpec, patch_mass, two_patch_state
@@ -223,13 +224,13 @@ class TestPrunedConvolution:
     )
     def test_matches_explicit_padding(self, n, cells, s, seed, data):
         # a random block shape (odd, non-square) and the whole box, each with the
-        # velocity spectra of its table and the scalar spectrum where one exists
+        # velocity spectra and the scalar spectrum of its table
         g = CartesianGrid(n, 1.0, cells)
         rng = np.random.default_rng(seed)
         shape = tuple(data.draw(st.integers(1, cells)) for _ in range(n))
         for block in (shape, g.shape):
             table = _kernel_table(g, s, block)
-            spectra = table.velocity + ((table.scalar,) if s == 1.0 or n > 2.0 * s else ())
+            spectra = table.velocity + (table.scalar,)
             vals = rng.normal(size=block) * (rng.random(block) < 0.7)
             got = _convolve(vals, spectra, g.cell_volume)
             want = reference_convolve(vals, spectra, g.cell_volume)
@@ -237,6 +238,58 @@ class TestPrunedConvolution:
             for a, b in zip(got, want):
                 assert a.shape == block
                 assert np.array_equal(a, b)
+
+
+class TestScalarPotential:
+    @pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9])
+    def test_interval_potential_matches_quadrature(self, s):
+        # n = 1 with 1/2 <= s < 1, where the kernel grows: the log at s = 1/2 and a
+        # power above.  p = G_h * u against the quadrature of int G(x - y) u(y) dy; the
+        # cell-sampled kernel converges at order 2s
+        c, a = velocity_constant(1, s), 2.0 * s - 1.0
+        kern = (lambda z: -c * np.log(abs(z))) if a == 0 else (lambda z: -c * (abs(z) ** a - 1.0) / a)
+        bump = lambda y: np.maximum(1.0 - y**2, 0.0) ** 2
+        errors = []
+        for cells in (64, 128):
+            g = CartesianGrid(1, 2.0, cells)
+            x = g.axis_centers()
+            want = np.array([
+                quad(lambda y: kern(xi - y) * bump(y), -1.0, 1.0, points=[xi] if abs(xi) < 1 else None, limit=200)[0]
+                for xi in x
+            ])
+            errors.append(np.abs(potential_values(g, bump(x), s) - want).max() / np.abs(want).max())
+        assert errors[-1] <= 4e-3
+        assert np.log2(errors[0] / errors[1]) >= 2.0 * s - 0.2
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 0.95])
+    def test_riesz_energy_matches_pair_sum(self, s):
+        # for n > 2s the energy is the Riesz kernel's C |z|^{2s-n} / (n-2s), constant
+        # included: a direct pair sum with the self cell averaged by quadrature
+        g = CartesianGrid(2, 1.0, 12)
+        vals = np.random.default_rng(0).random(g.shape)
+        a, h = 2.0 * s - 2.0, g.h
+        self_avg = 4.0 * dblquad(lambda y, x: np.hypot(x, y) ** a, 0, h / 2, 0, h / 2, epsabs=0, epsrel=1e-12)[0] / h**2
+        pts = np.stack([c.ravel() for c in g.centers()], axis=1)
+        d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        np.fill_diagonal(d, 1.0)
+        kern = d**a
+        np.fill_diagonal(kern, self_avg)
+        w = vals.ravel() * g.cell_volume
+        want = velocity_constant(2, s) / (2.0 - 2.0 * s) * float(w @ kern @ w)
+        assert energy(DensityField(g, vals), s) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_differences_continuous_at_n_equal_2s(self, n):
+        # next to n = 2s the kernel's differences keep their digits: an exponent one
+        # rounding step below n/2 gives the differences of the logarithmic kernel
+        g = CartesianGrid(n, 1.0, 32)
+        vals = np.exp(-8.0 * g.radius() ** 2)
+        at = potential_values(g, vals, n / 2.0)
+        for s in (np.nextafter(n / 2.0, 0.0), n / 2.0 - 1e-9):
+            near = potential_values(g, vals, s)
+            for axis in range(n):
+                want = np.diff(at, axis=axis)
+                assert np.abs(np.diff(near, axis=axis) - want).max() <= 1e-7 * np.abs(want).max()
 
 
 class TestWindowedVelocity:

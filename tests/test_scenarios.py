@@ -155,6 +155,8 @@ class TestValidateConfig:
         {"scenario": "asymptotics", "params": {"cells": 32, "radial_width_sq": 0.0}},
         {"scenario": "barenblatt-limit", "params": {"r_max": -1.0}},
         {"scenario": "barenblatt-limit", "params": {"radial_points": 1}},
+        {"scenario": "dirac-fundamental", "params": {"cells": 32, "mass": -1.0}},
+        {"scenario": "barenblatt-limit", "params": {"s_values": [0.6, 0.6]}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -169,7 +171,7 @@ class TestValidateConfig:
             "asymptotics-zero-radial-time", "oracle-zero-atoms", "s-sweep-s-above-one",
             "non-comparison-negative-small-radius", "dirac-zero-mass", "asymptotics-zero-peak",
             "asymptotics-zero-radial-width-sq", "barenblatt-negative-r-max",
-            "barenblatt-one-radial-point"])
+            "barenblatt-one-radial-point", "dirac-negative-mass", "barenblatt-repeated-s-values"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -203,6 +205,14 @@ class TestRunScenario:
     def test_barenblatt_limit_passes(self, tmp_path):
         result = run_scenario(ScenarioSpec("barenblatt-limit", outdir=str(tmp_path)))
         assert result.passed
+
+    def test_barenblatt_limit_sorts_exponents(self, tmp_path):
+        # the check claims a decrease as s -> 1, so the exponents are taken in increasing
+        # order whatever order the config lists them in
+        spec = ScenarioSpec("barenblatt-limit", params={"s_values": [0.9, 0.6]}, outdir=str(tmp_path))
+        assert run_scenario(spec).passed
+        rows = (tmp_path / "barenblatt-limit" / "barenblatt_distances.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["s", "0.59999999999999998", "0.90000000000000002"]
 
     @pytest.mark.parametrize("name, params, files", [
         ("wasserstein-oracle", {}, ["oracle_pairs.csv"]),
