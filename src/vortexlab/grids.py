@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from math import gamma, pi
 
 import numpy as np
@@ -301,6 +302,7 @@ def reconstruct_from_profile(grid: CartesianGrid, profile: RadialProfile, center
 # serialization
 
 _HEADER = struct.Struct("<qqd")  # n, cells, half_width
+CSV_BATCH_ROWS = 1024  # rows formatted by one %-format in write_csv
 
 
 def write_grid_array(grid: CartesianGrid, values: np.ndarray, path) -> None:
@@ -332,12 +334,25 @@ def write_grid_csv(grid: CartesianGrid, columns: dict, path) -> None:
     names = ["x"] if grid.n == 1 else ["x", "y"]
     header = names + list(columns.keys())
     cols = [c.ravel() for c in coords] + [np.asarray(v).ravel() for v in columns.values()]
-    write_csv(path, header, zip(*cols))
+    batches = range(0, cols[0].size, CSV_BATCH_ROWS)  # Python floats for one batch at a time
+    write_csv(path, header, chain.from_iterable(zip(*(c[i:i + CSV_BATCH_ROWS].tolist() for c in cols)) for i in batches))
 
 
 def write_csv(path, header, rows) -> None:
-    """CSV with a header line; numbers are written as .17g and None as an empty cell."""
+    """CSV with a header line; numbers are written as .17g and None as an empty cell.
+
+    Each batch of CSV_BATCH_ROWS rows is one %-format: "%.17g" % v is format(v, ".17g")
+    for every int and float, and a batch bounds the text held in memory at once.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join("" if v is None else format(v, ".17g") for v in row) + "\n")
+        while batch := list(map(tuple, islice(rows, CSV_BATCH_ROWS))):
+            values = list(chain.from_iterable(batch))
+            if None in values:
+                template = "".join(",".join("" if v is None else "%.17g" for v in row) + "\n" for row in batch)
+                values = [v for v in values if v is not None]
+            else:
+                line = {width: ",".join(["%.17g"] * width) + "\n" for width in set(map(len, batch))}
+                template = "".join(map(line.__getitem__, map(len, batch)))
+            f.write(template % tuple(values))

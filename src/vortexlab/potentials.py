@@ -167,27 +167,39 @@ def _convolve(values: np.ndarray, spectra, scale: float) -> list:
     The transforms are rfftn/irfftn of the zero-padded block taken one axis at a time,
     and pruned: the forward rfft zero-pads only the block's own rows, and the inverse
     irfft runs only on the rows that survive the crop.  Each line sees the same
-    transform as in the unpruned product, so the bits are the same.  The product of
-    each spectrum goes into one complex buffer, which the inverse fft along the
-    leading axis overwrites in place.  The buffer lives for one call: a workspace kept
-    across calls raised peak memory and page faults, because without large frees
-    glibc never raises its mmap threshold and maps every temporary afresh.
+    transform as in the unpruned product, so the bits are the same.
+
+    A call works in one complex array of the padded spectrum's shape: the rfft writes
+    the block's rows into it, the padding rows are zeroed, and the fft along the leading
+    axis, the product with the last spectrum and its inverse fft all run in place.  The
+    spectra before the last (the first velocity component) share one more buffer, as
+    the padded spectrum must outlive their products; it is freed before the last one.
+    Nothing is kept across calls: a workspace kept across calls raised peak memory and
+    page faults, because without large frees glibc never raises its mmap threshold and
+    maps every temporary afresh.
     """
     block = tuple(slice(0, cells) for cells in values.shape)
-    lead = range(values.ndim - 1)
     cols = 2 * values.shape[-1]
-    fval = np.fft.rfft(values, n=cols, axis=-1)
-    for axis in lead:
-        fval = np.fft.fft(fval, n=2 * values.shape[axis], axis=axis)
-    buf = np.empty_like(fval)
-    out = []
-    for kf in spectra:
-        np.multiply(fval, kf, out=buf)
-        for axis in lead:
-            np.fft.ifft(buf, axis=axis, out=buf)
-        part = np.fft.irfft(buf[block[:-1]], n=cols, axis=-1)[block]
+    fval = np.empty((*(2 * cells for cells in values.shape[:-1]), cols // 2 + 1), dtype=complex)
+    np.fft.rfft(values, n=cols, axis=-1, out=fval[block[:-1]])
+    if values.ndim == 2:
+        fval[values.shape[0]:] = 0.0
+        np.fft.fft(fval, axis=0, out=fval)
+
+    def inverse(prod):
+        if values.ndim == 2:
+            np.fft.ifft(prod, axis=0, out=prod)
+        part = np.fft.irfft(prod[block[:-1]], n=cols, axis=-1)[block]
         part *= scale
-        out.append(part)
+        return part
+
+    *first, last = spectra
+    out = []
+    if first:
+        buf = np.empty_like(fval)
+        out = [inverse(np.multiply(fval, kf, out=buf)) for kf in first]
+        del buf  # freed before the last product, which needs no buffer of its own
+    out.append(inverse(np.multiply(fval, last, out=fval)))
     return out
 
 

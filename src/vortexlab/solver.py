@@ -383,10 +383,12 @@ class SweepReport:
 
 
 def sweep_exponents(s_values) -> list:
-    """A sweep's exponents in increasing order; the s = 1 member is the reference."""
+    """A sweep's exponents in increasing order, none repeated; the s = 1 member is the reference."""
     s_values = sorted(float(s) for s in s_values)
     if 1.0 not in s_values:
         raise ConfigError("the sweep must include s = 1")
+    if len(set(s_values)) < len(s_values):
+        raise ConfigError("s_values must hold distinct exponents, none repeated")
     return s_values
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from math import pi, sqrt
+from math import inf, nan, pi, sqrt
 
+from hypothesis import given, settings, strategies as st
 from vortexlab.grids import (
+    CSV_BATCH_ROWS,
     CartesianGrid,
     DensityField,
     MassFunction,
@@ -17,6 +19,7 @@ from vortexlab.grids import (
     sphere_area,
     total_mass,
     unit_ball_volume,
+    write_csv,
     write_grid_array,
     write_grid_csv,
 )
@@ -232,3 +235,59 @@ class TestSignedArraySerialization:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "x,vx,u"
         assert len(lines) == 9
+
+
+def reference_write_csv(path, header, rows):
+    """The per-value writer that `write_csv` batches; its bytes are the contract."""
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join("" if v is None else format(v, ".17g") for v in row) + "\n")
+
+
+SPECIAL_VALUES = [nan, inf, -inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]
+cell_values = st.one_of(
+    st.none(),
+    st.sampled_from(SPECIAL_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**40), 2**40).map(np.int64),
+)
+
+
+class TestBatchedCsv:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(st.lists(cell_values, max_size=6), max_size=40),
+        repeat=st.sampled_from([1, CSV_BATCH_ROWS // 3 + 1]),
+    )
+    def test_rows_match_per_value_writer(self, tmp_path_factory, rows, repeat):
+        # ragged rows, None cells and every special float; the repeat crosses batches
+        rows = rows * repeat
+        base = tmp_path_factory.mktemp("csv")
+        write_csv(base / "got.csv", ["a", "b"], iter(rows))
+        reference_write_csv(base / "want.csv", ["a", "b"], rows)
+        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        cells=st.integers(4, 80).map(lambda k: 2 * k),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(st.sampled_from(SPECIAL_VALUES), max_size=12),
+    )
+    def test_grid_matches_per_value_writer(self, tmp_path_factory, n, cells, seed, specials):
+        # values over every binade down to the subnormals, specials at random cells
+        g = CartesianGrid(n, 1.0, cells)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=g.shape) * 10.0 ** rng.integers(-325, 300, size=g.shape)
+        flat = u.reshape(-1)
+        flat[rng.integers(0, flat.size, size=len(specials))] = specials
+        base = tmp_path_factory.mktemp("grid")
+        write_grid_csv(g, {"u": u, "w": -u}, base / "got.csv")
+        cols = [c.ravel() for c in g.centers()] + [u.ravel(), -u.ravel()]
+        header = ["x"] if n == 1 else ["x", "y"]
+        reference_write_csv(base / "want.csv", header + ["u", "w"], zip(*cols))
+        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+

@@ -13,7 +13,7 @@ from vortexlab.grids import (
     field_from_function,
     total_mass,
 )
-from vortexlab.potentials import WINDOW_HALO, potential_values
+from vortexlab.potentials import WINDOW_HALO, potential_values, velocity_from_values
 from vortexlab.solver import (
     ConfigError,
     NumericalError,
@@ -440,8 +440,15 @@ class TestAllocationBudget:
         faces = _face_velocities(g, vals, 1.0)  # builds and caches the kernel table
         solve = self.peak_bytes(lambda: _face_velocities(g, vals, 1.0))
         advance = self.peak_bytes(lambda: _advance(g, vals, faces, 1e-3))
-        assert solve <= 12 * vals.nbytes
+        assert solve <= 7 * vals.nbytes
         assert advance <= 10 * vals.nbytes
+
+    def test_two_component_velocity_solve(self):
+        # the padded spectrum, one buffer for the first component and the two outputs
+        g = CartesianGrid(2, 4.0, 384)
+        vals = np.exp(-g.radius() ** 2)
+        velocity_from_values(g, vals, 1.0)  # builds and caches the kernel table
+        assert self.peak_bytes(lambda: velocity_from_values(g, vals, 1.0)) <= 11 * vals.nbytes
 
 
 class TestSweep:
@@ -457,6 +464,12 @@ class TestSweep:
         cfg = SolverConfig(t_end=0.25, output_times=(0.25,))
         with pytest.raises(ConfigError):
             sweep_s(cfg, patch_field(g), [0.5, 0.8])
+
+    def test_rejects_repeated_exponent(self):
+        g = CartesianGrid(2, 4.0, 32)
+        cfg = SolverConfig(t_end=0.1, output_times=(0.1,))
+        with pytest.raises(ConfigError, match="none repeated"):
+            sweep_s(cfg, patch_field(g), [0.85, 1.0, 0.85])
 
     def test_failing_member_keeps_partial_report(self):
         g = CartesianGrid(2, 4.0, 32)
