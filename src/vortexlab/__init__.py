@@ -49,10 +49,8 @@ from .burgers import (
 from .potentials import (
     bilinear_form,
     energy,
-    log_lipschitz_modulus,
     radial_energy,
     radial_velocity,
-    velocity,
 )
 from .diagnostics import (
     DiagnosticsRecord,

@@ -1,5 +1,5 @@
-"""Nonlocal operators: transport velocity v = -grad (-Lap)^{-s} u, scalar
-potentials, energies, and the fractional bilinear form.
+"""Nonlocal operators: scalar potentials p = (-Lap)^{-s} u and their face
+velocities, energies, and the fractional bilinear form.
 
 All Cartesian convolutions are free-space: fields are compactly supported in
 the box (or in the block of it that is passed), the kernel is tabulated on
@@ -11,20 +11,18 @@ periodic images; Hockney-Eastwood).  One scalar kernel serves every (n, s):
 with its limit -C ln|z| at n = 2s (-ln|z|/(2 pi) at (2, 1)).  It is C |z|^{2s-n}/(n-2s)
 (the Riesz kernel for n > 2s, -|z|/2 at (1, 1)) less the constant C/(n-2s), which
 would cancel every digit of the potential's differences as s -> n/2; `energy` adds
-it back where n > 2s.  The velocity kernel K = -grad G = C z / |z|^{n+2-2s} is
-tabulated analytically, so no finite differencing compounds the singularity; at
-s = 1, C = 1/|S^{n-1}| and the radial speed of a radial field is M(r)/r^{n-1}.
-The singular cell of G takes the analytic cell average; that of K averages to
-zero by antisymmetry.
+it back where n > 2s.  The singular cell of G takes the analytic cell average.
+Every velocity is the face gradient xi = -(p[i+1] - p[i]) / h of p = G_h * u
+(`_face_velocities`): the field step's and the dissipation record's alike.
 
-Every convolution takes its spectra from `_kernel_table`, one cached entry keyed
-by block shape.  Field steps and diagnostics records both run on the support
-window of `_support_window`, so a compact run never tabulates the whole box.
+Every convolution takes its spectrum and buffers from `_kernel_table`, one cached
+entry keyed by block shape.  Field steps and diagnostics records both run on the
+support window of `_support_window`, so a compact run never tabulates the whole box.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gamma, pi
 
 import numpy as np
@@ -35,27 +33,22 @@ from .grids import (
     DensityField,
     MassFunction,
     RadialProfile,
-    VectorField,
     sphere_area,
 )
 
 __all__ = [
-    "velocity",
     "velocity_constant",
-    "velocity_from_values",
     "potential_values",
     "radial_velocity",
     "energy",
     "radial_energy",
     "bilinear_form",
     "bilinear_limit_constant",
-    "log_lipschitz_modulus",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 WINDOW_HALO = 2  # cells past supp u reached by the two SSP stages of one step
 WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fewer kernel builds)
-LIPSCHITZ_SAMPLES = 24  # log_lipschitz_modulus samples at most this many cells per axis
 
 
 def _check_exponent(s: float) -> float:
@@ -76,9 +69,13 @@ def _angular_integral(f) -> float:
     return float(0.125 * pi * np.sum(_GL_WEIGHTS * f(theta)))
 
 
-def _box_cox(x, a: float):
+def _box_cox(x, a: float, out=None):
     """(x^a - 1) / a without cancellation as a -> 0, and its limit ln x at a = 0."""
-    return np.log(x) if a == 0.0 else np.expm1(a * np.log(x)) / a
+    y = np.log(x, out=out)
+    if a == 0.0:
+        return y
+    y = np.expm1(np.multiply(a, y, out=out), out=out)
+    return np.divide(y, a, out=out)
 
 
 def _cell_average_box_cox(n: int, h: float, a: float) -> float:
@@ -96,45 +93,33 @@ def _offsets(cells: int, h: float) -> np.ndarray:
     return np.where(m < cells, m, m - 2 * cells) * h
 
 
-def _geometry(grid: CartesianGrid, shape: tuple):
-    """Kernel offsets per axis and their lengths on the doubled grid of a `shape` block."""
+def _radii(grid: CartesianGrid, shape: tuple) -> np.ndarray:
+    """Kernel offset lengths on the doubled grid of a `shape` block."""
     z = [_offsets(cells, grid.h) for cells in shape]
     if grid.n == 1:
-        return (z[0],), np.abs(z[0])
-    coords = np.meshgrid(*z, indexing="ij")
-    return coords, np.hypot(coords[0], coords[1])
+        return np.abs(z[0])
+    return np.hypot(z[0][:, None], z[1][None, :])
 
 
 class _KernelTable:
-    """Kernel spectra on the doubled grid of one block shape, each built on first use
-    (steps use the scalar one only).  Each builds its geometry: keeping it raised peak memory."""
+    """The kernel's spectrum on the doubled grid of one block shape, and the two buffers
+    every convolution of that shape works in: the padded complex spectrum and the irfft
+    output.  The table is cached, so the steps of a run reuse its buffers instead of
+    faulting in fresh block-sized transform arrays on every call.  The kernel is built
+    in place, since a rebuild for a grown window still holds the old table."""
 
     def __init__(self, grid: CartesianGrid, s: float, shape: tuple):
-        self.grid, self.s, self.shape = grid, s, shape
-
-    @cached_property
-    def velocity(self) -> tuple:
-        n, s = self.grid.n, self.s
-        coords, rad = _geometry(self.grid, self.shape)
+        n, h, a = grid.n, grid.h, 2.0 * s - grid.n
         cv = velocity_constant(n, s)
-        spectra = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = rad ** (-(n + 2.0 - 2.0 * s))
-            for k in range(n):
-                kern = cv * coords[k] * inv
-                kern[(0,) * n] = 0.0  # antisymmetric kernel averages to zero over the singular cell
-                spectra.append(np.fft.rfftn(kern, axes=range(n)))
-        return tuple(spectra)
-
-    @cached_property
-    def scalar(self):
-        n, h, a = self.grid.n, self.grid.h, 2.0 * self.s - self.grid.n
-        _, rad = _geometry(self.grid, self.shape)
-        cv = velocity_constant(n, self.s)
+        kern = _radii(grid, shape)
         with np.errstate(divide="ignore"):
-            kern = -cv * _box_cox(rad, a)
+            _box_cox(kern, a, out=kern)
+        kern *= -cv
         kern[(0,) * n] = -cv * _cell_average_box_cox(n, h, a)
-        return np.fft.rfftn(kern, axes=range(n))
+        self.spectrum = np.empty((*(2 * cells for cells in shape[:-1]), shape[-1] + 1), dtype=complex)
+        np.fft.rfftn(kern, axes=range(n), out=self.spectrum)
+        self.padded = np.empty_like(self.spectrum)
+        self.real = np.empty((*shape[:-1], 2 * shape[-1]))
 
 
 @lru_cache(maxsize=1)
@@ -160,79 +145,65 @@ def _support_window(vals: np.ndarray):
     return tuple(window)
 
 
-def _convolve(values: np.ndarray, spectra, scale: float) -> list:
-    """scale * (kernel * values) on the block of `values`, one array per spectrum, from the
-    free-space product on that block's doubled grid.
+def _convolve(values: np.ndarray, table: _KernelTable, scale: float) -> np.ndarray:
+    """scale * (kernel * values) on the block of `values`, from the free-space product
+    on that block's doubled grid, as a fresh C-contiguous array.
 
     The transforms are rfftn/irfftn of the zero-padded block taken one axis at a time,
     and pruned: the forward rfft zero-pads only the block's own rows, and the inverse
     irfft runs only on the rows that survive the crop.  Each line sees the same
     transform as in the unpruned product, so the bits are the same.
 
-    A call works in one complex array of the padded spectrum's shape: the rfft writes
-    the block's rows into it, the padding rows are zeroed, and the fft along the leading
-    axis, the product with the last spectrum and its inverse fft all run in place.  The
-    spectra before the last (the first velocity component) share one more buffer, as
-    the padded spectrum must outlive their products; it is freed before the last one.
-    Nothing is kept across calls: a workspace kept across calls raised peak memory and
-    page faults, because without large frees glibc never raises its mmap threshold and
-    maps every temporary afresh.
+    A call works in the table's buffers: the rfft writes the block's rows into the
+    padded spectrum, the padding rows are zeroed, and the fft along the leading axis,
+    the product with the kernel's spectrum and its inverse fft all run in place; the
+    irfft writes into the table's real buffer, and the crop is scaled into the result.
+    Buffers allocated per call were mapped and faulted in afresh on most calls; cached
+    with the table they are faulted in once per block shape.
     """
     block = tuple(slice(0, cells) for cells in values.shape)
     cols = 2 * values.shape[-1]
-    fval = np.empty((*(2 * cells for cells in values.shape[:-1]), cols // 2 + 1), dtype=complex)
+    fval = table.padded
     np.fft.rfft(values, n=cols, axis=-1, out=fval[block[:-1]])
     if values.ndim == 2:
         fval[values.shape[0]:] = 0.0
         np.fft.fft(fval, axis=0, out=fval)
-
-    def inverse(prod):
-        if values.ndim == 2:
-            np.fft.ifft(prod, axis=0, out=prod)
-        part = np.fft.irfft(prod[block[:-1]], n=cols, axis=-1)[block]
-        part *= scale
-        return part
-
-    *first, last = spectra
-    out = []
-    if first:
-        buf = np.empty_like(fval)
-        out = [inverse(np.multiply(fval, kf, out=buf)) for kf in first]
-        del buf  # freed before the last product, which needs no buffer of its own
-    out.append(inverse(np.multiply(fval, last, out=fval)))
-    return out
-
-
-def velocity_from_values(grid: CartesianGrid, values: np.ndarray, s: float):
-    """Velocity components of a (possibly signed) cell-value array on `grid`, or on
-    any block W of its cells.
-
-    The block is convolved with zero padding on its own doubled grid 2W, with the
-    kernel at the same offsets as the whole-box solve: every offset between two
-    cells of W is below W's side, so no periodic image enters.  When the values
-    vanish outside W the result is the whole-box velocity restricted to W; only the
-    FFT size differs, so only rounding differs.  The kernel spectra come from the
-    one-entry `_kernel_table` of W's shape.
-    """
-    s = _check_exponent(s)
-    return _convolve(values, _kernel_table(grid, s, values.shape).velocity, grid.cell_volume)
-
-
-def velocity(u: DensityField, s: float = 1.0) -> VectorField:
-    """Transport velocity v = -grad (-Lap)^{-s} u as a free-space kernel convolution."""
-    return VectorField(u.grid, tuple(velocity_from_values(u.grid, u.values, s)))
+    np.multiply(fval, table.spectrum, out=fval)
+    if values.ndim == 2:
+        np.fft.ifft(fval, axis=0, out=fval)
+    np.fft.irfft(fval[block[:-1]], n=cols, axis=-1, out=table.real)
+    return np.multiply(table.real[block], scale)
 
 
 def potential_values(grid: CartesianGrid, values: np.ndarray, s: float) -> np.ndarray:
-    """Scalar potential p = G_h * u of cell values on `grid` or on a block of it, for
-    every (n, s): h^n times the sum of G (module docstring) over cell-center
+    """Scalar potential p = G_h * u of cell values on `grid` or on a block W of its
+    cells, for every (n, s): h^n times the sum of G (module docstring) over cell-center
     offsets, with the singular cell averaged.  G is the kernel of (-Lap)^{-s} up to
-    a constant, so only differences of p, such as the field solver's face
-    velocities, and pairings with zero-mass data carry meaning on their own; for
-    n > 2s, p plus C/(n-2s) times the mass is the Riesz potential.
+    a constant, so only differences of p, such as the face velocities, and pairings
+    with zero-mass data carry meaning on their own; for n > 2s, p plus C/(n-2s) times
+    the mass is the Riesz potential.
+
+    W is convolved with zero padding on its own doubled grid 2W, with the kernel at
+    the same offsets as the whole-box solve: every offset between two cells of W is
+    below W's side, so no periodic image enters.  When the values vanish outside W
+    the result is the whole-box potential restricted to W; only the FFT size differs,
+    so only rounding differs.  The kernel comes from the one-entry `_kernel_table` of
+    W's shape; the result is a fresh C-contiguous array that no later call touches.
     """
     s = _check_exponent(s)
-    return _convolve(values, (_kernel_table(grid, s, values.shape).scalar,), grid.cell_volume)[0]
+    return _convolve(values, _kernel_table(grid, s, values.shape), grid.cell_volume)
+
+
+def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float) -> list:
+    """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals, one array per axis:
+    the transport velocity v = -grad p at the faces between neighbouring cells."""
+    p = potential_values(grid, vals, s)
+    faces = []
+    for axis in range(grid.n):
+        xi = np.diff(p, axis=axis)
+        xi /= -grid.h
+        faces.append(xi)
+    return faces
 
 
 def radial_velocity(m: MassFunction) -> RadialProfile:
@@ -353,29 +324,3 @@ def bilinear_form(v: DensityField, w: DensityField, s: float) -> float:
     tau = sphere_tail - inside_far
     tail = 2.0 * float((vv * ww * tau).sum()) * grid.cell_volume
     return _bb_constant(grid.n, s) * (pair + tail)
-
-
-# ---------------------------------------------------------------------------
-# velocity regularity diagnostic
-
-
-def log_lipschitz_modulus(u: DensityField) -> float:
-    """Smallest C with |grad p(x) - grad p(y)| <= C (||u||_1 + ||u||_inf) *
-    |x-y| (|log|x-y|| 1_{|x-y|<=1/e} + 1) over a subsampled set of cell pairs
-    (s = 1 velocity field)."""
-    vals = u.values
-    norm_scale = float(u.grid.cell_volume * vals.sum() + vals.max())
-    if norm_scale == 0.0:
-        return 0.0
-    comps = velocity_from_values(u.grid, vals, 1.0)
-    stride = max(1, int(np.ceil(u.grid.cells / LIPSCHITZ_SAMPLES)))
-    sel = (slice(None, None, stride),) * u.grid.n
-    pts = np.stack([c[sel].ravel() for c in u.grid.centers()], axis=1)
-    gp = np.stack([c[sel].ravel() for c in comps], axis=1)  # -grad p, sign irrelevant
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    dgp = np.sqrt(((gp[:, None, :] - gp[None, :, :]) ** 2).sum(axis=2))
-    mask = d > 0
-    d = d[mask]
-    dgp = dgp[mask]
-    modulus = d * (np.where(d <= 1.0 / np.e, np.abs(np.log(d)), 0.0) + 1.0)
-    return float((dgp / (norm_scale * modulus)).max())

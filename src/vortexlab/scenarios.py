@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import burgers, closed_forms, diagnostics, solver
-from .calibration import constants, w2_continuity_constant
 from .grids import (
     CartesianGrid,
     DensityField,
@@ -28,6 +27,7 @@ from .grids import (
     RadialProfile,
     field_from_function,
     radial_average,
+    sphere_area,
     total_mass,
     write_csv,
     write_grid_array,
@@ -265,6 +265,20 @@ def _interp_at(u: DensityField, point) -> float:
 
 
 MONOTONE_SLACK = 1e-3  # entropy and energy may rise by this share of _entropy_scale between outputs
+PATCH_DISSIPATION_PER_H = 0.6  # a patch's entropy dissipation stays below this times h (O(h) grid noise)
+W2_CONTINUITY_SAFETY = 1.08  # w2-continuity's margin over the patch family's exact modulus
+
+
+def w2_continuity_constant(n: int, radial_mass: float) -> float:
+    """Modulus constant for W2(u(t1), u(t2)) <= C (t2^{1/n} - t1^{1/n}).
+
+    The expanding-patch family saturates the modulus with coefficient
+    (n M_rad)^{1/n} sqrt(n M_full/(n+2)); W2_CONTINUITY_SAFETY covers scheme
+    noise on non-patch radial data.
+    """
+    full = sphere_area(n) * radial_mass
+    exact = (n * radial_mass) ** (1.0 / n) * (n * full / (n + 2.0)) ** 0.5
+    return W2_CONTINUITY_SAFETY * exact
 
 
 def _entropy_scale(mass: float) -> float:
@@ -320,7 +334,7 @@ def _scenario_vortex_patch(params, rng, outdir, u0, cfg, spec):
     checks.append(Check("energy-monotone", "renormalized interaction energy nonincreasing across outputs",
                         en_worst, f"{MONOTONE_SLACK * scale:.2e}", en_ok))
     d_max = max(r.dissipation for r in traj.records)
-    d_cap = constants()["patch_dissipation_per_h"] * grid.h
+    d_cap = PATCH_DISSIPATION_PER_H * grid.h
     checks.append(Check("dissipation-smallness", "entropy dissipation of the patch stays O(h)",
                         d_max, f"{d_cap:.4g}", d_max <= d_cap))
     diagnostics.write_records_csv(traj.records, Path(outdir) / "diagnostics.csv")
@@ -536,11 +550,10 @@ def _scenario_dirac(params, rng, outdir, u0, cfg, patch):
     offset = np.array([grid.h / 2, grid.h / 2])
     worst_l1 = 0.0
     worst_linf = 0.0
-    c_pin = constants()["dirac_linf_constant"]
     for t, u in zip(traj.times[1:], traj.fields[1:]):
         exact = field_from_function(grid, lambda p: closed_forms.patch_density(patch, p - offset, t))
         worst_l1 = max(worst_l1, _l1_rel(u, exact, params["mass"]))
-        worst_linf = max(worst_linf, float(u.values.max()) * t / c_pin)
+        worst_linf = max(worst_linf, float(u.values.max()) * t)  # the universal bound u <= 1/t
     checks = [
         Check("fundamental-l1", "L1 distance of the single-cell run to the equal-mass expanding "
               "patch <= 8% at the output times",

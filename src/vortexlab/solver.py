@@ -55,7 +55,7 @@ from .grids import (
     sphere_area,
     total_mass,
 )
-from .potentials import _support_window, energy, potential_values
+from .potentials import _face_velocities, _support_window, energy
 
 __all__ = [
     "ConfigError",
@@ -72,6 +72,7 @@ __all__ = [
 BOUND_SLACK = 0.05  # warn when max u * (t + 1/max u0) exceeds 1 + this
 SUPPORT_FLOOR = 0.01  # support_radius counts cells above this fraction of the peak
 BOX_MARGIN = 0.9  # the support growth bound must stay inside this share of the half-width
+STRIP_CELLS = 16384  # _advance sweeps a block in strips of about this many cells
 
 
 class ConfigError(ValueError):
@@ -202,12 +203,6 @@ def _cut(ndim: int, axis: int, start, stop) -> tuple:
     return tuple(slice(start, stop) if k == axis else slice(None) for k in range(ndim))
 
 
-def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float) -> list:
-    """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals, one array per axis."""
-    p = potential_values(grid, vals, s)
-    return [np.diff(p, axis=axis) / -grid.h for axis in range(grid.n)]
-
-
 def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
     """cfl * h over the largest cell speed, the sum over axes of the faster of the
     cell's two faces along that axis (a zero face past each end of the block)."""
@@ -220,12 +215,15 @@ def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
     return cfl * (grid.h / top) if top > 0 else np.inf
 
 
-def _mc_slope(u: np.ndarray, axis: int) -> np.ndarray:
-    """Monotonized-central limited slope along `axis`; zero in boundary cells."""
-    lo, hi = _cut(u.ndim, axis, None, -1), _cut(u.ndim, axis, 1, None)
-    slope = np.zeros_like(u)
-    lim = slope[_cut(u.ndim, axis, 1, -1)]
-    diff = np.subtract(u[hi], u[lo])  # diff[i] = u[i+1] - u[i]
+def _sweep(vals: np.ndarray, face: np.ndarray, new: np.ndarray, axis: int, rate: float) -> None:
+    """Move rate times the upwind flux through each face of `face` (along `axis`) from
+    the cell before it to the cell after it, in `new`.  The face values are the
+    monotonized-central (MC) limited reconstruction of `vals`: its half slopes are
+    written straight into the two face buffers, and the end cells' slopes are zero."""
+    lo, hi = _cut(vals.ndim, axis, None, -1), _cut(vals.ndim, axis, 1, None)
+    left, right = np.empty(face.shape), np.empty(face.shape)
+    lim = left[hi]  # the half slope of the interior cells, as seen from their right face
+    diff = np.subtract(vals[hi], vals[lo])  # diff[i] = vals[i+1] - vals[i]
     dm, dp = diff[lo], diff[hi]
     cen = np.add(dm, dp)
     cen *= 0.5
@@ -238,27 +236,38 @@ def _mc_slope(u: np.ndarray, axis: int) -> np.ndarray:
     # 0 * NaN are NaN, and 0 times a negative slope is -0
     flat = np.multiply(dm, dp, out=mag[lo]) > 0
     np.copyto(lim, 0.0, where=np.logical_not(flat, out=flat))
-    return slope
+    lim *= 0.5
+    right[lo] = lim
+    left[_cut(vals.ndim, axis, None, 1)] = 0.0
+    right[_cut(vals.ndim, axis, -1, None)] = 0.0
+    np.add(vals[lo], left, out=left)
+    np.subtract(vals[hi], right, out=right)
+    flux = np.maximum(face, 0.0, out=diff)
+    flux *= left
+    np.minimum(face, 0.0, out=left)
+    left *= right
+    flux += left
+    flux *= rate
+    new[lo] -= flux
+    new[hi] += flux
 
 
 def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float) -> np.ndarray:
-    """vals after one upwind step of size dt on the face velocities `faces`."""
+    """vals after one upwind step of size dt on the face velocities `faces`.  Each axis
+    is swept in strips of about STRIP_CELLS cells across the other axis, so the sweep's
+    temporaries stay small; a strip holds whole lines along the swept axis, so the
+    result is that of one sweep of the whole block, bit for bit."""
     rate = dt / grid.h
     new = vals.copy()
     for axis in range(grid.n):
-        lo, hi = _cut(vals.ndim, axis, None, -1), _cut(vals.ndim, axis, 1, None)
-        half = _mc_slope(vals, axis)
-        half *= 0.5
-        left = np.add(vals[lo], half[lo])
-        right = np.subtract(vals[hi], half[hi], out=half[hi])
-        flux = np.maximum(faces[axis], 0.0)
-        flux *= left
-        np.minimum(faces[axis], 0.0, out=left)
-        left *= right
-        flux += left
-        flux *= rate
-        new[lo] -= flux
-        new[hi] += flux
+        if vals.ndim == 1:
+            strips = [(slice(None),)]
+        else:
+            other = 1 - axis
+            width = max(1, STRIP_CELLS // vals.shape[axis])
+            strips = [_cut(2, other, start, start + width) for start in range(0, vals.shape[other], width)]
+        for strip in strips:
+            _sweep(vals[strip], faces[axis][strip], new[strip], axis, rate)
     return new
 
 

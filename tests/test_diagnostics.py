@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 from vortexlab.burgers import mass_transform, run_finite_volume
-from vortexlab.calibration import constants, w2_continuity_constant
 from vortexlab.closed_forms import PatchSpec, patch_density, patch_mass
 from vortexlab.diagnostics import (
     DiagnosticsRecord,
@@ -29,7 +28,8 @@ from vortexlab.grids import (
     second_moment,
     total_mass,
 )
-from vortexlab.potentials import potential_values, velocity_from_values
+from vortexlab.potentials import _face_velocities, potential_values
+from vortexlab.scenarios import PATCH_DISSIPATION_PER_H, w2_continuity_constant
 
 
 def patch_field(grid, t=0.0, radius=1.0, tau=1.0):
@@ -79,7 +79,7 @@ class TestEntropy:
         g = CartesianGrid(2, 2.0, 256)
         u = DensityField(g, (g.radius() <= 1.0).astype(float))
         _, d = entropy_and_dissipation(u, 0.0, total_mass(u))
-        assert d <= constants()["patch_dissipation_per_h"] * g.h
+        assert d <= PATCH_DISSIPATION_PER_H * g.h
 
     def test_reference_mass_checked(self):
         g = CartesianGrid(2, 2.0, 64)
@@ -103,16 +103,21 @@ class TestEntropy:
 def y_grid_entropy_and_dissipation(u, t, mass):
     """Ent(U) and D(U) of U = (1+t) u on the contracted y-grid, y = x/sqrt(1+t):
     the direct evaluation in self-similar variables, kept as the reference for
-    the evaluation on u's own grid."""
+    the evaluation on u's own grid.  D sums U |V - y/2|^2 over the faces, with V the
+    face velocities of U and U, y averaged to each face."""
     yg = CartesianGrid(2, u.grid.half_width / sqrt(1.0 + t), u.grid.cells)
     big_u = DensityField(yg, (1.0 + t) * u.values)
     ref = mollified_reference(yg, mass).values
     cv = yg.cell_volume
     pairing = lambda vals: cv * float((vals * potential_values(yg, vals, 1.0)).sum())
     ent = 0.5 * (pairing(big_u.values) - pairing(ref)) + second_moment(big_u) / 4.0
-    v = velocity_from_values(yg, big_u.values, 1.0)
-    dev = sum((vk - yk / 2.0) ** 2 for vk, yk in zip(v, yg.centers()))
-    return ent, cv * float((big_u.values * dev).sum())
+    y = yg.axis_centers()
+    face_y = 0.5 * (y[:-1] + y[1:])
+    dis = 0.0
+    for axis, v in enumerate(_face_velocities(yg, big_u.values, 1.0)):
+        lines, v = np.moveaxis(big_u.values, axis, -1), np.moveaxis(v, axis, -1)
+        dis += float((0.5 * (lines[..., :-1] + lines[..., 1:]) * (v - face_y / 2.0) ** 2).sum())
+    return ent, cv * dis
 
 
 class TestEntropyOnRunGrid:
@@ -339,7 +344,7 @@ class TestPatchRecordTable:
 
             supports.append(support_radius(u))
             _, d = entropy_and_dissipation(u, t, masses[-1])
-            assert d <= constants()["patch_dissipation_per_h"] * grid.h
+            assert d <= PATCH_DISSIPATION_PER_H * grid.h
         for t, s in zip((0.0, 1.0, 3.0, 10.0), supports):
             assert s == pytest.approx(spec.support_radius(t), abs=1.5 * grid.h)
         assert max(masses) - min(masses) <= 3 * grid.h

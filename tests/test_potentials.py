@@ -18,18 +18,17 @@ from vortexlab.grids import (
     total_mass,
 )
 from vortexlab.potentials import (
+    _cell_average_box_cox,
     _convolve,
+    _face_velocities,
     _kernel_table,
     bilinear_form,
     bilinear_limit_constant,
     energy,
-    log_lipschitz_modulus,
     potential_values,
     radial_energy,
     radial_velocity,
-    velocity,
     velocity_constant,
-    velocity_from_values,
 )
 
 
@@ -40,60 +39,73 @@ def disk_field(N=128, L=2.0, R=1.0, height=1.0):
 
 def gradient_form_energy(u, ref):
     """Renormalized planar energy int |grad w|^2 + 2 int r w with w = G(u - r), from
-    whole-box convolutions: an independent evaluation of what `energy` computes as
-    the difference <u,Gu> - <r,Gr> on the support window."""
+    whole-box convolutions, |grad w|^2 summed over the faces: an independent evaluation
+    of what `energy` computes as the difference <u,Gu> - <r,Gr> on the support window."""
     g = u.grid
     diff = u.values - ref.values
-    grad_sq = sum(c * c for c in velocity_from_values(g, diff, 1.0))
+    grad_sq = sum(float((xi * xi).sum()) for xi in _face_velocities(g, diff, 1.0))
     w = potential_values(g, diff, 1.0)
-    return g.cell_volume * float(grad_sq.sum()) + 2.0 * g.cell_volume * float((ref.values * w).sum())
+    return g.cell_volume * grad_sq + 2.0 * g.cell_volume * float((ref.values * w).sum())
 
 
-def brute_force_velocity(u, s=1.0):
-    """Direct O(cells^2) summation oracle for the kernel convolution."""
+def brute_force_faces(u, s=1.0):
+    """Face velocities of the direct O(cells^2) sum p = h^n sum_j G(x_i - x_j) u_j, the
+    singular cell averaged: the oracle for the FFT convolution."""
     g = u.grid
     pts = np.stack([c.ravel() for c in g.centers()], axis=1)
-    w = u.values.ravel() * g.cell_volume
-    c = velocity_constant(g.n, s)
-    out = np.zeros_like(pts)
-    for i in range(len(pts)):
-        d = pts[i] - pts
-        r = np.linalg.norm(d, axis=1)
-        r[i] = 1.0
-        kern = c * d / r[:, None] ** (g.n + 2 - 2 * s)
-        kern[i] = 0.0
-        out[i] = (kern * w[:, None]).sum(axis=0)
-    return [out[:, k].reshape(g.shape) for k in range(g.n)]
+    a, c = 2.0 * s - g.n, velocity_constant(g.n, s)
+    d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    np.fill_diagonal(d, 1.0)
+    kern = -c * np.log(d) if a == 0 else -c * (d**a - 1.0) / a
+    np.fill_diagonal(kern, -c * _cell_average_box_cox(g.n, g.h, a))
+    p = g.cell_volume * (kern @ u.values.ravel()).reshape(g.shape)
+    return [np.diff(p, axis=axis) / -g.h for axis in range(g.n)]
+
+
+def face_centers(grid, axis):
+    """Coordinate along `axis` of the faces between neighbouring cells."""
+    x = grid.axis_centers()
+    return 0.5 * (x[:-1] + x[1:])
+
+
+def cell_speed(grid, vals, s=1.0):
+    """|v| at the cell centers, each component the mean of the cell's two faces along
+    its axis (the one face in an end cell)."""
+    sq = 0.0
+    for axis, xi in enumerate(_face_velocities(grid, vals, s)):
+        lines = np.moveaxis(xi, axis, 0)
+        ends = np.concatenate([lines[:1], lines, lines[-1:]])
+        sq = sq + np.moveaxis(0.5 * (ends[:-1] + ends[1:]), 0, axis) ** 2
+    return np.sqrt(sq)
 
 
 class TestVelocity:
+    # the velocity every step and record uses: the face gradient of p = G_h * u
     def test_zero_field(self):
         g = CartesianGrid(2, 1.0, 16)
-        v = velocity(DensityField(g, np.zeros(g.shape)), 1.0)
-        for c in v.components:
-            np.testing.assert_array_equal(c, 0.0)
+        for xi in _face_velocities(g, np.zeros(g.shape), 1.0):
+            np.testing.assert_array_equal(xi, 0.0)
 
     def test_matches_brute_force_s1(self):
         u = disk_field(N=32)
-        fast = velocity(u, 1.0)
-        slow = brute_force_velocity(u, 1.0)
-        for a, b in zip(fast.components, slow):
+        fast = _face_velocities(u.grid, u.values, 1.0)
+        slow = brute_force_faces(u, 1.0)
+        for a, b in zip(fast, slow):
             assert np.abs(a - b).max() < 1e-12
 
     @pytest.mark.parametrize("s", [0.4, 0.7])
     def test_matches_brute_force_fractional(self, s):
         g = CartesianGrid(2, 1.0, 32)
         u = DensityField(g, np.exp(-g.radius() ** 2 * 6))
-        fast = velocity(u, s)
-        slow = brute_force_velocity(u, s)
-        for a, b in zip(fast.components, slow):
+        fast = _face_velocities(g, u.values, s)
+        slow = brute_force_faces(u, s)
+        for a, b in zip(fast, slow):
             assert np.abs(a - b).max() < 1e-12
 
     def test_disk_interior_speed(self):
         # uniform unit disk in the plane: outward speed r/n inside
         u = disk_field(N=256)
-        v = velocity(u, 1.0)
-        speed = v.magnitude()
+        speed = cell_speed(u.grid, u.values)
         rr = u.grid.radius()
         mask = np.abs(rr - 0.5) < 0.02
         assert speed[mask].mean() == pytest.approx(0.25, abs=3 * u.grid.h)
@@ -101,27 +113,27 @@ class TestVelocity:
     def test_disk_exterior_speed(self):
         # outside: R^n/(n r^{n-1}) times the height
         u = disk_field(N=256)
-        v = velocity(u, 1.0)
-        speed = v.magnitude()
+        speed = cell_speed(u.grid, u.values)
         rr = u.grid.radius()
         mask = np.abs(rr - 1.5) < 0.02
         assert speed[mask].mean() == pytest.approx(0.5 / 1.5, abs=3 * u.grid.h)
 
     def test_velocity_points_outward(self):
+        # every face velocity points away from the disk's center along its axis
         u = disk_field(N=64)
-        v = velocity(u, 1.0)
-        x, y = u.grid.centers()
-        radial = v.components[0] * x + v.components[1] * y
-        assert radial.min() >= -1e-12
+        for axis, xi in enumerate(_face_velocities(u.grid, u.values, 1.0)):
+            shape = [1, 1]
+            shape[axis] = -1
+            assert (face_centers(u.grid, axis).reshape(shape) * xi).min() >= -1e-12
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         g = CartesianGrid(2, 1.0, 32)
         u1, u2 = rng.random(g.shape), rng.random(g.shape)
         a, b = 1.7, 0.3
-        vab = velocity_from_values(g, a * u1 + b * u2, 1.0)
-        v1 = velocity_from_values(g, u1, 1.0)
-        v2 = velocity_from_values(g, u2, 1.0)
+        vab = _face_velocities(g, a * u1 + b * u2, 1.0)
+        v1 = _face_velocities(g, u1, 1.0)
+        v2 = _face_velocities(g, u2, 1.0)
         for k in range(2):
             np.testing.assert_allclose(vab[k], a * v1[k] + b * v2[k], atol=1e-12)
 
@@ -129,21 +141,18 @@ class TestVelocity:
         # even interval [-R, R] of height 1: v(x) = x inside, R sign(x) outside
         g = CartesianGrid(1, 3.0, 512)
         x = g.axis_centers()
-        u = DensityField(g, (np.abs(x) <= 1.0).astype(float))
-        v = velocity(u, 1.0).components[0]
-        inside = np.abs(x) < 0.9
-        outside = np.abs(x) > 1.1
-        assert np.abs(v[inside] - x[inside]).max() < 2 * g.h
-        assert np.abs(v[outside] - np.sign(x[outside])).max() < 2 * g.h
+        (v,) = _face_velocities(g, (np.abs(x) <= 1.0).astype(float), 1.0)
+        xf = face_centers(g, 0)
+        inside = np.abs(xf) < 0.9
+        outside = np.abs(xf) > 1.1
+        assert np.abs(v[inside] - xf[inside]).max() < 2 * g.h
+        assert np.abs(v[outside] - np.sign(xf[outside])).max() < 2 * g.h
 
     def test_radial_consistency_with_mass_function(self):
         # Cartesian radial speed equals M(r)/r^{n-1} from the binned mass
         u = disk_field(N=256, R=1.0)
-        v = velocity(u, 1.0)
         rg = RadialGrid(2, 1.8, 48)
-        speed_prof = radial_average(
-            DensityField(u.grid, v.magnitude()), rg
-        )
+        speed_prof = radial_average(DensityField(u.grid, cell_speed(u.grid, u.values)), rg)
         m = mass_transform(radial_average(u, rg))
         expected = radial_velocity(m)
         keep = rg.r > 0.2  # binned speeds near the origin average over few cells
@@ -162,7 +171,7 @@ class TestVelocity:
         g = CartesianGrid(2, 2.0, cells)
         r = g.radius()
         u = DensityField(g, sum(a * np.exp(-((r - c) ** 2) / (2 * w**2)) for c, w, a in rings))
-        speed = velocity(u, 1.0).magnitude()
+        speed = cell_speed(g, u.values)
         rg = RadialGrid(2, 1.8, 24)
         speed_prof = radial_average(DensityField(g, speed), rg)
         expected = radial_velocity(mass_transform(radial_average(u, rg)))
@@ -173,9 +182,9 @@ class TestVelocity:
     def test_rejects_bad_exponent(self):
         u = disk_field(N=32)
         with pytest.raises(ValueError):
-            velocity(u, 0.0)
+            _face_velocities(u.grid, u.values, 0.0)
         with pytest.raises(ValueError):
-            velocity(u, 1.2)
+            _face_velocities(u.grid, u.values, 1.2)
 
 
 class TestVelocitySymmetry:
@@ -186,23 +195,23 @@ class TestVelocitySymmetry:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_transpose_and_reflection(self, cells, s, seed):
-        # the kernel is odd in each coordinate and the grid is centered, so the
-        # solve commutes with the axis swap and with each axis flip
+        # the kernel is even and the grid is centered, so the face velocities commute
+        # with the axis swap, and each axis flip reverses and negates that axis's faces
         g = CartesianGrid(2, 1.0, cells)
         vals = np.random.default_rng(seed).random(g.shape)
-        vx, vy = velocity_from_values(g, vals, s)
+        vx, vy = _face_velocities(g, vals, s)
         tol = 1e-12 * max(np.abs(vx).max(), np.abs(vy).max())
-        tx, ty = velocity_from_values(g, vals.T, s)
+        tx, ty = _face_velocities(g, vals.T, s)
         assert np.abs(tx - vy.T).max() <= tol
         assert np.abs(ty - vx.T).max() <= tol
         for k in range(2):
-            flipped = velocity_from_values(g, np.flip(vals, k), s)
+            flipped = _face_velocities(g, np.flip(vals, k), s)
             for j, comp in enumerate((vx, vy)):
                 sign = -1.0 if j == k else 1.0
                 assert np.abs(flipped[j] - sign * np.flip(comp, k)).max() <= tol
 
 
-def reference_convolve(values, spectra, scale):
+def reference_convolve(values, spectrum, scale):
     """The free-space product with the block zero-padded in an explicit doubled-grid
     array and unpruned rfftn/irfftn, which `_convolve` must reproduce bit for bit."""
     block = tuple(slice(0, cells) for cells in values.shape)
@@ -210,7 +219,7 @@ def reference_convolve(values, spectra, scale):
     padded = np.zeros(tuple(2 * cells for cells in values.shape))
     padded[block] = values
     fval = np.fft.rfftn(padded, axes=axes)
-    return [scale * np.fft.irfftn(fval * kf, s=padded.shape, axes=axes)[block] for kf in spectra]
+    return scale * np.fft.irfftn(fval * spectrum, s=padded.shape, axes=axes)[block]
 
 
 class TestPrunedConvolution:
@@ -223,21 +232,32 @@ class TestPrunedConvolution:
         data=st.data(),
     )
     def test_matches_explicit_padding(self, n, cells, s, seed, data):
-        # a random block shape (odd, non-square) and the whole box, each with the
-        # velocity spectra and the scalar spectrum of its table
+        # a random block shape (odd, non-square) and the whole box, each in the
+        # buffers of its own table
         g = CartesianGrid(n, 1.0, cells)
         rng = np.random.default_rng(seed)
         shape = tuple(data.draw(st.integers(1, cells)) for _ in range(n))
         for block in (shape, g.shape):
             table = _kernel_table(g, s, block)
-            spectra = table.velocity + (table.scalar,)
             vals = rng.normal(size=block) * (rng.random(block) < 0.7)
-            got = _convolve(vals, spectra, g.cell_volume)
-            want = reference_convolve(vals, spectra, g.cell_volume)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.shape == block
-                assert np.array_equal(a, b)
+            got = _convolve(vals, table, g.cell_volume)
+            assert got.shape == block
+            assert np.array_equal(got, reference_convolve(vals, table.spectrum, g.cell_volume))
+
+
+class TestPotentialBuffers:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_results_outlive_the_shared_buffers(self, n):
+        # every call of one block shape works in its table's buffers, so a result must
+        # be a fresh C-contiguous array that a second call leaves unchanged
+        g = CartesianGrid(n, 1.0, 64)
+        rng = np.random.default_rng(5)
+        first = potential_values(g, rng.random(g.shape), 1.0)
+        assert first.flags.c_contiguous and first.base is None
+        kept = first.copy()
+        second = potential_values(g, rng.random(g.shape), 1.0)
+        assert not np.array_equal(second, kept)
+        assert np.array_equal(first, kept)
 
 
 class TestScalarPotential:
@@ -311,16 +331,17 @@ class TestWindowedVelocity:
         window = tuple(window)
         vals = np.zeros(g.shape)
         vals[window] = np.random.default_rng(seed).random(vals[window].shape)
-        whole = velocity_from_values(g, vals, s)
-        block = velocity_from_values(g, vals[window], s)
-        tol = 1e-12 * max(np.abs(c).max() for c in whole)
-        cases = [(w, b, tol) for w, b in zip(whole, block)]
-        # the scalar potential takes any block the same way
         whole = potential_values(g, vals, s)
-        cases.append((whole, potential_values(g, vals[window], s), 1e-12 * np.abs(whole).max()))
+        cases = [(whole[window], potential_values(g, vals[window], s), 1e-12 * np.abs(whole).max())]
+        # and so do its face velocities, on the faces between cells of W
+        whole = _face_velocities(g, vals, s)
+        tol = 1e-12 * max(np.abs(xi).max() for xi in whole)
+        for axis, (w, b) in enumerate(zip(whole, _face_velocities(g, vals[window], s))):
+            faces = tuple(slice(cut.start, cut.stop - 1) if k == axis else cut for k, cut in enumerate(window))
+            cases.append((w[faces], b, tol))
         for w, b, tol in cases:
-            assert b.shape == vals[window].shape
-            assert np.abs(w[window] - b).max() <= tol
+            assert b.shape == w.shape
+            assert np.abs(w - b).max(initial=0.0) <= tol  # a one-cell side has no faces
 
 
 class TestRadialVelocity:
@@ -475,24 +496,6 @@ class TestBilinearForm:
             bilinear_form(v, v, 1.0)
 
 
-class TestLogLipschitz:
-    def test_zero_field(self):
-        g = CartesianGrid(2, 1.0, 32)
-        assert log_lipschitz_modulus(DensityField(g, np.zeros(g.shape))) == 0.0
-
-    def test_disk_modulus_stable_under_refinement(self):
-        vals = [log_lipschitz_modulus(disk_field(N=n)) for n in (64, 128, 256)]
-        assert vals[0] > 0
-        for v in vals[1:]:
-            assert abs(v - vals[0]) <= 0.2 * vals[0]
-
-    def test_scale_invariance_in_amplitude(self):
-        # grad p is linear in u and the norms are 1-homogeneous, so C is unchanged
-        u = disk_field(N=64)
-        u3 = DensityField(u.grid, 3.0 * u.values)
-        assert log_lipschitz_modulus(u3) == pytest.approx(log_lipschitz_modulus(u), rel=1e-9)
-
-
 class TestVelocitySupBound:
     def test_sup_velocity_bound(self):
         # ||v||_inf <= C M^{1/n} B^{(n-1)/n}; C calibrated once on this grid family
@@ -505,7 +508,7 @@ class TestVelocitySupBound:
             m, b = total_mass(u), float(vals.max())
             if m == 0:
                 continue
-            vmax = velocity(u, 1.0).magnitude().max()
+            vmax = cell_speed(g, vals).max()
             assert vmax <= C * m**0.5 * b**0.5
 
 
