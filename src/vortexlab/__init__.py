@@ -16,7 +16,6 @@ from .grids import (
     MassFunction,
     RadialGrid,
     RadialProfile,
-    VectorField,
     field_from_function,
     lp_norm,
     radial_average,

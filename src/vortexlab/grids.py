@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "CartesianGrid",
     "DensityField",
-    "VectorField",
     "RadialGrid",
     "RadialProfile",
     "MassFunction",
@@ -96,11 +95,10 @@ class CartesianGrid:
     def radius(self, center=None) -> np.ndarray:
         """Distance of each cell center from `center` (default: origin)."""
         center = np.zeros(self.n) if center is None else np.asarray(center, dtype=float)
-        coords = self.centers()
-        r2 = np.zeros(self.shape)
-        for k in range(self.n):
-            r2 += (coords[k] - center[k]) ** 2
-        return np.sqrt(r2)
+        x = self.axis_centers()
+        sq = [(x - center[k]) ** 2 for k in range(self.n)]
+        r2 = sq[0] if self.n == 1 else np.add.outer(sq[0], sq[1])
+        return np.sqrt(r2, out=r2)
 
     def inradius(self, center=None) -> float:
         """Distance from `center` to the nearest box face."""
@@ -130,26 +128,6 @@ class DensityField:
         if arr.min() < 0.0:
             raise ValueError(f"density values must be nonnegative (min {arr.min():.3e})")
         object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """Per-axis velocity component arrays sharing one grid."""
-
-    grid: CartesianGrid
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(_frozen_array(c, self.grid.shape) for c in self.components)
-        if len(comps) != self.grid.n:
-            raise ValueError(f"expected {self.grid.n} components, got {len(comps)}")
-        object.__setattr__(self, "components", comps)
-
-    def magnitude(self) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
-        for c in self.components:
-            out += c * c
-        return np.sqrt(out)
 
 
 @dataclass(frozen=True)
@@ -273,14 +251,16 @@ def radial_average(field: DensityField, rgrid: RadialGrid, center=None) -> Radia
             f"radial grid reaches r={rgrid.r_max} beyond the box inradius "
             f"{field.grid.inradius(center):.6g}"
         )
-    r_cells = field.grid.radius(center).ravel()
-    vals = field.values.ravel()
     nodes_r = rgrid.r
-    edges = np.concatenate([[0.0], 0.5 * (nodes_r[1:] + nodes_r[:-1]), [nodes_r[-1]]])
-    idx = np.clip(np.searchsorted(edges, r_cells, side="right") - 1, 0, rgrid.nodes - 1)
+    r_cells = field.grid.radius(center).ravel()
     inside = r_cells <= nodes_r[-1]
-    sums = np.bincount(idx[inside], weights=vals[inside], minlength=rgrid.nodes)
-    counts = np.bincount(idx[inside], minlength=rgrid.nodes)
+    r_cells, vals = r_cells[inside], field.values.ravel()[inside]
+    edges = np.concatenate([[0.0], 0.5 * (nodes_r[1:] + nodes_r[:-1]), [nodes_r[-1]]])
+    idx = np.searchsorted(edges, r_cells, side="right")
+    idx -= 1
+    np.clip(idx, 0, rgrid.nodes - 1, out=idx)
+    sums = np.bincount(idx, weights=vals, minlength=rgrid.nodes)
+    counts = np.bincount(idx, minlength=rgrid.nodes)
     out = np.zeros(rgrid.nodes)
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled]

@@ -15,9 +15,12 @@ it back where n > 2s.  The singular cell of G takes the analytic cell average.
 Every velocity is the face gradient xi = -(p[i+1] - p[i]) / h of p = G_h * u
 (`_face_velocities`): the field step's and the dissipation record's alike.
 
-Every convolution takes its spectrum and buffers from `_kernel_table`, one cached
-entry keyed by block shape.  Field steps and diagnostics records both run on the
-support window of `_support_window`, so a compact run never tabulates the whole box.
+Every convolution takes its spectrum and buffer from `_kernel_table`, one cached
+entry keyed by block shape.  G is radial, so on the doubled grid it is even along
+every axis and its spectrum is real and even: the table keeps the real half rows
+of it, and the irfft writes into the padded buffer's free half.  Field steps and
+diagnostics records both run on the support window of `_support_window`, so a
+compact run never tabulates the whole box.
 """
 
 from __future__ import annotations
@@ -93,39 +96,60 @@ def _offsets(cells: int, h: float) -> np.ndarray:
     return np.where(m < cells, m, m - 2 * cells) * h
 
 
-def _radii(grid: CartesianGrid, shape: tuple) -> np.ndarray:
-    """Kernel offset lengths on the doubled grid of a `shape` block."""
-    z = [_offsets(cells, grid.h) for cells in shape]
-    if grid.n == 1:
-        return np.abs(z[0])
-    return np.hypot(z[0][:, None], z[1][None, :])
+def _kernel(grid: CartesianGrid, s: float, shape: tuple) -> np.ndarray:
+    """G at the cell-center offsets on the doubled grid of a `shape` block, the singular
+    cell averaged.  The offsets m h and (m - 2 cells) h are the same length for the
+    indices m and 2 cells - m, so the kernel is even along every axis, bit for bit."""
+    n, h, a = grid.n, grid.h, 2.0 * s - grid.n
+    cv = velocity_constant(n, s)
+    z = [_offsets(cells, h) for cells in shape]
+    kern = np.abs(z[0]) if n == 1 else np.hypot(z[0][:, None], z[1][None, :])
+    with np.errstate(divide="ignore"):
+        _box_cox(kern, a, out=kern)
+    kern *= -cv
+    kern[(0,) * n] = -cv * _cell_average_box_cox(n, h, a)
+    return kern
 
 
 class _KernelTable:
-    """The kernel's spectrum on the doubled grid of one block shape, and the two buffers
-    every convolution of that shape works in: the padded complex spectrum and the irfft
-    output.  The table is cached, so the steps of a run reuse its buffers instead of
-    faulting in fresh block-sized transform arrays on every call.  The kernel is built
-    in place, since a rebuild for a grown window still holds the old table."""
+    """The kernel's spectrum on the doubled grid of one block shape, and the padded
+    complex buffer every convolution of that shape works in.  The table is cached, so
+    the steps of a run reuse its buffer instead of faulting in fresh block-sized
+    transform arrays on every call.
+
+    The kernel is even along every axis (`_kernel`), so its spectrum is real and even.
+    `spectrum` keeps rows 0..R of the real part of its rfftn, R the block's leading
+    side (the whole rfft for n = 1), as float64: rows R+1..2R-1 are rows R-1..1
+    mirrored.  That is a quarter of the complex spectrum's bytes.  The transform is
+    taken in the padded buffer."""
 
     def __init__(self, grid: CartesianGrid, s: float, shape: tuple):
-        n, h, a = grid.n, grid.h, 2.0 * s - grid.n
-        cv = velocity_constant(n, s)
-        kern = _radii(grid, shape)
-        with np.errstate(divide="ignore"):
-            _box_cox(kern, a, out=kern)
-        kern *= -cv
-        kern[(0,) * n] = -cv * _cell_average_box_cox(n, h, a)
-        self.spectrum = np.empty((*(2 * cells for cells in shape[:-1]), shape[-1] + 1), dtype=complex)
-        np.fft.rfftn(kern, axes=range(n), out=self.spectrum)
-        self.padded = np.empty_like(self.spectrum)
-        self.real = np.empty((*shape[:-1], 2 * shape[-1]))
+        self.padded = np.empty((*(2 * cells for cells in shape[:-1]), shape[-1] + 1), dtype=complex)
+        np.fft.rfftn(_kernel(grid, s, shape), axes=range(grid.n), out=self.padded)
+        self.spectrum = self.padded[: shape[0] + 1].real.copy()
+
+    def release(self) -> None:
+        """Drop the arrays, so a table of another shape can be built in their place."""
+        del self.padded, self.spectrum
+
+
+_BUILT = []  # the table held by the `_kernel_table` cache
 
 
 @lru_cache(maxsize=1)
 def _kernel_table(grid: CartesianGrid, s: float, shape: tuple) -> _KernelTable:
-    # one entry: a run's window only grows and a record's window is mostly the step's
-    return _KernelTable(grid, s, shape)
+    # one entry: a run's window only grows and a record's window is mostly the step's.
+    # A miss frees the cached table's arrays before it tabulates, so a rebuild for a
+    # grown window never holds two tables at once.
+    for table in _BUILT:
+        table.release()
+    try:
+        _BUILT[:] = [_KernelTable(grid, s, shape)]
+    except BaseException:
+        _BUILT.clear()
+        _kernel_table.cache_clear()  # the cached entry is released: drop it
+        raise
+    return _BUILT[0]
 
 
 def _support_window(vals: np.ndarray):
@@ -147,32 +171,41 @@ def _support_window(vals: np.ndarray):
 
 def _convolve(values: np.ndarray, table: _KernelTable, scale: float) -> np.ndarray:
     """scale * (kernel * values) on the block of `values`, from the free-space product
-    on that block's doubled grid, as a fresh C-contiguous array.
+    on that block's doubled grid, as a view of the table's buffer that the next call of
+    this shape overwrites.
 
     The transforms are rfftn/irfftn of the zero-padded block taken one axis at a time,
     and pruned: the forward rfft zero-pads only the block's own rows, and the inverse
     irfft runs only on the rows that survive the crop.  Each line sees the same
     transform as in the unpruned product, so the bits are the same.
 
-    A call works in the table's buffers: the rfft writes the block's rows into the
-    padded spectrum, the padding rows are zeroed, and the fft along the leading axis,
-    the product with the kernel's spectrum and its inverse fft all run in place; the
-    irfft writes into the table's real buffer, and the crop is scaled into the result.
-    Buffers allocated per call were mapped and faulted in afresh on most calls; cached
-    with the table they are faulted in once per block shape.
+    A call works in the table's padded buffer: the rfft writes the block's rows into
+    it, the padding rows are zeroed, and the fft along the leading axis, the product
+    with the kernel's real, even spectrum (rows 0..R as stored, rows R+1..2R-1 its
+    mirror) and the inverse fft all run in place.  The irfft of rows 0..R-1 writes into
+    the buffer's free half, rows R..2R-1, and the crop is scaled in place.  For n = 1
+    the block is a single line, and its irfft output is allocated per call.
     """
-    block = tuple(slice(0, cells) for cells in values.shape)
+    rows = values.shape[0]
     cols = 2 * values.shape[-1]
-    fval = table.padded
-    np.fft.rfft(values, n=cols, axis=-1, out=fval[block[:-1]])
-    if values.ndim == 2:
-        fval[values.shape[0]:] = 0.0
-        np.fft.fft(fval, axis=0, out=fval)
-    np.multiply(fval, table.spectrum, out=fval)
-    if values.ndim == 2:
-        np.fft.ifft(fval, axis=0, out=fval)
-    np.fft.irfft(fval[block[:-1]], n=cols, axis=-1, out=table.real)
-    return np.multiply(table.real[block], scale)
+    fval, spectrum = table.padded, table.spectrum
+    if values.ndim == 1:
+        np.fft.rfft(values, n=cols, out=fval)
+        np.multiply(fval, spectrum, out=fval)
+        crop = np.fft.irfft(fval, n=cols)[:rows]
+        crop *= scale
+        return crop
+    np.fft.rfft(values, n=cols, axis=-1, out=fval[:rows])
+    fval[rows:] = 0.0
+    np.fft.fft(fval, axis=0, out=fval)
+    np.multiply(fval[: rows + 1], spectrum, out=fval[: rows + 1])
+    np.multiply(fval[rows + 1:], spectrum[rows - 1:0:-1], out=fval[rows + 1:])
+    np.fft.ifft(fval, axis=0, out=fval)
+    real = fval[rows:].view(float).reshape(-1)[: rows * cols].reshape(rows, cols)
+    np.fft.irfft(fval[:rows], n=cols, axis=-1, out=real)
+    crop = real[:, : values.shape[1]]
+    crop *= scale
+    return crop
 
 
 def potential_values(grid: CartesianGrid, values: np.ndarray, s: float) -> np.ndarray:
@@ -187,20 +220,32 @@ def potential_values(grid: CartesianGrid, values: np.ndarray, s: float) -> np.nd
     the same offsets as the whole-box solve: every offset between two cells of W is
     below W's side, so no periodic image enters.  When the values vanish outside W
     the result is the whole-box potential restricted to W; only the FFT size differs,
-    so only rounding differs.  The kernel comes from the one-entry `_kernel_table` of
-    W's shape; the result is a fresh C-contiguous array that no later call touches.
+    so only rounding differs.  The kernel's real, even spectrum comes from the
+    one-entry `_kernel_table` of W's shape, and the convolution runs in that table's
+    padded buffer (`_convolve`); the result is a fresh C-contiguous copy that no later
+    call touches.
     """
+    return _potential_view(grid, values, s).copy()
+
+
+def _potential_view(grid: CartesianGrid, values: np.ndarray, s: float) -> np.ndarray:
+    """`potential_values` as a view of its table's buffer, valid until the next solve of
+    the block's shape."""
     s = _check_exponent(s)
     return _convolve(values, _kernel_table(grid, s, values.shape), grid.cell_volume)
 
 
-def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float) -> list:
+def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) -> list:
     """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals, one array per axis:
-    the transport velocity v = -grad p at the faces between neighbouring cells."""
-    p = potential_values(grid, vals, s)
+    the transport velocity v = -grad p at the faces between neighbouring cells.  They
+    are written into the arrays of `out` when it is given.  p is not copied out of its
+    table's buffer."""
+    p = _potential_view(grid, vals, s)
     faces = []
     for axis in range(grid.n):
-        xi = np.diff(p, axis=axis)
+        hi = tuple(slice(1, None) if k == axis else slice(None) for k in range(grid.n))
+        lo = tuple(slice(None, -1) if k == axis else slice(None) for k in range(grid.n))
+        xi = np.subtract(p[hi], p[lo], out=None if out is None else out[axis])
         xi /= -grid.h
         faces.append(xi)
     return faces
@@ -237,12 +282,15 @@ def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = Non
         if abs(mass_u - mass_ref) > 1e-8 * max(abs(mass_u), 1e-300):
             raise ValueError(f"reference mass {mass_ref:.12g} does not match field mass {mass_u:.12g}")
         diff, total = vals - reference.values, vals + reference.values
-    window = _support_window(np.abs(diff) + np.abs(total))
+    window = _support_window((diff != 0.0) | (total != 0.0))
     if window is None:
         return 0.0
-    pairing = cv * float((diff[window] * potential_values(grid, total[window], s)).sum())
-    if grid.n > 2.0 * s:  # the Riesz kernel's constant C / (n - 2s), left out of G_h
-        pairing += velocity_constant(grid.n, s) / (grid.n - 2.0 * s) * cv**2 * float(diff.sum() * total.sum())
+    masses = float(diff.sum() * total.sum()) if grid.n > 2.0 * s else None
+    p = _potential_view(grid, total[window], s)
+    del total  # before the product
+    pairing = cv * float((diff[window] * p).sum())
+    if masses is not None:  # the Riesz kernel's constant C / (n - 2s), left out of G_h
+        pairing += velocity_constant(grid.n, s) / (grid.n - 2.0 * s) * cv**2 * masses
     return pairing
 
 

@@ -203,14 +203,32 @@ def _cut(ndim: int, axis: int, start, stop) -> tuple:
     return tuple(slice(start, stop) if k == axis else slice(None) for k in range(ndim))
 
 
+def _strips(shape: tuple, axis: int) -> list:
+    """Index tuples of strips of a block of `shape`, each about STRIP_CELLS cells of whole
+    lines along `axis`, so a sweep along `axis` can run one strip at a time."""
+    if len(shape) == 1:
+        return [(slice(None),)]
+    other = 1 - axis
+    width = max(1, STRIP_CELLS // shape[axis])
+    return [_cut(2, other, start, start + width) for start in range(0, shape[other], width)]
+
+
 def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
     """cfl * h over the largest cell speed, the sum over axes of the faster of the
-    cell's two faces along that axis (a zero face past each end of the block)."""
-    speed = 0.0
+    cell's two faces along that axis (a zero face past each end of the block).  The
+    speeds are summed strip by strip, so the only block-sized array is their sum."""
+    ndim = faces[0].ndim
+    speed = np.zeros((faces[0].shape[0] + 1, *faces[0].shape[1:]))
     for axis, xi in enumerate(faces):
-        mag = np.abs(xi)
-        rim = np.zeros(mag.shape[:axis] + (1,) + mag.shape[axis + 1:])
-        speed = speed + np.maximum(np.concatenate([mag, rim], axis), np.concatenate([rim, mag], axis))
+        if not xi.shape[axis]:
+            continue  # one cell along this axis, so no face
+        first, last, inner = (_cut(ndim, axis, *ends) for ends in ((None, 1), (-1, None), (1, -1)))
+        lo, hi = _cut(ndim, axis, None, -1), _cut(ndim, axis, 1, None)
+        for strip in _strips(speed.shape, axis):
+            mag, cell = np.abs(xi[strip]), speed[strip]
+            cell[first] += mag[first]
+            cell[last] += mag[last]
+            cell[inner] += np.maximum(mag[lo], mag[hi])
     top = float(speed.max())
     return cfl * (grid.h / top) if top > 0 else np.inf
 
@@ -225,7 +243,7 @@ def _sweep(vals: np.ndarray, face: np.ndarray, new: np.ndarray, axis: int, rate:
     lim = left[hi]  # the half slope of the interior cells, as seen from their right face
     diff = np.subtract(vals[hi], vals[lo])  # diff[i] = vals[i+1] - vals[i]
     dm, dp = diff[lo], diff[hi]
-    cen = np.add(dm, dp)
+    cen = np.add(dm, dp, out=right[lo])  # free until the right faces take the slopes
     cen *= 0.5
     mag = np.abs(diff)
     np.minimum(mag[lo], mag[hi], out=lim)
@@ -260,22 +278,20 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float) -> np.ndar
     rate = dt / grid.h
     new = vals.copy()
     for axis in range(grid.n):
-        if vals.ndim == 1:
-            strips = [(slice(None),)]
-        else:
-            other = 1 - axis
-            width = max(1, STRIP_CELLS // vals.shape[axis])
-            strips = [_cut(2, other, start, start + width) for start in range(0, vals.shape[other], width)]
-        for strip in strips:
+        for strip in _strips(vals.shape, axis):
             _sweep(vals[strip], faces[axis][strip], new[strip], axis, rate)
     return new
 
 
 def _ssp_update(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, cfg: SolverConfig):
     """One two-stage SSP step of size dt from the face velocities `faces` of `vals`.  Returns
-    the new values and the mass clipped from them; only a negative value triggers a clip."""
+    the new values and the mass clipped from them; only a negative value triggers a clip.
+    The second stage's face velocities are written into the arrays of `faces`, which
+    the first stage leaves dead."""
     new = _advance(grid, vals, faces, dt)
-    new = 0.5 * (vals + _advance(grid, new, _face_velocities(grid, np.maximum(new, 0.0), cfg.s), dt))
+    new = _advance(grid, new, _face_velocities(grid, np.maximum(new, 0.0), cfg.s, out=faces), dt)
+    new += vals
+    new *= 0.5
     if not np.isfinite(new).all():
         raise NumericalError("non-finite values after an explicit step")
     negative = new < 0.0

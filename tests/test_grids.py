@@ -9,7 +9,6 @@ from vortexlab.grids import (
     DensityField,
     MassFunction,
     RadialGrid,
-    VectorField,
     field_from_function,
     lp_norm,
     radial_average,
@@ -56,11 +55,6 @@ class TestGridValidation:
         u = DensityField(g, np.ones(16))
         with pytest.raises(ValueError):
             u.values[0] = 2.0
-
-    def test_vector_field_component_count(self):
-        g = CartesianGrid(2, 1.0, 16)
-        with pytest.raises(ValueError):
-            VectorField(g, (np.zeros((16, 16)),))
 
     def test_radial_grid_nodes(self):
         rg = RadialGrid(2, 3.0, 64)

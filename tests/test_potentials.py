@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from math import pi
@@ -21,6 +23,7 @@ from vortexlab.potentials import (
     _cell_average_box_cox,
     _convolve,
     _face_velocities,
+    _kernel,
     _kernel_table,
     bilinear_form,
     bilinear_limit_constant,
@@ -211,11 +214,20 @@ class TestVelocitySymmetry:
                 assert np.abs(flipped[j] - sign * np.flip(comp, k)).max() <= tol
 
 
+def full_spectrum(spectrum, rows):
+    """The kernel's whole rfftn spectrum from the stored rows 0..R (R = `rows`, the
+    block's leading side) of its real part: rows R+1..2R-1 are rows R-1..1 mirrored."""
+    if spectrum.ndim == 1:
+        return spectrum
+    return np.concatenate([spectrum, spectrum[rows - 1:0:-1]])
+
+
 def reference_convolve(values, spectrum, scale):
     """The free-space product with the block zero-padded in an explicit doubled-grid
     array and unpruned rfftn/irfftn, which `_convolve` must reproduce bit for bit."""
     block = tuple(slice(0, cells) for cells in values.shape)
     axes = range(values.ndim)
+    spectrum = full_spectrum(spectrum, values.shape[0])
     padded = np.zeros(tuple(2 * cells for cells in values.shape))
     padded[block] = values
     fval = np.fft.rfftn(padded, axes=axes)
@@ -258,6 +270,71 @@ class TestPotentialBuffers:
         second = potential_values(g, rng.random(g.shape), 1.0)
         assert not np.array_equal(second, kept)
         assert np.array_equal(first, kept)
+
+
+class TestRealSpectrum:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        cells=st.integers(4, 24).map(lambda k: 2 * k),
+        half_width=st.floats(0.5, 4.0),
+        s=st.floats(1e-6, 1.0),
+        data=st.data(),
+    )
+    def test_stored_half_of_even_kernel(self, n, cells, half_width, s, data):
+        # the kernel is even along each axis, so its spectrum is real and even: the table
+        # keeps rows 0..R of the real part, and what it drops is rounding.  (Below about
+        # s = 1e-16 the singular cell's average divides by a + n = 2s rounded to zero.)
+        g = CartesianGrid(n, half_width, cells)
+        shape = tuple(data.draw(st.integers(1, cells)) for _ in range(n))
+        kern = _kernel(g, s, shape)
+        for axis in range(n):
+            assert np.array_equal(kern, np.roll(np.flip(kern, axis), 1, axis=axis))
+        full = np.fft.rfftn(kern, axes=range(n))
+        rows = shape[0]
+        stored = _kernel_table(g, s, shape).spectrum
+        assert np.array_equal(stored, full.real[: rows + 1])
+        scale = 1e-14 * np.abs(full).max()
+        assert np.abs(full.imag).max() <= scale
+        assert np.abs(full.real - full_spectrum(stored, rows)).max() <= scale
+
+
+class TestKernelCache:
+    def test_rebuild_releases_previous_table(self):
+        # a miss frees the cached table's arrays before tabulating, so building a second
+        # table of the same size peaks as high as building the first did, not higher by
+        # the first table's arrays
+        g = CartesianGrid(2, 2.0, 96)
+        _kernel_table.cache_clear()  # so the first call builds
+        tracemalloc.start()
+        try:
+            old = _kernel_table(g, 1.0, g.shape)
+            held = old.padded.nbytes + old.spectrum.nbytes
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _kernel_table(g, 0.5, g.shape)
+            second = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not hasattr(old, "padded") and not hasattr(old, "spectrum")
+        assert second < first + held / 2
+
+    def test_failed_build_keeps_cache_usable(self):
+        # an empty block fails to tabulate after the cached table was released; the
+        # cache must not hand that released table out again
+        g = CartesianGrid(1, 1.0, 32)
+        vals = np.ones(8)
+        before = potential_values(g, vals, 1.0)
+        with pytest.raises(IndexError):
+            potential_values(g, np.ones(0), 1.0)
+        assert np.array_equal(potential_values(g, vals, 1.0), before)
+
+    def test_misses_count_builds(self):
+        g = CartesianGrid(1, 1.0, 32)
+        _kernel_table.cache_clear()
+        for shape in ((8,), (8,), (16,), (8,)):
+            potential_values(g, np.ones(shape), 1.0)
+        assert _kernel_table.cache_info().misses == 3
 
 
 class TestScalarPotential:

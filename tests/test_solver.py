@@ -8,6 +8,7 @@ from math import pi
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.closed_forms import PatchSpec, patch_density
+from vortexlab.diagnostics import mollified_reference
 from vortexlab.grids import (
     CartesianGrid,
     DensityField,
@@ -22,6 +23,7 @@ from vortexlab.solver import (
     SolverConfig,
     _advance,
     _face_velocities,
+    _make_record,
     _ssp_update,
     _stable_dt,
     _step,
@@ -442,24 +444,45 @@ class TestAllocationBudget:
             tracemalloc.stop()
 
     def test_velocity_solve_and_transport(self):
-        # the solve is one potential, in its table's buffers, and its differences onto
-        # the faces; the transport's temporaries are strips of about STRIP_CELLS cells
+        # the solve is one potential, left in its table's buffer, and its differences
+        # onto the faces; the transport's temporaries are strips of about STRIP_CELLS cells
         g = CartesianGrid(2, 4.0, 384)
         vals = np.exp(-g.radius() ** 2)
         faces = _face_velocities(g, vals, 1.0)  # builds and caches the kernel table
         solve = self.peak_bytes(lambda: _face_velocities(g, vals, 1.0))
         advance = self.peak_bytes(lambda: _advance(g, vals, faces, 1e-3))
-        assert solve <= 4 * vals.nbytes
+        assert solve <= 2.5 * vals.nbytes
         assert advance <= 2 * vals.nbytes
 
+    def test_step_and_its_cfl_bound(self):
+        # the cell speeds are summed strip by strip into one array, and the second stage's
+        # face velocities take the first stage's arrays
+        g = CartesianGrid(2, 4.0, 384)
+        vals = np.exp(-g.radius() ** 2)
+        faces = _face_velocities(g, vals, 1.0)
+        cfg = SolverConfig(t_end=1.0, output_times=(1.0,))
+        assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl)) <= 2 * vals.nbytes
+        assert self.peak_bytes(lambda: _step(g, vals, 1e-3, cfg)) <= 5 * vals.nbytes
+
+    def test_full_diagnostics_record(self):
+        # the energy and entropy solves stay in the table's buffer, and the entropy's
+        # reference is gone before the dissipation's solve
+        g = CartesianGrid(2, 4.0, 384)
+        u = DensityField(g, np.exp(-g.radius() ** 2))
+        mass = total_mass(u)
+        reference = mollified_reference(g, mass)
+        record = lambda: _make_record(u, 0.1, 1.0, mass, reference)
+        record()  # builds and caches the kernel table
+        assert self.peak_bytes(record) <= 4 * u.values.nbytes
+
     def test_full_diagnostics_run(self):
-        # a whole run: the snapshots, one kernel table with its buffers, the steps and
+        # a whole run: the snapshots, one kernel table with its buffer, the steps and
         # the full diagnostics records
         g = CartesianGrid(2, 2.56, 192)
         width_sq = 1.0 / (4 * pi)
         u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
         cfg = SolverConfig(t_end=0.5, output_times=(0.25, 0.5), diagnostics="full")
-        assert self.peak_bytes(lambda: run(cfg, u0)) <= 30 * u0.values.nbytes
+        assert self.peak_bytes(lambda: run(cfg, u0)) <= 18 * u0.values.nbytes
 
 
 class TestSweep:
@@ -630,8 +653,8 @@ class TestDiscreteEnergyLaw:
         faces = _face_velocities(g, vals, s)
         dt = min(_stable_dt(g, faces, cfl), 1.0)  # as run() clamps a step to the output time
         cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=s, cfl=cfl)
-        new, clipped = _ssp_update(g, vals, faces, dt, cfg)
         stage = _advance(g, vals, faces, dt)
+        new, clipped = _ssp_update(g, vals, faces, dt, cfg)  # takes the stage-2 faces
         assert clipped == 0.0 and stage.min() >= 0.0
         gap = (stage - vals) / dt - (_advance(g, stage, _face_velocities(g, stage, s), dt) - stage) / dt
         rise_bound = 0.125 * dt**2 * cv * float((gap * potential_values(g, gap, s)).sum())
