@@ -25,13 +25,14 @@ cfg = SolverConfig(
     t_end=3.0, output_times=(0.5, 1.0, 2.0, 3.0),
     cfl=0.45, diagnostics="full",
 )
-traj = run(cfg, u0)
+fields = []  # the run keeps only the last output's field, so collect them all
+traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
 
 m2_0 = traj.records[0].second_moment
 virial_rate = mass**2 / (2 * np.pi)
 print(f"\n{'t':>5} {'Ent(U)':>10} {'D(U)':>10} {'m2':>8} {'m2_0 + t M^2/2pi':>17} "
       f"{'m2/(1+t)':>9} {'|U - chi|_1':>11}")
-for t, u, rec in zip(traj.times, traj.fields, traj.records):
+for t, u, rec in zip(traj.times, fields, traj.records):
     err = asymptotic_error(u, t, mass)
     print(f"{t:5.2f} {rec.entropy:10.6f} {rec.dissipation:10.6f} {rec.second_moment:8.4f} "
           f"{m2_0 + t * virial_rate:17.4f} {rec.second_moment / (1 + t):9.5f} {err:11.4f}")

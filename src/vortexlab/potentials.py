@@ -25,6 +25,7 @@ compact run never tabulates the whole box.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import gamma, pi
 
@@ -56,8 +57,8 @@ WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fe
 
 def _check_exponent(s: float) -> float:
     s = float(s)
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"exponent s must lie in (0, 1], got {s}")
+    if not sys.float_info.min <= s <= 1.0:  # gamma(s) overflows for subnormal s
+        raise ValueError(f"exponent s must lie in (0, 1] and not be subnormal, got {s}")
     return s
 
 
@@ -81,14 +82,24 @@ def _box_cox(x, a: float, out=None):
     return np.divide(y, a, out=out)
 
 
-def _cell_average_box_cox(n: int, h: float, a: float) -> float:
-    """Average of _box_cox(|z|, a) over the cell [-h/2, h/2]^n containing the origin (a > -n)."""
+def _singular_cell(n: int, h: float, s: float) -> float:
+    """G averaged over the cell [-h/2, h/2]^n containing the origin: -C(n, s) times the
+    average of _box_cox(|z|, a), a = 2s - n.  That average divides by a + n = 2s, taken
+    as 2s and not as (2s - n) + n, which rounds to zero for tiny s.  As s -> 0, C(n, s)
+    ~ s and the average ~ 1/s leave the float range while G tends to the identity's
+    1/h^n, so for 2s < 1 the 1/(2s) goes onto C(n, s) first."""
+    a = 2.0 * s - n
+    cv = velocity_constant(n, s)
     if n == 1:
-        return (_box_cox(h / 2.0, a) - 1.0) / (1.0 + a)
-    rho = lambda th: (h / 2.0) / np.cos(th)
-    # int_0^rho box_cox(r, a) r dr = rho^2 (2 box_cox(rho, a) - 1) / (2 (a + 2))
-    integral = 8.0 * _angular_integral(lambda th: rho(th) ** 2 * (2.0 * _box_cox(rho(th), a) - 1.0))
-    return integral / (2.0 * (a + 2.0) * h**2)
+        part, cell = _box_cox(h / 2.0, a) - 1.0, 1.0
+    else:
+        rho = lambda th: (h / 2.0) / np.cos(th)
+        # int_0^rho box_cox(r, a) r dr = rho^2 (2 box_cox(rho, a) - 1) / (2 (a + 2))
+        part = 8.0 * _angular_integral(lambda th: rho(th) ** 2 * (2.0 * _box_cox(rho(th), a) - 1.0))
+        cell = 2.0 * h**2
+    if 2.0 * s >= 1.0:
+        return -cv * (part / (cell * (2.0 * s)))
+    return -(cv / (2.0 * s)) * (part / cell)
 
 
 def _offsets(cells: int, h: float) -> np.ndarray:
@@ -107,7 +118,7 @@ def _kernel(grid: CartesianGrid, s: float, shape: tuple) -> np.ndarray:
     with np.errstate(divide="ignore"):
         _box_cox(kern, a, out=kern)
     kern *= -cv
-    kern[(0,) * n] = -cv * _cell_average_box_cox(n, h, a)
+    kern[(0,) * n] = _singular_cell(n, h, s)
     return kern
 
 

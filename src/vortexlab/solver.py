@@ -9,7 +9,9 @@ reconstruction, advanced with two-stage SSP stepping (Gottlieb-Shu-Tadmor 2001).
 G_h is symmetric, so by summation by parts E_h = 1/2 h^n sum u p decays at the
 semi-discrete rate -h^n sum_faces (xi+^2 u_L + xi-^2 u_R) <= 0.  `run` steps at
 cfl * h over the largest cell speed (the sum over axes of the faster of the
-cell's two faces), clamped to the next output time.
+cell's two faces), clamped to the next output time.  It records diagnostics at
+each output time and hands that output's field to an optional `at_output(t, u)`
+hook, keeping only the last field.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
 the box must be sized so the support never reaches the boundary (checked
 against the support growth bound before a run starts).  Negative values
@@ -30,8 +32,11 @@ Full diagnostics records run on support windows too.
 
 from __future__ import annotations
 
+import sys
 import time as _time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -111,8 +116,8 @@ class SolverConfig:
             raise ConfigError("output_times must lie in (0, t_end] and end at t_end")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("cfl must lie in (0, 1]")
-        if not 0.0 < self.s <= 1.0:
-            raise ConfigError("s must lie in (0, 1]")
+        if not sys.float_info.min <= self.s <= 1.0:  # gamma(s) overflows for subnormal s
+            raise ConfigError("s must lie in (0, 1] and not be subnormal")
         if self.diagnostics not in ("basic", "full"):
             raise ConfigError("diagnostics must be 'basic' or 'full'")
         object.__setattr__(self, "output_times", outs)
@@ -120,24 +125,25 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots at t=0 and the configured output times, with per-output
-    diagnostics rows and run bookkeeping."""
+    """The times and diagnostics rows of t=0 and the configured output times, the
+    field at the last of them, and run bookkeeping.  `run` hands each output's field
+    to its `at_output` hook and keeps only the last one."""
 
     times: list
-    fields: list
     records: list
     config: SolverConfig
+    last: DensityField
     warnings: list = field(default_factory=list)
     clipped_mass: float = 0.0
     steps: int = 0
     wall_time: float = 0.0
 
     def final(self) -> DensityField:
-        return self.fields[-1]
+        return self.last
 
     def mass_drift(self) -> float:
-        m0 = total_mass(self.fields[0])
-        worst = max(abs(total_mass(f) - m0) for f in self.fields)
+        m0 = self.records[0].mass
+        worst = max(abs(rec.mass - m0) for rec in self.records)
         return worst / m0 if m0 > 0 else worst
 
     def max_bound_ratio(self) -> float:
@@ -203,14 +209,23 @@ def _cut(ndim: int, axis: int, start, stop) -> tuple:
     return tuple(slice(start, stop) if k == axis else slice(None) for k in range(ndim))
 
 
-def _strips(shape: tuple, axis: int) -> list:
-    """Index tuples of strips of a block of `shape`, each about STRIP_CELLS cells of whole
-    lines along `axis`, so a sweep along `axis` can run one strip at a time."""
+@lru_cache(maxsize=None)
+def _sides(ndim: int, axis: int) -> tuple:
+    """(lo, hi, first, last) along `axis`: the cells but the last, the cells but the
+    first, the first cell and the last cell."""
+    return tuple(_cut(ndim, axis, *ends) for ends in ((None, -1), (1, None), (None, 1), (-1, None)))
+
+
+@lru_cache(maxsize=64)
+def _strips(shape: tuple, axis: int, strip_cells: int) -> tuple:
+    """Index tuples of strips of a block of `shape`, each about `strip_cells` cells of
+    whole lines along `axis`, so a sweep along `axis` can run one strip at a time.
+    Callers pass STRIP_CELLS, so the cache is keyed on its current value."""
     if len(shape) == 1:
-        return [(slice(None),)]
+        return ((slice(None),),)
     other = 1 - axis
-    width = max(1, STRIP_CELLS // shape[axis])
-    return [_cut(2, other, start, start + width) for start in range(0, shape[other], width)]
+    width = max(1, strip_cells // shape[axis])
+    return tuple(_cut(2, other, start, start + width) for start in range(0, shape[other], width))
 
 
 def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
@@ -222,9 +237,9 @@ def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
     for axis, xi in enumerate(faces):
         if not xi.shape[axis]:
             continue  # one cell along this axis, so no face
-        first, last, inner = (_cut(ndim, axis, *ends) for ends in ((None, 1), (-1, None), (1, -1)))
-        lo, hi = _cut(ndim, axis, None, -1), _cut(ndim, axis, 1, None)
-        for strip in _strips(speed.shape, axis):
+        lo, hi, first, last = _sides(ndim, axis)
+        inner = _cut(ndim, axis, 1, -1)
+        for strip in _strips(speed.shape, axis, STRIP_CELLS):
             mag, cell = np.abs(xi[strip]), speed[strip]
             cell[first] += mag[first]
             cell[last] += mag[last]
@@ -237,27 +252,30 @@ def _sweep(vals: np.ndarray, face: np.ndarray, new: np.ndarray, axis: int, rate:
     """Move rate times the upwind flux through each face of `face` (along `axis`) from
     the cell before it to the cell after it, in `new`.  The face values are the
     monotonized-central (MC) limited reconstruction of `vals`: its half slopes are
-    written straight into the two face buffers, and the end cells' slopes are zero."""
-    lo, hi = _cut(vals.ndim, axis, None, -1), _cut(vals.ndim, axis, 1, None)
+    written straight into the two face buffers, and the end cells' slopes are zero.
+
+    The MC half slope sign(cen) min(|cen|, 2 min(|dm|, |dp|)) / 2, cen = (dm + dp) / 2,
+    is taken as copysign(min(|dm + dp| / 4, min(|dm|, |dp|)), dm + dp): the halvings and
+    the doubling fold into one quartering, bit for bit, since rounding commutes with the
+    min and two halvings round as one quartering does, subnormals included."""
+    lo, hi, first, last = _sides(vals.ndim, axis)
     left, right = np.empty(face.shape), np.empty(face.shape)
-    lim = left[hi]  # the half slope of the interior cells, as seen from their right face
+    half = left[hi]  # the half slope of the interior cells, as seen from their right face
     diff = np.subtract(vals[hi], vals[lo])  # diff[i] = vals[i+1] - vals[i]
     dm, dp = diff[lo], diff[hi]
-    cen = np.add(dm, dp, out=right[lo])  # free until the right faces take the slopes
-    cen *= 0.5
+    total = np.add(dm, dp, out=right[lo])  # free until the right faces take the slopes
     mag = np.abs(diff)
-    np.minimum(mag[lo], mag[hi], out=lim)
-    lim *= 2.0
-    np.minimum(np.abs(cen, out=mag[lo]), lim, out=lim)
-    np.multiply(np.sign(cen, out=cen), lim, out=lim)
+    np.minimum(mag[lo], mag[hi], out=half)
+    quarter = np.abs(total, out=mag[lo])
+    quarter *= 0.25
+    np.copysign(np.minimum(quarter, half, out=half), total, out=half)
     # zero unless dm * dp > 0, by a where and not a multiply by the mask: 0 * inf and
     # 0 * NaN are NaN, and 0 times a negative slope is -0
     flat = np.multiply(dm, dp, out=mag[lo]) > 0
-    np.copyto(lim, 0.0, where=np.logical_not(flat, out=flat))
-    lim *= 0.5
-    right[lo] = lim
-    left[_cut(vals.ndim, axis, None, 1)] = 0.0
-    right[_cut(vals.ndim, axis, -1, None)] = 0.0
+    np.copyto(half, 0.0, where=np.logical_not(flat, out=flat))
+    right[lo] = half
+    left[first] = 0.0
+    right[last] = 0.0
     np.add(vals[lo], left, out=left)
     np.subtract(vals[hi], right, out=right)
     flux = np.maximum(face, 0.0, out=diff)
@@ -278,7 +296,7 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float) -> np.ndar
     rate = dt / grid.h
     new = vals.copy()
     for axis in range(grid.n):
-        for strip in _strips(vals.shape, axis):
+        for strip in _strips(vals.shape, axis, STRIP_CELLS):
             _sweep(vals[strip], faces[axis][strip], new[strip], axis, rate)
     return new
 
@@ -292,12 +310,13 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, cfg: So
     new = _advance(grid, new, _face_velocities(grid, np.maximum(new, 0.0), cfg.s, out=faces), dt)
     new += vals
     new *= 0.5
-    if not np.isfinite(new).all():
+    low, high = float(new.min()), float(new.max())  # a NaN anywhere is the min and the max
+    if not (isfinite(low) and isfinite(high)):
         raise NumericalError("non-finite values after an explicit step")
-    negative = new < 0.0
-    if not negative.any():
+    if low >= 0.0:
         return new, 0.0
-    return np.maximum(new, 0.0), -grid.cell_volume * float(new[negative].sum())
+    clipped = -grid.cell_volume * float(new[new < 0.0].sum())
+    return np.maximum(new, 0.0, out=new), clipped
 
 
 def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> float:
@@ -353,10 +372,19 @@ def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfi
     return dt, block, clipped
 
 
-def run(cfg: SolverConfig, u0: DensityField) -> Trajectory:
-    """Advance u0 to t_end with adaptive time steps, recording snapshots and
-    diagnostics at the configured output times.  The sup-norm decay monitor
-    max u * (t + 1/max u0) is a warning channel, not an assertion."""
+def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
+    """Advance u0 to t_end with adaptive time steps, recording diagnostics at the
+    configured output times.  The sup-norm decay monitor max u * (t + 1/max u0) is a
+    warning channel, not an assertion.
+
+    `at_output(t, u)`, when given, is called with the field at t = 0 and at each
+    output time, after that output's record.  The trajectory keeps only the last
+    field, so a run's memory does not grow with its number of outputs; a caller that
+    wants the others keeps them from the hook:
+
+        fields = []
+        traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
+    """
     grid = u0.grid
     peak0 = float(u0.values.max())
     if peak0 > 0.0:
@@ -367,7 +395,9 @@ def run(cfg: SolverConfig, u0: DensityField) -> Trajectory:
     reference = mollified_reference(grid, mass0) if full else None
 
     t0 = _time.perf_counter()
-    traj = Trajectory([0.0], [u0], [_make_record(u0, 0.0, tau, mass0, reference)], cfg)
+    traj = Trajectory([0.0], [_make_record(u0, 0.0, tau, mass0, reference)], cfg, u0)
+    if at_output is not None:
+        at_output(0.0, u0)
     t, vals = 0.0, u0.values
     for target in cfg.output_times:
         while t < target - 1e-12:
@@ -380,8 +410,11 @@ def run(cfg: SolverConfig, u0: DensityField) -> Trajectory:
         if rec.sup_bound_ratio > 1.0 + BOUND_SLACK:
             traj.warnings.append(f"sup bound ratio {rec.sup_bound_ratio:.4f} at t={t:.6g}")
         traj.times.append(t)
-        traj.fields.append(u)
         traj.records.append(rec)
+        if at_output is not None:
+            at_output(t, u)
+        del u  # a field copies its values, and the steps to the next output need only `vals`
+    traj.last = DensityField(grid, vals)
     traj.wall_time = _time.perf_counter() - t0
     return traj
 

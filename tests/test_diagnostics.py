@@ -299,11 +299,12 @@ class TestLongHorizonRelaxation:
             grid, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq))
         )
         cfg = SolverConfig(t_end=49.0, output_times=(4.0, 15.0, 49.0), cfl=0.45)
-        traj = run(cfg, u0)
+        fields = []
+        traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
         mass = total_mass(u0)
         errs = [
             asymptotic_error(u, t, mass)
-            for t, u in zip(traj.times[1:], traj.fields[1:])
+            for t, u in zip(traj.times[1:], fields[1:])
         ]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= 0.1 * mass

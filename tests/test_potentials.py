@@ -20,11 +20,13 @@ from vortexlab.grids import (
     total_mass,
 )
 from vortexlab.potentials import (
-    _cell_average_box_cox,
+    _angular_integral,
+    _box_cox,
     _convolve,
     _face_velocities,
     _kernel,
     _kernel_table,
+    _singular_cell,
     bilinear_form,
     bilinear_limit_constant,
     energy,
@@ -60,7 +62,7 @@ def brute_force_faces(u, s=1.0):
     d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
     np.fill_diagonal(d, 1.0)
     kern = -c * np.log(d) if a == 0 else -c * (d**a - 1.0) / a
-    np.fill_diagonal(kern, -c * _cell_average_box_cox(g.n, g.h, a))
+    np.fill_diagonal(kern, _singular_cell(g.n, g.h, s))
     p = g.cell_volume * (kern @ u.values.ravel()).reshape(g.shape)
     return [np.diff(p, axis=axis) / -g.h for axis in range(g.n)]
 
@@ -188,6 +190,8 @@ class TestVelocity:
             _face_velocities(u.grid, u.values, 0.0)
         with pytest.raises(ValueError):
             _face_velocities(u.grid, u.values, 1.2)
+        with pytest.raises(ValueError, match="subnormal"):
+            _face_velocities(u.grid, u.values, 5e-324)
 
 
 class TestVelocitySymmetry:
@@ -278,13 +282,13 @@ class TestRealSpectrum:
         n=st.sampled_from([1, 2]),
         cells=st.integers(4, 24).map(lambda k: 2 * k),
         half_width=st.floats(0.5, 4.0),
-        s=st.floats(1e-6, 1.0),
+        s=st.floats(np.finfo(float).tiny, 1.0),
         data=st.data(),
     )
     def test_stored_half_of_even_kernel(self, n, cells, half_width, s, data):
         # the kernel is even along each axis, so its spectrum is real and even: the table
-        # keeps rows 0..R of the real part, and what it drops is rounding.  (Below about
-        # s = 1e-16 the singular cell's average divides by a + n = 2s rounded to zero.)
+        # keeps rows 0..R of the real part, and what it drops is rounding.  s reaches the
+        # smallest normal float, where the singular cell's 1/(2s) must not overflow
         g = CartesianGrid(n, half_width, cells)
         shape = tuple(data.draw(st.integers(1, cells)) for _ in range(n))
         kern = _kernel(g, s, shape)
@@ -297,6 +301,29 @@ class TestRealSpectrum:
         scale = 1e-14 * np.abs(full).max()
         assert np.abs(full.imag).max() <= scale
         assert np.abs(full.real - full_spectrum(stored, rows)).max() <= scale
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_exponent_kernel_is_the_identity(self, n):
+        # (-Lap)^{-s} tends to the identity as s -> 0: the singular cell carries the
+        # whole unit weight 1/h^n and every other cell's value vanishes with s
+        g = CartesianGrid(n, 0.5, 48)
+        kern = _kernel(g, np.finfo(float).tiny, g.shape)
+        assert kern[(0,) * n] * g.cell_volume == pytest.approx(1.0, rel=1e-3)
+        assert np.abs(kern).sum() * g.cell_volume == pytest.approx(1.0, rel=1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2]), h=st.floats(1e-3, 1.0), s=st.floats(0.5, 1.0))
+    def test_singular_cell_keeps_its_bits_from_one_half(self, n, h, s):
+        # for 2s >= 1, (2s - n) + n is 2s exactly (Sterbenz), so dividing by 2s keeps
+        # the bits of the form that divided by a + n
+        a, cv = 2.0 * s - n, velocity_constant(n, s)
+        if n == 1:
+            average = (_box_cox(h / 2.0, a) - 1.0) / (1.0 + a)
+        else:
+            rho = lambda th: (h / 2.0) / np.cos(th)
+            integral = 8.0 * _angular_integral(lambda th: rho(th) ** 2 * (2.0 * _box_cox(rho(th), a) - 1.0))
+            average = integral / (2.0 * (a + 2.0) * h**2)
+        assert _singular_cell(n, h, s) == -cv * average
 
 
 class TestKernelCache:

@@ -105,6 +105,8 @@ class TestConfig:
             SolverConfig(t_end=1.0, output_times=(1.0,), cfl=0.0)
         with pytest.raises(ConfigError, match="s must"):
             SolverConfig(t_end=1.0, output_times=(1.0,), s=1.5)
+        with pytest.raises(ConfigError, match="subnormal"):
+            SolverConfig(t_end=1.0, output_times=(1.0,), s=5e-324)
         with pytest.raises(ConfigError, match="output_times must be finite"):
             SolverConfig(t_end=1.0, output_times=(0.5, float("nan"), 1.0))
 
@@ -182,8 +184,9 @@ class TestRun:
         g = CartesianGrid(2, 2.0, 32)
         for diagnostics in ("basic", "full"):
             cfg = SolverConfig(t_end=0.5, output_times=(0.25, 0.5), diagnostics=diagnostics)
-            traj = run(cfg, DensityField(g, np.zeros(g.shape)))
-            for f in traj.fields:
+            fields = []
+            traj = run(cfg, DensityField(g, np.zeros(g.shape)), at_output=lambda t, u: fields.append(u))
+            for f in fields:
                 np.testing.assert_array_equal(f.values, 0.0)
             assert all(rec.entropy is None and rec.energy is None for rec in traj.records)
 
@@ -257,6 +260,28 @@ class TestRun:
             assert traj.steps > 1
         assert shapes and g.shape not in shapes
 
+    def test_at_output_sees_t0_and_every_output_after_its_record(self, monkeypatch):
+        # the hook gets u0 itself at t = 0 and each output's field once its record is
+        # made; the trajectory keeps the last field, and each record's mass is its field's
+        records = []
+        make_record = solver._make_record
+
+        def recording(*args):
+            records.append(make_record(*args))
+            return records[-1]
+
+        monkeypatch.setattr(solver, "_make_record", recording)
+        g = CartesianGrid(2, 4.0, 64)
+        u0 = patch_field(g)
+        cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.2, 0.3))
+        seen = []
+        traj = run(cfg, u0, at_output=lambda t, u: seen.append((t, u, len(records))))
+        assert [t for t, _, _ in seen] == traj.times
+        assert seen[0][1] is u0
+        assert [k for _, _, k in seen] == [1, 2, 3, 4]
+        assert np.array_equal(traj.final().values, seen[-1][1].values)
+        assert [rec.mass for rec in traj.records] == [total_mass(u) for _, u, _ in seen]
+
     def test_summary_fields(self):
         g = CartesianGrid(2, 4.0, 64)
         cfg = SolverConfig(t_end=0.5, output_times=(0.5,))
@@ -278,9 +303,10 @@ class TestRunProperties:
         rng = np.random.default_rng(seed)
         u0 = DensityField(g, rng.random(g.shape) * (g.radius() <= half_width / 4))
         cfg = SolverConfig(t_end=0.1, output_times=(0.1,), cfl=cfl)
-        traj = run(cfg, u0)
+        fields = []
+        traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
         assert traj.mass_drift() <= 1e-12
-        assert min(float(f.values.min()) for f in traj.fields) >= 0.0
+        assert min(float(f.values.min()) for f in fields) >= 0.0
         assert traj.clipped_mass <= 1e-12 * total_mass(u0)
 
     @settings(max_examples=25, deadline=None)
@@ -344,9 +370,10 @@ class TestRunProperties:
         assert any(w.start == 0 or w.stop == cells for w in _support_window(vals))
         u0 = DensityField(g, vals)
         cfg = SolverConfig(t_end=0.1, output_times=(0.1,), cfl=cfl)
-        traj = run(cfg, u0)
+        fields = []
+        traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
         assert traj.mass_drift() <= 1e-12
-        assert min(float(f.values.min()) for f in traj.fields) >= 0.0
+        assert min(float(f.values.min()) for f in fields) >= 0.0
         assert traj.clipped_mass <= 1e-12 * total_mass(u0)
 
     @settings(max_examples=25, deadline=None)
@@ -361,13 +388,14 @@ class TestRunProperties:
         vals = np.zeros(g.shape)
         vals[lo[0]:hi[0], lo[1]:hi[1]] = rng.random((hi - lo).tolist())
         cfg = SolverConfig(t_end=0.5, output_times=(0.5,), cfl=cfl)
-        traj = run(cfg, DensityField(g, vals))
+        fields = []
+        traj = run(cfg, DensityField(g, vals), at_output=lambda t, u: fields.append(u))
 
         def bbox(u):
             idx = np.nonzero(u.values > 0.0)
             return np.array([i.min() for i in idx]), np.array([i.max() for i in idx])
 
-        lo0, hi0 = bbox(traj.fields[0])
+        lo0, hi0 = bbox(fields[0])
         lo1, hi1 = bbox(traj.final())
         assert (lo0 - lo1).max() <= 2 * traj.steps
         assert (hi1 - hi0).max() <= 2 * traj.steps
@@ -476,13 +504,31 @@ class TestAllocationBudget:
         assert self.peak_bytes(record) <= 4 * u.values.nbytes
 
     def test_full_diagnostics_run(self):
-        # a whole run: the snapshots, one kernel table with its buffer, the steps and
-        # the full diagnostics records
+        # a whole run: the last output's field, one kernel table with its buffer, the
+        # steps and the full diagnostics records
         g = CartesianGrid(2, 2.56, 192)
         width_sq = 1.0 / (4 * pi)
         u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
         cfg = SolverConfig(t_end=0.5, output_times=(0.25, 0.5), diagnostics="full")
         assert self.peak_bytes(lambda: run(cfg, u0)) <= 18 * u0.values.nbytes
+
+    def test_run_peak_does_not_grow_with_its_outputs(self):
+        # a run holds no field of an earlier output, so a whole-box run with sixteen
+        # outputs peaks where the same run with two does
+        g = CartesianGrid(2, 2.56, 192)
+        width_sq = 1.0 / (4 * pi)
+        u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
+
+        def outputs(count):
+            times = tuple(0.5 * k / count for k in range(1, count + 1))
+            return SolverConfig(t_end=0.5, output_times=times, diagnostics="full")
+
+        two, sixteen = outputs(2), outputs(16)
+        run(two, u0)  # builds and caches the kernel table
+        assert _support_window(u0.values) == (slice(0, 192),) * 2
+        peak_two = self.peak_bytes(lambda: run(two, u0))
+        peak_sixteen = self.peak_bytes(lambda: run(sixteen, u0))
+        assert peak_sixteen <= peak_two + 0.5 * u0.values.nbytes
 
 
 class TestSweep:
@@ -548,12 +594,13 @@ class TestEnergyDissipationIdentity:
             t_end=2.0, output_times=(0.5, 0.75, 1.0, 1.25, 1.5, 2.0),
             cfl=0.45, diagnostics="full",
         )
-        traj = run(cfg, u0)
+        fields = []
+        traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
         for k in range(2, len(traj.times) - 1):
             rate = (traj.records[k + 1].energy - traj.records[k - 1].energy) / (
                 traj.times[k + 1] - traj.times[k - 1]
             )
-            u = traj.fields[k].values
+            u = fields[k].values
             flux = 0.0
             for axis, xi in enumerate(_face_velocities(g, u, 1.0)):
                 lines, xi = np.moveaxis(u, axis, -1), np.moveaxis(xi, axis, -1)
