@@ -36,7 +36,8 @@ traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
 print(f"\nadvanced {traj.steps} steps in {traj.wall_time:.1f}s; "
       f"relative mass drift {traj.mass_drift():.2e}\n")
 print(f"{'t':>5} {'max u':>9} {'1/(t+1)':>9} {'support':>9} {'R sqrt(1+t)':>12} {'L1 err':>9}")
-for t, u in zip(traj.times, fields):
+for rec, u in zip(traj.records, fields):
+    t = rec.t
     exact = field_from_function(grid, lambda p: patch_density(spec, p, t))
     l1 = grid.cell_volume * np.abs(u.values - exact.values).sum() / spec.full_mass()
     print(f"{t:5.2f} {u.values.max():9.4f} {spec.height(t):9.4f} "

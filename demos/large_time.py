@@ -32,7 +32,8 @@ m2_0 = traj.records[0].second_moment
 virial_rate = mass**2 / (2 * np.pi)
 print(f"\n{'t':>5} {'Ent(U)':>10} {'D(U)':>10} {'m2':>8} {'m2_0 + t M^2/2pi':>17} "
       f"{'m2/(1+t)':>9} {'|U - chi|_1':>11}")
-for t, u, rec in zip(traj.times, fields, traj.records):
+for rec, u in zip(traj.records, fields):
+    t = rec.t
     err = asymptotic_error(u, t, mass)
     print(f"{t:5.2f} {rec.entropy:10.6f} {rec.dissipation:10.6f} {rec.second_moment:8.4f} "
           f"{m2_0 + t * virial_rate:17.4f} {rec.second_moment / (1 + t):9.5f} {err:11.4f}")

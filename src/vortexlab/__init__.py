@@ -21,6 +21,7 @@ from .grids import (
     radial_average,
     second_moment,
     sphere_area,
+    support_radius,
     total_mass,
     unit_ball_volume,
 )
@@ -28,7 +29,6 @@ from .closed_forms import (
     BarenblattSpec,
     PatchSpec,
     TwoPatchSpec,
-    barenblatt_density,
     barenblatt_with_mass,
     largest_solution,
     patch_density,
@@ -58,7 +58,7 @@ from .diagnostics import (
     wasserstein_continuity_check,
     wasserstein_radial,
 )
-from .solver import SolverConfig, Trajectory, run, support_radius, sweep_s
+from .solver import SolverConfig, Trajectory, run, sweep_s
 from .scenarios import ScenarioSpec, list_scenarios, run_scenario, validate_config
 
 __version__ = "0.1.0"

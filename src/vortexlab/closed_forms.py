@@ -24,7 +24,6 @@ __all__ = [
     "TwoPatchState",
     "patch_density",
     "patch_mass",
-    "barenblatt_density",
     "barenblatt_density_radial",
     "barenblatt_support_radius",
     "barenblatt_full_mass",
@@ -145,13 +144,6 @@ def barenblatt_density_radial(spec: BarenblattSpec, r, t: float):
     r = np.asarray(r, dtype=float)
     arg = spec.c1 - spec.k1 * r * r * t ** (-2.0 * spec.alpha / spec.n)
     return t ** (-spec.alpha) * np.maximum(arg, 0.0) ** (1.0 - spec.s)
-
-
-def barenblatt_density(spec: BarenblattSpec, x, t: float):
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != spec.n:
-        raise ValueError(f"points must have trailing dimension {spec.n}")
-    return barenblatt_density_radial(spec, np.linalg.norm(x, axis=-1), t)
 
 
 def barenblatt_support_radius(spec: BarenblattSpec, t: float) -> float:

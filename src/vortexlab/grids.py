@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from math import gamma, pi
+from math import gamma, inf, pi
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "total_mass",
     "lp_norm",
     "second_moment",
+    "support_radius",
     "radial_average",
     "field_from_function",
     "reconstruct_from_profile",
@@ -66,8 +67,8 @@ class CartesianGrid:
             raise ValueError(f"Cartesian fields support n in {{1, 2}}, got n={self.n}")
         if self.cells < 8 or self.cells % 2 != 0:
             raise ValueError(f"cells must be even and >= 8, got {self.cells}")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < inf:
+            raise ValueError("half_width must be positive and finite")
 
     @property
     def h(self) -> float:
@@ -143,8 +144,8 @@ class RadialGrid:
             raise ValueError("dimension must be >= 1")
         if self.nodes < 16:
             raise ValueError(f"need at least 16 nodes, got {self.nodes}")
-        if not self.r_max > 0:
-            raise ValueError("r_max must be positive")
+        if not 0 < self.r_max < inf:
+            raise ValueError("r_max must be positive and finite")
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -229,6 +230,19 @@ def second_moment(field: DensityField, center=None) -> float:
     """h^n * sum of u_i |x_i - center|^2."""
     r = field.grid.radius(center)
     return field.grid.cell_volume * float((field.values * r * r).sum())
+
+
+SUPPORT_FLOOR = 0.01  # support_radius counts cells above this fraction of the peak
+
+
+def support_radius(field: DensityField) -> float:
+    """Largest distance from the origin to a cell holding more than
+    SUPPORT_FLOOR * max(u); 0 for an identically zero field."""
+    peak = float(field.values.max())
+    if peak == 0.0:
+        return 0.0
+    mask = field.values > SUPPORT_FLOOR * peak
+    return float(field.grid.radius()[mask].max())
 
 
 def field_from_function(grid: CartesianGrid, fn) -> DensityField:

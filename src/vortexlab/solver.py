@@ -9,9 +9,9 @@ reconstruction, advanced with two-stage SSP stepping (Gottlieb-Shu-Tadmor 2001).
 G_h is symmetric, so by summation by parts E_h = 1/2 h^n sum u p decays at the
 semi-discrete rate -h^n sum_faces (xi+^2 u_L + xi-^2 u_R) <= 0.  `run` steps at
 cfl * h over the largest cell speed (the sum over axes of the faster of the
-cell's two faces), clamped to the next output time.  It records diagnostics at
-each output time and hands that output's field to an optional `at_output(t, u)`
-hook, keeping only the last field.
+cell's two faces), clamped to the next output time.  At each output time it takes
+the record of `diagnostics._output_record` and hands that output's field to an
+optional `at_output(t, u)` hook, keeping only the last field.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
 the box must be sized so the support never reaches the boundary (checked
 against the support growth bound before a run starts).  Negative values
@@ -27,7 +27,6 @@ it: the two stages move density at most one cell each, so the halo cells and
 their MC slopes are zero and no flux crosses a face of W; the potential of u[W]
 is the whole-box convolution restricted to W up to FFT rounding, since u
 vanishes outside W; and outside supp u the velocity never enters the update.
-Full diagnostics records run on support windows too.
 """
 
 from __future__ import annotations
@@ -40,27 +39,9 @@ from math import isfinite
 
 import numpy as np
 
-from .burgers import mass_transform
-from .closed_forms import PatchSpec, patch_mass
-from .diagnostics import (
-    DiagnosticsRecord,
-    entropy_and_dissipation,
-    equilibrium_radius,
-    mollified_reference,
-    wasserstein_radial,
-)
-from .grids import (
-    CartesianGrid,
-    DensityField,
-    MassFunction,
-    RadialGrid,
-    lp_norm,
-    radial_average,
-    second_moment,
-    sphere_area,
-    total_mass,
-)
-from .potentials import _face_velocities, _support_window, energy
+from .diagnostics import _output_record
+from .grids import CartesianGrid, DensityField, sphere_area, support_radius, total_mass
+from .potentials import _face_velocities, _support_window
 
 __all__ = [
     "ConfigError",
@@ -70,12 +51,10 @@ __all__ = [
     "SweepReport",
     "run",
     "sweep_s",
-    "support_radius",
     "required_half_width",
 ]
 
 BOUND_SLACK = 0.05  # warn when max u * (t + 1/max u0) exceeds 1 + this
-SUPPORT_FLOOR = 0.01  # support_radius counts cells above this fraction of the peak
 BOX_MARGIN = 0.9  # the support growth bound must stay inside this share of the half-width
 STRIP_CELLS = 16384  # _advance sweeps a block in strips of about this many cells
 
@@ -105,8 +84,8 @@ class SolverConfig:
     diagnostics: str = "basic"  # or "full"
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ConfigError("t_end must be positive")
+        if not 0 < self.t_end < np.inf:
+            raise ConfigError("t_end must be positive and finite")
         outs = tuple(sorted(float(t) for t in self.output_times))
         if not outs:
             raise ConfigError("output_times must hold at least one time")
@@ -125,11 +104,10 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """The times and diagnostics rows of t=0 and the configured output times, the
-    field at the last of them, and run bookkeeping.  `run` hands each output's field
-    to its `at_output` hook and keeps only the last one."""
+    """The diagnostics rows of t=0 and the configured output times, each with its t,
+    the field at the last of them, and run bookkeeping.  `run` hands each output's
+    field to its `at_output` hook and keeps only the last one."""
 
-    times: list
     records: list
     config: SolverConfig
     last: DensityField
@@ -161,16 +139,6 @@ class Trajectory:
             "max_sup_bound_ratio": self.max_bound_ratio(),
             "warnings": list(self.warnings),
         }
-
-
-def support_radius(u: DensityField) -> float:
-    """Largest distance from the origin to a cell holding more than
-    SUPPORT_FLOOR * max(u); 0 for an identically zero field."""
-    peak = float(u.values.max())
-    if peak == 0.0:
-        return 0.0
-    mask = u.values > SUPPORT_FLOOR * peak
-    return float(u.grid.radius()[mask].max())
 
 
 def required_half_width(u0: DensityField, t_end: float) -> float:
@@ -319,39 +287,6 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, cfg: So
     return np.maximum(new, 0.0, out=new), clipped
 
 
-def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> float:
-    grid = u.grid
-    rgrid = RadialGrid(grid.n, 0.95 * grid.inradius(), max(64, grid.cells // 2))
-    m_run = mass_transform(radial_average(u, rgrid))
-    spec = PatchSpec(grid.n, radius=equilibrium_radius(mass, grid.n), tau=tau)
-    m_patch = MassFunction(rgrid, patch_mass(spec, rgrid.r, t))
-    # tiny quadrature mass mismatch between binned field and exact patch: rescale
-    scale = m_run.total / m_patch.total if m_patch.total > 0 else 1.0
-    m_patch = MassFunction(rgrid, scale * m_patch.values)
-    return wasserstein_radial(m_run, m_patch)
-
-
-def _make_record(u, t, tau, mass0, reference) -> DiagnosticsRecord:
-    """Basic diagnostics of u at time t, and the full ones when the run built a
-    reference density (n = 2, s = 1, positive mass)."""
-    peak = float(u.values.max())
-    rec = DiagnosticsRecord(
-        t=t,
-        mass=total_mass(u),
-        l1_norm=lp_norm(u, 1),
-        l2_norm=lp_norm(u, 2),
-        linf_norm=peak,
-        second_moment=second_moment(u),
-        support_radius=support_radius(u),
-        sup_bound_ratio=peak * (t + tau),
-    )
-    if reference is not None:
-        rec.energy = energy(u, 1.0, reference=reference)
-        rec.entropy, rec.dissipation = entropy_and_dissipation(u, t, mass0)
-        rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)
-    return rec
-
-
 def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig):
     """One SSP step of at most max_dt, computed on the support window of `vals` and
     written into a fresh zero array of the box.  Returns (dt, values, clipped mass);
@@ -392,10 +327,9 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
     tau = 1.0 / peak0 if peak0 > 0 else np.inf
     mass0 = total_mass(u0)
     full = cfg.diagnostics == "full" and grid.n == 2 and cfg.s == 1.0 and mass0 > 0
-    reference = mollified_reference(grid, mass0) if full else None
 
     t0 = _time.perf_counter()
-    traj = Trajectory([0.0], [_make_record(u0, 0.0, tau, mass0, reference)], cfg, u0)
+    traj = Trajectory([_output_record(u0, 0.0, tau, mass0, full)], cfg, u0)
     if at_output is not None:
         at_output(0.0, u0)
     t, vals = 0.0, u0.values
@@ -406,10 +340,9 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
             t += dt
             traj.steps += 1
         u = DensityField(grid, vals)
-        rec = _make_record(u, t, tau, mass0, reference)
+        rec = _output_record(u, t, tau, mass0, full)
         if rec.sup_bound_ratio > 1.0 + BOUND_SLACK:
             traj.warnings.append(f"sup bound ratio {rec.sup_bound_ratio:.4f} at t={t:.6g}")
-        traj.times.append(t)
         traj.records.append(rec)
         if at_output is not None:
             at_output(t, u)
@@ -428,7 +361,6 @@ class SweepReport:
     s_values: list
     distances: list  # L1 distance of each final state to the s=1 final state
     errors: dict
-    trajectories: dict
 
     @property
     def partial(self) -> bool:
@@ -470,4 +402,4 @@ def sweep_s(cfg: SolverConfig, u0: DensityField, s_values) -> SweepReport:
             distances.append(u0.grid.cell_volume * float(diff.sum()))
         else:
             distances.append(None)
-    return SweepReport(s_values, distances, errors, results)
+    return SweepReport(s_values, distances, errors)

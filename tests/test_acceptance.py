@@ -24,6 +24,7 @@ from vortexlab.grids import (
     RadialGrid,
     RadialProfile,
     field_from_function,
+    support_radius,
     total_mass,
 )
 from vortexlab.scenarios import _entropy_scale, _monotone_nonincreasing  # shared slack convention
@@ -186,8 +187,8 @@ def test_criterion_04_field_solver_patch(patch_run):
     spec = patch_run["spec"]
     drift = traj.mass_drift()
     worst_excess = max(
-        solver.support_radius(u) - spec.support_radius(t) * (1 + 3 * grid.h)
-        for t, u in zip(traj.times[1:], patch_run["fields"][1:])
+        support_radius(u) - spec.support_radius(rec.t) * (1 + 3 * grid.h)
+        for rec, u in zip(traj.records[1:], patch_run["fields"][1:])
     )
     ok = drift <= 1e-9 and patch_run["l1"] <= 0.05 and worst_excess <= 0.0 and patch_run["elapsed"] < 300
     report("04 field-solver-patch", ok,
@@ -217,9 +218,10 @@ def test_criterion_06_energy_entropy_monotone(patch_run, gaussian_run):
     # discrete dissipation identity on the gaussian run, away from the endpoints
     traj = gaussian_run["traj"]
     ents = [r.entropy for r in traj.records]
+    times = [r.t for r in traj.records]
     worst_rel = 0.0
     for k in range(1, len(ents) - 1):
-        rate = -(ents[k + 1] - ents[k - 1]) / (np.log1p(traj.times[k + 1]) - np.log1p(traj.times[k - 1]))
+        rate = -(ents[k + 1] - ents[k - 1]) / (np.log1p(times[k + 1]) - np.log1p(times[k - 1]))
         worst_rel = max(worst_rel, abs(rate - traj.records[k].dissipation) / traj.records[k].dissipation)
     ok = ok and worst_rel <= 0.15
     details.append(f"dissipation identity off by {worst_rel:.3f} <= 0.15")
@@ -243,10 +245,10 @@ def test_criterion_07_second_moment_constant(gaussian_run):
 def test_criterion_07_corrected_moment_laws(gaussian_run):
     traj = gaussian_run["traj"]
     mass = total_mass(gaussian_run["u0"])
-    m2 = [r.second_moment for r in traj.records]
-    renorm_dev = max(abs(m / (1 + t) - m2[0]) / m2[0] for t, m in zip(traj.times, m2))
+    m2 = traj.records[0].second_moment
+    renorm_dev = max(abs(r.second_moment / (1 + r.t) - m2) / m2 for r in traj.records)
     virial_dev = max(
-        abs(m - (m2[0] + t * mass**2 / (2 * pi))) / m2[0] for t, m in zip(traj.times, m2)
+        abs(r.second_moment - (m2 + r.t * mass**2 / (2 * pi))) / m2 for r in traj.records
     )
     report("07b corrected-moment-laws",
            renorm_dev <= 0.01 and virial_dev <= 0.01,
@@ -403,7 +405,8 @@ def test_criterion_13_fundamental_solution():
     offset = np.array([grid.h / 2, grid.h / 2])  # live cell center
     worst_l1 = 0.0
     worst_height = 0.0
-    for t, u in zip(traj.times[1:], fields[1:]):
+    for rec, u in zip(traj.records[1:], fields[1:]):
+        t = rec.t
         exact = field_from_function(grid, lambda p: closed_forms.patch_density(patch, p - offset, t))
         worst_l1 = max(worst_l1, grid.cell_volume * float(np.abs(u.values - exact.values).sum()) / pi)
         worst_height = max(worst_height, float(u.values.max()) * t)  # the universal bound u <= 1/t

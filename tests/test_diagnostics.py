@@ -26,6 +26,7 @@ from vortexlab.grids import (
     RadialProfile,
     field_from_function,
     second_moment,
+    support_radius,
     total_mass,
 )
 from vortexlab.potentials import _face_velocities, potential_values
@@ -303,8 +304,8 @@ class TestLongHorizonRelaxation:
         traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
         mass = total_mass(u0)
         errs = [
-            asymptotic_error(u, t, mass)
-            for t, u in zip(traj.times[1:], fields[1:])
+            asymptotic_error(u, rec.t, mass)
+            for rec, u in zip(traj.records[1:], fields[1:])
         ]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= 0.1 * mass
@@ -341,8 +342,6 @@ class TestPatchRecordTable:
             u = field_from_function(grid, lambda p: patch_density(spec, p, t))
             masses.append(total_mass(u))
             assert u.values.max() == 1.0 / (t + 1.0)  # same float expression
-            from vortexlab.solver import support_radius
-
             supports.append(support_radius(u))
             _, d = entropy_and_dissipation(u, t, masses[-1])
             assert d <= PATCH_DISSIPATION_PER_H * grid.h

@@ -118,6 +118,25 @@ class TestReductions:
         for p in (1, 2, 5, np.inf):
             assert lp_norm(ul, p) == pytest.approx(lam * lp_norm(u, p), rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        cells=st.sampled_from([8, 16, 64]),
+        half_width=st.floats(1e-3, 1e3),
+        scale=st.sampled_from([1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300]),
+        zeros=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_l1_norm_is_the_mass_bit_for_bit(self, n, cells, half_width, scale, zeros, seed):
+        # a diagnostics record stores its mass as its L1 norm, so for a nonnegative
+        # field the two reductions must agree in every bit
+        rng = np.random.default_rng(seed)
+        g = CartesianGrid(n, half_width, cells)
+        vals = scale * rng.random(g.shape)
+        vals[rng.random(g.shape) < zeros] = 0.0
+        u = DensityField(g, vals)
+        assert lp_norm(u, 1).hex() == total_mass(u).hex()
+
     def test_disk_mass_first_order_convergence(self):
         errs, hs = [], []
         for N in (64, 128, 256):

@@ -3,16 +3,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from math import pi
+from math import inf, nan, pi
 
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.closed_forms import PatchSpec, patch_density
-from vortexlab.diagnostics import mollified_reference
+from vortexlab.diagnostics import _output_record
 from vortexlab.grids import (
     CartesianGrid,
     DensityField,
+    RadialGrid,
     field_from_function,
+    support_radius,
     total_mass,
 )
 from vortexlab import solver
@@ -23,14 +25,12 @@ from vortexlab.solver import (
     SolverConfig,
     _advance,
     _face_velocities,
-    _make_record,
     _ssp_update,
     _stable_dt,
     _step,
     _support_window,
     required_half_width,
     run,
-    support_radius,
     sweep_s,
 )
 
@@ -109,6 +109,18 @@ class TestConfig:
             SolverConfig(t_end=1.0, output_times=(1.0,), s=5e-324)
         with pytest.raises(ConfigError, match="output_times must be finite"):
             SolverConfig(t_end=1.0, output_times=(0.5, float("nan"), 1.0))
+
+    @pytest.mark.parametrize("value", [inf, -inf, nan])
+    @pytest.mark.parametrize("build", [
+        lambda x: SolverConfig(t_end=x, output_times=(1.0,)),
+        lambda x: CartesianGrid(2, x, 16),
+        lambda x: RadialGrid(2, x, 16),
+    ], ids=["t_end", "half_width", "r_max"])
+    def test_non_finite_sizes_rejected(self, build, value):
+        # an infinite horizon or box would run to its first output and report inf,
+        # or give an infinite cell or a nan node spacing
+        with pytest.raises(ValueError, match="positive and finite"):
+            build(value)
 
 
 class TestStep:
@@ -208,7 +220,7 @@ class TestRun:
         traj = run(cfg, u0)
         assert traj.mass_drift() <= 1e-12
         assert traj.max_bound_ratio() <= 1.05
-        assert traj.times == pytest.approx([0.0, 0.5, 1.0])
+        assert [rec.t for rec in traj.records] == pytest.approx([0.0, 0.5, 1.0])
         assert traj.clipped_mass <= 1e-10
         assert not traj.warnings
 
@@ -264,19 +276,19 @@ class TestRun:
         # the hook gets u0 itself at t = 0 and each output's field once its record is
         # made; the trajectory keeps the last field, and each record's mass is its field's
         records = []
-        make_record = solver._make_record
+        output_record = solver._output_record
 
         def recording(*args):
-            records.append(make_record(*args))
+            records.append(output_record(*args))
             return records[-1]
 
-        monkeypatch.setattr(solver, "_make_record", recording)
+        monkeypatch.setattr(solver, "_output_record", recording)
         g = CartesianGrid(2, 4.0, 64)
         u0 = patch_field(g)
         cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.2, 0.3))
         seen = []
         traj = run(cfg, u0, at_output=lambda t, u: seen.append((t, u, len(records))))
-        assert [t for t, _, _ in seen] == traj.times
+        assert [t for t, _, _ in seen] == [rec.t for rec in traj.records]
         assert seen[0][1] is u0
         assert [k for _, _, k in seen] == [1, 2, 3, 4]
         assert np.array_equal(traj.final().values, seen[-1][1].values)
@@ -493,13 +505,13 @@ class TestAllocationBudget:
         assert self.peak_bytes(lambda: _step(g, vals, 1e-3, cfg)) <= 5 * vals.nbytes
 
     def test_full_diagnostics_record(self):
-        # the energy and entropy solves stay in the table's buffer, and the entropy's
-        # reference is gone before the dissipation's solve
+        # the energy and entropy solves stay in the table's buffer; the energy's reference,
+        # built inside the record, is gone once the energy returns, and the entropy's
+        # before the dissipation's solve
         g = CartesianGrid(2, 4.0, 384)
         u = DensityField(g, np.exp(-g.radius() ** 2))
         mass = total_mass(u)
-        reference = mollified_reference(g, mass)
-        record = lambda: _make_record(u, 0.1, 1.0, mass, reference)
+        record = lambda: _output_record(u, 0.1, 1.0, mass, True)
         record()  # builds and caches the kernel table
         assert self.peak_bytes(record) <= 4 * u.values.nbytes
 
@@ -596,10 +608,9 @@ class TestEnergyDissipationIdentity:
         )
         fields = []
         traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
-        for k in range(2, len(traj.times) - 1):
-            rate = (traj.records[k + 1].energy - traj.records[k - 1].energy) / (
-                traj.times[k + 1] - traj.times[k - 1]
-            )
+        recs = traj.records
+        for k in range(2, len(recs) - 1):
+            rate = (recs[k + 1].energy - recs[k - 1].energy) / (recs[k + 1].t - recs[k - 1].t)
             u = fields[k].values
             flux = 0.0
             for axis, xi in enumerate(_face_velocities(g, u, 1.0)):
@@ -641,9 +652,9 @@ class TestOrderOfAccuracy:
             u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
             traj = run(SolverConfig(t_end=3.0, output_times=(1.0, 2.0, 3.0)), u0)
             mass = total_mass(u0)
-            m2 = [r.second_moment for r in traj.records]
-            errors.append(max(abs(m - (m2[0] + t * mass**2 / (2 * pi))) / m2[0]
-                              for t, m in zip(traj.times, m2)))
+            m2 = traj.records[0].second_moment
+            errors.append(max(abs(r.second_moment - (m2 + r.t * mass**2 / (2 * pi))) / m2
+                              for r in traj.records))
         assert min(self.orders(errors)) >= 1.5, (errors, self.orders(errors))
 
 
