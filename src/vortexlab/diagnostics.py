@@ -187,15 +187,15 @@ def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> flo
     spec = PatchSpec(grid.n, radius=equilibrium_radius(mass, grid.n), tau=tau)
     m_patch = MassFunction(rgrid, patch_mass(spec, rgrid.r, t))
     # tiny quadrature mass mismatch between binned field and exact patch: rescale
-    scale = m_run.total / m_patch.total if m_patch.total > 0 else 1.0
+    scale = m_run.total / m_patch.total
     m_patch = MassFunction(rgrid, scale * m_patch.values)
     return wasserstein_radial(m_run, m_patch)
 
 
 def _output_record(u: DensityField, t: float, tau: float, mass0: float, full: bool) -> DiagnosticsRecord:
     """The record of a field run's output u at time t: the basic diagnostics, and with
-    `full` (n = 2, s = 1, positive mass) the energy against the reference bump of
-    mass0, the entropy and dissipation, and the W2 distance to the matched patch.
+    `full` (n = 2, s = 1) the energy against the reference bump of mass0 > 0, the
+    entropy and dissipation, and the W2 distance to the matched patch.
     For a nonnegative field the L1 norm is its mass, bit for bit."""
     peak = float(u.values.max())
     mass = total_mass(u)

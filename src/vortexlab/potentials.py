@@ -246,6 +246,18 @@ def _potential_view(grid: CartesianGrid, values: np.ndarray, s: float) -> np.nda
     return _convolve(values, _kernel_table(grid, s, values.shape), grid.cell_volume)
 
 
+def _cut(ndim: int, axis: int, start, stop) -> tuple:
+    """Index of the cells start:stop along `axis`, all cells along the other axes."""
+    return tuple(slice(start, stop) if k == axis else slice(None) for k in range(ndim))
+
+
+@lru_cache(maxsize=None)
+def _sides(ndim: int, axis: int) -> tuple:
+    """(lo, hi, first, last) along `axis`: the cells but the last, the cells but the
+    first, the first cell and the last cell."""
+    return tuple(_cut(ndim, axis, *ends) for ends in ((None, -1), (1, None), (None, 1), (-1, None)))
+
+
 def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) -> list:
     """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals, one array per axis:
     the transport velocity v = -grad p at the faces between neighbouring cells.  They
@@ -254,8 +266,7 @@ def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) 
     p = _potential_view(grid, vals, s)
     faces = []
     for axis in range(grid.n):
-        hi = tuple(slice(1, None) if k == axis else slice(None) for k in range(grid.n))
-        lo = tuple(slice(None, -1) if k == axis else slice(None) for k in range(grid.n))
+        lo, hi = _sides(grid.n, axis)[:2]
         xi = np.subtract(p[hi], p[lo], out=None if out is None else out[axis])
         xi /= -grid.h
         faces.append(xi)

@@ -125,12 +125,12 @@ def _grid(params) -> CartesianGrid:
 
 
 def _field_inputs(params, u0, diagnostics="basic") -> dict:
-    """A field run's u0 and SolverConfig (output at t_end only without output_times), box-checked."""
+    """A field run's admitted u0 and SolverConfig (output at t_end only without output_times)."""
     cfg = solver.SolverConfig(
         t_end=params["t_end"], output_times=tuple(params.get("output_times", [params["t_end"]])),
         cfl=params["cfl"], diagnostics=diagnostics,
     )
-    solver.check_box_admissible(u0, cfg.t_end)
+    solver.check_initial_data(u0, cfg.t_end)
     return {"u0": u0, "cfg": cfg}
 
 
@@ -170,15 +170,17 @@ def _build_non_comparison(params) -> dict:
         grid, lambda p: closed_forms.two_patch_state(spec, np.linalg.norm(p, axis=-1), 0.0).density
     )
     u2_0 = field_from_function(grid, lambda p: closed_forms.patch_density(small, p, 0.0))
-    return {**_field_inputs(params, u1_0), "u2_0": u2_0, "spec": spec, "small": small, "x0": x0}
+    inputs = _field_inputs(params, u1_0)
+    solver.check_initial_data(u2_0, inputs["cfg"].t_end)
+    return {**inputs, "u2_0": u2_0, "spec": spec, "small": small, "x0": x0}
 
 
 def _build_asymptotics(params) -> dict:
     times = params["radial_times"]
     if len(times) < 2 or times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("radial_times must hold at least 2 positive, strictly increasing times")
-    if min(params["peak"], params["radial_width_sq"]) <= 0:
-        raise ValueError("peak and radial_width_sq must be positive")
+    if min(params["peak"], params["radial_width_sq"], params["radial_mass"]) <= 0:
+        raise ValueError("peak, radial_width_sq and radial_mass must be positive")
     peak = params["peak"]
     width_sq = params["mass"] / (2.0 * pi * peak)
     u0 = field_from_function(

@@ -13,10 +13,10 @@ cell's two faces), clamped to the next output time.  At each output time it take
 the record of `diagnostics._output_record` and hands that output's field to an
 optional `at_output(t, u)` hook, keeping only the last field.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
-the box must be sized so the support never reaches the boundary (checked
-against the support growth bound before a run starts).  Negative values
-produced by rounding are clipped at zero and the clipped mass is accumulated
-in a ledger.
+the box must be sized so the support never reaches the boundary.  Before a run
+starts, `check_initial_data` admits only initial data with positive mass and a
+box that holds the support growth bound.  Negative values produced by rounding
+are clipped at zero and the clipped mass is accumulated in a ledger.
 
 Each step works on the support window W of `potentials._support_window`: the
 bounding box of u > 0 plus a WINDOW_HALO-cell halo per side, each side rounded
@@ -41,7 +41,7 @@ import numpy as np
 
 from .diagnostics import _output_record
 from .grids import CartesianGrid, DensityField, sphere_area, support_radius, total_mass
-from .potentials import _face_velocities, _support_window
+from .potentials import _cut, _face_velocities, _sides, _support_window
 
 __all__ = [
     "ConfigError",
@@ -121,8 +121,7 @@ class Trajectory:
 
     def mass_drift(self) -> float:
         m0 = self.records[0].mass
-        worst = max(abs(rec.mass - m0) for rec in self.records)
-        return worst / m0 if m0 > 0 else worst
+        return max(abs(rec.mass - m0) for rec in self.records) / m0
 
     def max_bound_ratio(self) -> float:
         return max(r.sup_bound_ratio for r in self.records)
@@ -158,30 +157,21 @@ def required_half_width(u0: DensityField, t_end: float) -> float:
     return min(bounded, measure) / BOX_MARGIN
 
 
-def check_box_admissible(u0: DensityField, t_end: float) -> None:
+def check_initial_data(u0: DensityField, t_end: float) -> None:
+    """Admit u0 for a run to t_end: it must put positive mass on the grid, and its box
+    must hold the support growth bound of `required_half_width`."""
+    if not total_mass(u0) > 0.0:
+        raise ConfigError("initial data must put positive mass on the grid")
     need = required_half_width(u0, t_end)
     if need > u0.grid.half_width:
         raise ConfigError(
             f"box too small for horizon T={t_end}: the support growth bound "
-            f"R0(1+||u0||inf T)^(1/n) needs half-width >= {need:.4g}, "
-            f"grid has {u0.grid.half_width:.4g}"
+            f"needs half-width >= {need:.4g}, grid has {u0.grid.half_width:.4g}"
         )
 
 
 # ---------------------------------------------------------------------------
 # the explicit update
-
-
-def _cut(ndim: int, axis: int, start, stop) -> tuple:
-    """Index of the cells start:stop along `axis`, all cells along the other axes."""
-    return tuple(slice(start, stop) if k == axis else slice(None) for k in range(ndim))
-
-
-@lru_cache(maxsize=None)
-def _sides(ndim: int, axis: int) -> tuple:
-    """(lo, hi, first, last) along `axis`: the cells but the last, the cells but the
-    first, the first cell and the last cell."""
-    return tuple(_cut(ndim, axis, *ends) for ends in ((None, -1), (1, None), (None, 1), (-1, None)))
 
 
 @lru_cache(maxsize=64)
@@ -289,11 +279,8 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, cfg: So
 
 def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig):
     """One SSP step of at most max_dt, computed on the support window of `vals` and
-    written into a fresh zero array of the box.  Returns (dt, values, clipped mass);
-    a zero field takes one step of max_dt and stays zero."""
+    written into a fresh zero array of the box.  Returns (dt, values, clipped mass)."""
     window = _support_window(vals)
-    if window is None:
-        return max_dt, vals, 0.0
     block = vals[window]
     faces = _face_velocities(grid, block, cfg.s)
     dt = min(_stable_dt(grid, faces, cfg.cfl), max_dt)
@@ -321,12 +308,10 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
         traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
     """
     grid = u0.grid
-    peak0 = float(u0.values.max())
-    if peak0 > 0.0:
-        check_box_admissible(u0, cfg.t_end)
-    tau = 1.0 / peak0 if peak0 > 0 else np.inf
+    check_initial_data(u0, cfg.t_end)
+    tau = 1.0 / float(u0.values.max())
     mass0 = total_mass(u0)
-    full = cfg.diagnostics == "full" and grid.n == 2 and cfg.s == 1.0 and mass0 > 0
+    full = cfg.diagnostics == "full" and grid.n == 2 and cfg.s == 1.0
 
     t0 = _time.perf_counter()
     traj = Trajectory([_output_record(u0, 0.0, tau, mass0, full)], cfg, u0)

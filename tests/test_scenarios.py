@@ -159,6 +159,12 @@ class TestValidateConfig:
         {"scenario": "barenblatt-limit", "params": {"s_values": [0.6, 0.6]}},
         {"scenario": "s-sweep", "params": {"cells": 32, "s_values": [0.85, 0.85, 1.0]}},
         {"scenario": "s-sweep", "params": {"cells": 32, "s_values": [5e-324, 1.0]}},
+        {"scenario": "vortex-patch", "params": {"cells": 32, "radius": 0.001}},
+        {"scenario": "radial-vs-field", "params": {"cells": 32, "radius": 0.001}},
+        {"scenario": "s-sweep", "params": {"cells": 32, "radius": 0.001}},
+        {"scenario": "non-comparison", "params": {"cells": 32, "small_radius": 0.001}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "mass": 1e-300}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_mass": 0.0}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -174,7 +180,10 @@ class TestValidateConfig:
             "non-comparison-negative-small-radius", "dirac-zero-mass", "asymptotics-zero-peak",
             "asymptotics-zero-radial-width-sq", "barenblatt-negative-r-max",
             "barenblatt-one-radial-point", "dirac-negative-mass", "barenblatt-repeated-s-values",
-            "s-sweep-repeated-s-values", "s-sweep-subnormal-s"])
+            "s-sweep-repeated-s-values", "s-sweep-subnormal-s", "vortex-patch-massless-patch",
+            "radial-vs-field-massless-patch", "s-sweep-massless-patch",
+            "non-comparison-massless-small-patch", "asymptotics-massless-gaussian",
+            "asymptotics-zero-radial-mass"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

@@ -126,13 +126,6 @@ class TestConfig:
 class TestStep:
     # run() clamps each step to the next output time, so an output time below the
     # stable step gives exactly one step of that size
-    def test_zero_field_stays_zero(self):
-        g = CartesianGrid(2, 2.0, 32)
-        cfg = SolverConfig(t_end=1e-3, output_times=(1e-3,))
-        traj = run(cfg, DensityField(g, np.zeros(g.shape)))
-        assert traj.steps == 1
-        np.testing.assert_array_equal(traj.final().values, 0.0)
-
     def test_single_cell_mass_preserved(self):
         g = CartesianGrid(2, 2.0, 32)
         vals = np.zeros(g.shape)
@@ -190,17 +183,13 @@ class TestBoxSizing:
 
 
 class TestRun:
-    def test_zero_initial_data(self):
-        # zero data has no mass to build a reference density from, so a full
-        # run records the basic diagnostics only
+    @pytest.mark.parametrize("diagnostics", ["basic", "full"])
+    def test_zero_initial_data_rejected(self, diagnostics):
+        # every record and check is measured against the initial mass or 1/max u0
         g = CartesianGrid(2, 2.0, 32)
-        for diagnostics in ("basic", "full"):
-            cfg = SolverConfig(t_end=0.5, output_times=(0.25, 0.5), diagnostics=diagnostics)
-            fields = []
-            traj = run(cfg, DensityField(g, np.zeros(g.shape)), at_output=lambda t, u: fields.append(u))
-            for f in fields:
-                np.testing.assert_array_equal(f.values, 0.0)
-            assert all(rec.entropy is None and rec.energy is None for rec in traj.records)
+        cfg = SolverConfig(t_end=0.5, output_times=(0.25, 0.5), diagnostics=diagnostics)
+        with pytest.raises(ConfigError, match="positive mass"):
+            run(cfg, DensityField(g, np.zeros(g.shape)))
 
     def test_full_diagnostics_need_unit_exponent(self):
         # entropy, dissipation and the patch distance are the s = 1 functionals,
