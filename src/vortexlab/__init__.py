@@ -45,12 +45,7 @@ from .burgers import (
     run_finite_volume,
     step_finite_volume,
 )
-from .potentials import (
-    bilinear_form,
-    energy,
-    radial_energy,
-    radial_velocity,
-)
+from .potentials import energy
 from .diagnostics import (
     DiagnosticsRecord,
     asymptotic_error,

@@ -27,6 +27,7 @@ __all__ = [
     "evolve_to_mass_function",
     "interfaces_at",
     "step_finite_volume",
+    "check_reach",
     "run_finite_volume",
     "radial_speed_values",
     "check_monotone_inequalities",
@@ -185,8 +186,8 @@ def radial_speed_values(m: MassFunction) -> np.ndarray:
 def step_finite_volume(m: MassFunction, dt: float) -> MassFunction:
     """One Godunov step; M >= 0 means the flux upwinds from the left.
 
-    Requires dt * max(M) / dsigma <= 1.  Monotone data stays monotone and the
-    bounds 0 <= M <= total are preserved; both are asserted on the result.
+    Requires dt * max(M) / dsigma <= 1, under which monotone data stays monotone;
+    the result's MassFunction rejects a step that is not.
     """
     d_sigma = m.grid.d_sigma
     vmax = float(m.values.max())
@@ -200,9 +201,21 @@ def step_finite_volume(m: MassFunction, dt: float) -> MassFunction:
     new = m.values.copy()
     new[1:] -= (dt / d_sigma) * (flux[1:] - flux[:-1])
     new[0] -= (dt / d_sigma) * flux[0]  # nothing enters from sigma < 0
-    if np.min(np.diff(new)) < -1e-12 * (1.0 + abs(new[-1])):
-        raise RuntimeError("finite-volume step lost monotonicity")
     return MassFunction(m.grid, new)
+
+
+def check_reach(sigma, mass, t_end: float) -> None:
+    """Admit nondecreasing mass data M(sigma) on [0, sigma[-1]] for a run to t_end.  A
+    characteristic moves at the speed M <= M_total, so no mass leaves through sigma[-1]
+    while sigma_q + t_end M_total <= sigma[-1], sigma_q the first node where M reaches
+    (1 - 1e-12) M_total."""
+    total = float(mass[-1])
+    reach = float(sigma[np.argmax(mass >= (1.0 - 1e-12) * total)]) + t_end * total
+    if reach > sigma[-1]:
+        raise ValueError(
+            f"mass leaves the radial grid by t={t_end:.6g}: characteristics reach "
+            f"sigma = {reach:.4g}, beyond its end sigma_max = {sigma[-1]:.4g}"
+        )
 
 
 def run_finite_volume(m0: MassFunction, times, cfl: float = 0.9):

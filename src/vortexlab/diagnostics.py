@@ -182,7 +182,7 @@ def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> flo
     """W2 between the radial mass profile of u and the expanding patch of `mass` and
     lifetime offset tau at time t, its mass rescaled to the profile's."""
     grid = u.grid
-    rgrid = RadialGrid(grid.n, 0.95 * grid.inradius(), max(64, grid.cells // 2))
+    rgrid = RadialGrid(grid.n, 0.95 * grid.half_width, max(64, grid.cells // 2))
     m_run = mass_transform(radial_average(u, rgrid))
     spec = PatchSpec(grid.n, radius=equilibrium_radius(mass, grid.n), tau=tau)
     m_patch = MassFunction(rgrid, patch_mass(spec, rgrid.r, t))

@@ -32,7 +32,6 @@ __all__ = [
     "support_radius",
     "radial_average",
     "field_from_function",
-    "reconstruct_from_profile",
     "write_grid_array",
     "read_grid_array",
     "write_grid_csv",
@@ -93,18 +92,12 @@ class CartesianGrid:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
-    def radius(self, center=None) -> np.ndarray:
-        """Distance of each cell center from `center` (default: origin)."""
-        center = np.zeros(self.n) if center is None else np.asarray(center, dtype=float)
+    def radius(self) -> np.ndarray:
+        """Distance of each cell center from the origin."""
         x = self.axis_centers()
-        sq = [(x - center[k]) ** 2 for k in range(self.n)]
-        r2 = sq[0] if self.n == 1 else np.add.outer(sq[0], sq[1])
+        sq = x**2
+        r2 = sq if self.n == 1 else np.add.outer(sq, sq)
         return np.sqrt(r2, out=r2)
-
-    def inradius(self, center=None) -> float:
-        """Distance from `center` to the nearest box face."""
-        center = np.zeros(self.n) if center is None else np.asarray(center, dtype=float)
-        return float(self.half_width - np.max(np.abs(center)))
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -226,9 +219,9 @@ def lp_norm(field: DensityField, p) -> float:
     return float((field.grid.cell_volume * (field.values**p).sum()) ** (1.0 / p))
 
 
-def second_moment(field: DensityField, center=None) -> float:
-    """h^n * sum of u_i |x_i - center|^2."""
-    r = field.grid.radius(center)
+def second_moment(field: DensityField) -> float:
+    """h^n * sum of u_i |x_i|^2."""
+    r = field.grid.radius()
     return field.grid.cell_volume * float((field.values * r * r).sum())
 
 
@@ -251,7 +244,7 @@ def field_from_function(grid: CartesianGrid, fn) -> DensityField:
     return DensityField(grid, np.asarray(fn(pts), dtype=float))
 
 
-def radial_average(field: DensityField, rgrid: RadialGrid, center=None) -> RadialProfile:
+def radial_average(field: DensityField, rgrid: RadialGrid) -> RadialProfile:
     """Bin-average a (approximately radial) field onto a radial grid.
 
     Cells are assigned to the radial node whose half-open annulus [midpoint to
@@ -260,13 +253,12 @@ def radial_average(field: DensityField, rgrid: RadialGrid, center=None) -> Radia
     this is the volume-weighted mean and preserves mass to O(h)).  Empty bins
     are filled by linear interpolation from their populated neighbors.
     """
-    if rgrid.r_max > field.grid.inradius(center):
+    if rgrid.r_max > field.grid.half_width:
         raise ValueError(
-            f"radial grid reaches r={rgrid.r_max} beyond the box inradius "
-            f"{field.grid.inradius(center):.6g}"
+            f"radial grid reaches r={rgrid.r_max} beyond the box half-width {field.grid.half_width:.6g}"
         )
     nodes_r = rgrid.r
-    r_cells = field.grid.radius(center).ravel()
+    r_cells = field.grid.radius().ravel()
     inside = r_cells <= nodes_r[-1]
     r_cells, vals = r_cells[inside], field.values.ravel()[inside]
     edges = np.concatenate([[0.0], 0.5 * (nodes_r[1:] + nodes_r[:-1]), [nodes_r[-1]]])
@@ -283,13 +275,6 @@ def radial_average(field: DensityField, rgrid: RadialGrid, center=None) -> Radia
             raise ValueError("no grid cells fall inside the radial grid")
         out[~filled] = np.interp(nodes_r[~filled], nodes_r[filled], out[filled])
     return RadialProfile(rgrid, np.maximum(out, 0.0))
-
-
-def reconstruct_from_profile(grid: CartesianGrid, profile: RadialProfile, center=None) -> DensityField:
-    """Evaluate a radial profile back onto a Cartesian grid (linear in r, 0 beyond r_max)."""
-    r = grid.radius(center)
-    vals = np.interp(r, profile.grid.r, profile.values, right=0.0)
-    return DensityField(grid, np.maximum(vals, 0.0))
 
 
 # ---------------------------------------------------------------------------

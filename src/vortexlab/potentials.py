@@ -1,5 +1,5 @@
-"""Nonlocal operators: scalar potentials p = (-Lap)^{-s} u and their face
-velocities, energies, and the fractional bilinear form.
+"""Nonlocal operators: scalar potentials p = (-Lap)^{-s} u, their face velocities
+and the interaction energy.
 
 All Cartesian convolutions are free-space: fields are compactly supported in
 the box (or in the block of it that is passed), the kernel is tabulated on
@@ -31,23 +31,12 @@ from math import gamma, pi
 
 import numpy as np
 
-from .burgers import mass_transform, radial_speed_values
-from .grids import (
-    CartesianGrid,
-    DensityField,
-    MassFunction,
-    RadialProfile,
-    sphere_area,
-)
+from .grids import CartesianGrid, DensityField
 
 __all__ = [
     "velocity_constant",
     "potential_values",
-    "radial_velocity",
     "energy",
-    "radial_energy",
-    "bilinear_form",
-    "bilinear_limit_constant",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -273,13 +262,8 @@ def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) 
     return faces
 
 
-def radial_velocity(m: MassFunction) -> RadialProfile:
-    """Radial speed profile v(r) = M(r)/r^{n-1} with v(0) = 0."""
-    return RadialProfile(m.grid, np.maximum(radial_speed_values(m), 0.0))
-
-
 # ---------------------------------------------------------------------------
-# energies
+# interaction energy
 
 
 def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = None) -> float:
@@ -314,83 +298,3 @@ def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = Non
     if masses is not None:  # the Riesz kernel's constant C / (n - 2s), left out of G_h
         pairing += velocity_constant(grid.n, s) / (grid.n - 2.0 * s) * cv**2 * masses
     return pairing
-
-
-def radial_energy(u: RadialProfile) -> float:
-    """int u p dx for a radial density with s = 1 in dimension n >= 3.
-
-    Uses p(r) = int_r^inf M(rho) rho^{1-n} drho, with the exact exterior tail
-    M_tot r_max^{2-n}/(n-2); the profile must vanish at the last node.
-    """
-    n = u.grid.n
-    if n < 3:
-        raise ValueError("radial s=1 energy requires n >= 3")
-    if u.values[-1] != 0.0:
-        raise ValueError("profile must be compactly supported inside the radial grid")
-    m = mass_transform(u)
-    r = u.grid.r
-    g = np.zeros_like(m.values)
-    g[1:] = m.values[1:] / r[1:] ** (n - 1)
-    seg = 0.5 * (g[1:] + g[:-1]) * np.diff(r)
-    inner = np.concatenate([[0.0], np.cumsum(seg)])
-    p = (inner[-1] - inner) + m.total * u.grid.r_max ** (2 - n) / (n - 2)
-    integrand = u.values * p
-    return sphere_area(n) * float(np.trapezoid(integrand, u.grid.sigma))
-
-
-# ---------------------------------------------------------------------------
-# fractional bilinear form
-
-
-def bilinear_limit_constant(n: int) -> float:
-    """Limit factor of the form as s -> 1: B_s(v,v) -> K_n |S^{n-1}| ||v||_2^2 with
-    K_n = Gamma(n/2)/pi^{n/2}, i.e. the product equals 2 in every dimension."""
-    return gamma(n / 2.0) / pi ** (n / 2.0) * sphere_area(n)
-
-
-def _bb_constant(n: int, s: float) -> float:
-    r = 1.0 - s
-    return 4.0**r * r * gamma(n / 2.0 + r) / (pi ** (n / 2.0) * gamma(1.0 - r))
-
-
-def bilinear_form(v: DensityField, w: DensityField, s: float) -> float:
-    """Symmetric fractional form B_s(v, w) for s in (0, 1) via the difference
-    representation
-
-        C(n,1-s) iint (v(x)-v(y)) (w(x)-w(y)) |x-y|^{-(n+2-2s)} dx dy.
-
-    The double integral over the box is a direct pair sum (keep the fields
-    small: at most ~4096 cells).  Pairs with one point outside the box reduce
-    to 2 int v w tau with tau(x) the kernel's integral over the box complement;
-    tau is evaluated exactly as a spherical tail plus a lattice correction.
-    Without that tail the s -> 1 limit would be lost to truncation, since the
-    divergent part of the form lives at |x-y| -> infinity.
-    """
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError("bilinear form requires s in (0,1); at s=1 it degenerates to 2||v||_2^2")
-    if v.grid != w.grid:
-        raise ValueError("fields must share a grid")
-    grid = v.grid
-    ncells = grid.cells**grid.n
-    if ncells > 4200:
-        raise ValueError(f"bilinear_form is O(cells^2); {ncells} cells is too large")
-    beta = grid.n + 2.0 - 2.0 * s
-    pts = np.stack([c.ravel() for c in grid.centers()], axis=1)
-    vv = v.values.ravel()
-    ww = w.values.ravel()
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    with np.errstate(divide="ignore"):
-        kern = dist**-beta
-    np.fill_diagonal(kern, 0.0)
-    pair = float(((vv[:, None] - vv[None, :]) * (ww[:, None] - ww[None, :]) * kern).sum())
-    pair *= grid.cell_volume**2
-
-    # tail: tau(x) = int_{outside box} |x-y|^{-beta} dy
-    d_boundary = grid.half_width - np.abs(pts).max(axis=1)
-    sphere_tail = sphere_area(grid.n) * d_boundary ** (2.0 * s - 2.0) / (2.0 - 2.0 * s)
-    inside_far = (kern * (dist > d_boundary[:, None])).sum(axis=1) * grid.cell_volume
-    tau = sphere_tail - inside_far
-    tail = 2.0 * float((vv * ww * tau).sum()) * grid.cell_volume
-    return _bb_constant(grid.n, s) * (pair + tail)

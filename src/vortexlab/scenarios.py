@@ -190,7 +190,9 @@ def _build_asymptotics(params) -> dict:
     r_width_sq = params["radial_width_sq"]
     m_rad = params["radial_mass"]
     u0r = RadialProfile(rgrid, (m_rad / r_width_sq) * np.exp(-rgrid.r**2 / (2 * r_width_sq)))
-    return {**_field_inputs(params, u0, "full"), "rgrid": rgrid, "m0": burgers.mass_transform(u0r)}
+    m0 = burgers.mass_transform(u0r)
+    burgers.check_reach(rgrid.sigma, m0.values, times[-1])
+    return {**_field_inputs(params, u0, "full"), "rgrid": rgrid, "m0": m0}
 
 
 def _build_dirac(params) -> dict:
@@ -217,6 +219,7 @@ def _build_two_patch(params) -> dict:
     sigma = knots_r**2 / 2
     mass = closed_forms.two_patch_state(spec, knots_r, 0.0).mass
     sol = burgers.CharacteristicSolution(2, sigma, mass)
+    burgers.check_reach(sigma, mass, max(params["fv_time"], *params["check_times"]))
     rgrids = [RadialGrid(2, (2 * sigma_max) ** 0.5, nodes) for nodes in params["fv_nodes"]]
     return {"spec": spec, "sol": sol, "rgrids": rgrids}
 
@@ -304,7 +307,7 @@ def _scenario_vortex_patch(params, rng, outdir, u0, cfg, spec):
     grid = u0.grid
     traj = solver.run(cfg, u0)
     exact = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, params["t_end"]))
-    err = _l1_rel(traj.final(), exact, total_mass(u0))
+    err = _l1_rel(traj.last, exact, total_mass(u0))
     checks = [
         Check("mass-conservation", "relative mass drift <= 1e-9 (conservative flux form)",
               traj.mass_drift(), "1e-9", traj.mass_drift() <= 1e-9),
@@ -337,8 +340,8 @@ def _scenario_vortex_patch(params, rng, outdir, u0, cfg, spec):
     checks.append(Check("dissipation-smallness", "entropy dissipation of the patch stays O(h)",
                         d_max, f"{d_cap:.4g}", d_max <= d_cap))
     diagnostics.write_records_csv(traj.records, Path(outdir) / "diagnostics.csv")
-    write_grid_array(grid, traj.final().values, Path(outdir) / "final_field.bin")
-    write_grid_csv(grid, {"u": traj.final().values}, Path(outdir) / "final_field.csv")
+    write_grid_array(grid, traj.last.values, Path(outdir) / "final_field.bin")
+    write_grid_csv(grid, {"u": traj.last.values}, Path(outdir) / "final_field.csv")
     (Path(outdir) / "run_summary.json").write_text(json.dumps(traj.summary(), indent=2))
     return checks, ["diagnostics.csv", "final_field.bin", "final_field.csv", "run_summary.json"]
 
@@ -414,11 +417,11 @@ def _scenario_non_comparison(params, rng, outdir, u0, cfg, u2_0, spec, small, x0
                         1.0 if ordered else 0.0, "true", ordered))
     tr1 = solver.run(cfg, u0)
     tr2 = solver.run(cfg, u2_0)
-    margin = _interp_at(tr2.final(), x0) - _interp_at(tr1.final(), x0)
+    margin = _interp_at(tr2.last, x0) - _interp_at(tr1.last, x0)
     checks.append(Check(
         "solver-reversal", "field solver reproduces u2 - u1 >= 0.05 at x0 at t_end",
         margin, ">= 0.05", margin >= 0.05))
-    write_grid_csv(grid, {"u1": tr1.final().values, "u2": tr2.final().values},
+    write_grid_csv(grid, {"u1": tr1.last.values, "u2": tr2.last.values},
                    Path(outdir) / "final_fields.csv")
     return checks, ["final_fields.csv"]
 

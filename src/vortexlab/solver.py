@@ -116,9 +116,6 @@ class Trajectory:
     steps: int = 0
     wall_time: float = 0.0
 
-    def final(self) -> DensityField:
-        return self.last
-
     def mass_drift(self) -> float:
         m0 = self.records[0].mass
         return max(abs(rec.mass - m0) for rec in self.records) / m0
@@ -383,7 +380,7 @@ def sweep_s(cfg: SolverConfig, u0: DensityField, s_values) -> SweepReport:
     ref = results.get(1.0)
     for s in s_values:
         if s in results and ref is not None:
-            diff = np.abs(results[s].final().values - ref.final().values)
+            diff = np.abs(results[s].last.values - ref.last.values)
             distances.append(u0.grid.cell_volume * float(diff.sum()))
         else:
             distances.append(None)

@@ -54,7 +54,7 @@ def patch_run():
     )
     fields = []
     traj = solver.run(cfg, u0, at_output=lambda t, u: fields.append(u))
-    err = grid.cell_volume * float(np.abs(traj.final().values - exact.values).sum()) / total_mass(u0)
+    err = grid.cell_volume * float(np.abs(traj.last.values - exact.values).sum()) / total_mass(u0)
     return {"traj": traj, "fields": fields, "l1": err, "grid": grid, "spec": spec, "u0": u0,
             "elapsed": time.perf_counter() - start}
 
@@ -280,8 +280,8 @@ def test_criterion_08_non_comparison():
     x = grid.axis_centers()
     i = int(np.searchsorted(x, 2.5))
     j = int(np.searchsorted(x, 0.0))
-    margin = float(tr2.final().values[i - 1:i + 1, j - 1:j + 1].mean()
-                   - tr1.final().values[i - 1:i + 1, j - 1:j + 1].mean())
+    margin = float(tr2.last.values[i - 1:i + 1, j - 1:j + 1].mean()
+                   - tr1.last.values[i - 1:i + 1, j - 1:j + 1].mean())
     elapsed = time.perf_counter() - start
     report("08 non-comparison",
            closed_ok and margin >= 0.05 and elapsed < 300,

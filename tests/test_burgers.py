@@ -11,7 +11,9 @@ from vortexlab.burgers import (
     evolve_characteristics_bisection,
     evolve_to_mass_function,
     interfaces_at,
+    check_reach,
     mass_transform,
+    radial_speed_values,
     run_finite_volume,
     step_finite_volume,
     write_radial_trajectory_csv,
@@ -86,6 +88,49 @@ class TestDensityFromMass:
         np.testing.assert_allclose(u.values[(r > 0.1) & (r < 0.9)], 1.0, atol=0.02)
         np.testing.assert_allclose(u.values[(r > 1.1) & (r < 1.9)], 0.0, atol=0.02)
         np.testing.assert_allclose(u.values[(r > 2.1) & (r < 2.9)], 0.25, atol=0.02)
+
+
+class TestRadialSpeed:
+    def test_zero_mass(self):
+        rg = RadialGrid(2, 2.0, 32)
+        v = radial_speed_values(MassFunction(rg, np.zeros(32)))
+        np.testing.assert_array_equal(v, 0.0)
+
+    def test_patch_interior_speed(self):
+        # M = sigma/t inside the support: v = r/(n t)
+        spec = PatchSpec(2, 1.0, tau=0.0)
+        t = 2.0
+        rg = RadialGrid(2, 3.0, 256)
+        m = MassFunction(rg, patch_mass(spec, rg.r, t))
+        v = radial_speed_values(m)
+        inside = (rg.r > 0) & (rg.r < spec.support_radius(t))
+        np.testing.assert_allclose(v[inside], rg.r[inside] / (2 * t), rtol=1e-12)
+
+    def test_two_patch_speed_piecewise_form(self):
+        # v is continuous: r/(n(t+tau1)) inside, plateau/r across the vacuum,
+        # r/(n(t+tau2)) in the annulus, total/r outside
+        spec = TwoPatchSpec(2, 1.0, 1.0, 2.0, 3.0)
+        rg = RadialGrid(2, 6.0, 4096)
+        t = 1.0
+        s1, s2, s3 = spec.interfaces(t)
+        m = MassFunction(rg, two_patch_state(spec, rg.r, t).mass)
+        v = radial_speed_values(m)
+        r = rg.r
+        plateau = spec.c1 * spec.r1**2 / 2
+        expected = np.select(
+            [r <= s1, r <= s2, r <= s3],
+            [r / (2 * (t + spec.tau1)), plateau / np.maximum(r, 1e-12),
+             r / (2 * (t + spec.tau2))],
+            default=spec.radial_total() / np.maximum(r, 1e-12),
+        )
+        np.testing.assert_allclose(v[1:], expected[1:], rtol=1e-10)
+        jumps = np.abs(np.diff(v[1:]))  # away from the origin node the profile is continuous
+        assert jumps.max() < 0.02
+
+    def test_origin_value(self):
+        rg = RadialGrid(2, 2.0, 32)
+        v = radial_speed_values(MassFunction(rg, rg.sigma.copy()))
+        assert v[0] == 0.0
 
 
 class TestCharacteristics:
@@ -222,6 +267,14 @@ class TestFiniteVolume:
         for t, m in run_finite_volume(m0, [0.5, 1.0, 2.0], cfl=0.9)[1:]:
             u = density_from_mass(m)
             assert u.values.max() <= 1.0 / t + 5 * rg.d_sigma + 0.02
+
+    def test_reach_admits_runs_that_keep_the_mass(self):
+        # the outer interface leaves sigma = r3^2/2 at the speed M_total
+        sol = two_patch_solution()
+        t_fit = (sol.sigma_knots[-1] - TWO_PATCH.r3**2 / 2) / sol.total
+        check_reach(sol.sigma_knots, sol.mass_knots, 0.99 * t_fit)
+        with pytest.raises(ValueError, match="leaves the radial grid"):
+            check_reach(sol.sigma_knots, sol.mass_knots, 1.01 * t_fit)
 
 
 class TestMonotoneInequalities:

@@ -13,7 +13,6 @@ from vortexlab.grids import (
     lp_norm,
     radial_average,
     read_grid_array,
-    reconstruct_from_profile,
     second_moment,
     sphere_area,
     total_mass,
@@ -100,12 +99,6 @@ class TestReductions:
         u = disk_field(N=256, R=1.0)
         assert second_moment(u) == pytest.approx(pi / 2, rel=0.02)
 
-    def test_parallel_axis_identity(self):
-        u = disk_field(N=128)
-        d = np.array([0.25, -0.5])
-        shifted = second_moment(u, center=-d)
-        assert shifted == pytest.approx(second_moment(u) + total_mass(u) * d @ d, rel=1e-12)
-
     def test_homogeneity_degree_one(self):
         rng = np.random.default_rng(7)
         g = CartesianGrid(2, 1.0, 32)
@@ -171,12 +164,13 @@ class TestRadialAverage:
         prof_mass = sphere_area(2) * np.trapezoid(prof.values, rg.sigma)
         assert prof_mass == pytest.approx(total_mass(u), rel=2 * g.h)
 
-    def test_round_trip_l1(self):
+    def test_profile_matches_exact_l1(self):
+        # the bin averages at the nodes against exp(-2 r^2), in the radial L1 norm
         g = CartesianGrid(2, 2.0, 256)
         u = DensityField(g, np.exp(-g.radius() ** 2 * 2))
-        prof = radial_average(u, RadialGrid(2, 1.9, 128))
-        back = reconstruct_from_profile(g, prof)
-        err = total_mass(DensityField(g, np.abs(back.values - u.values)))
+        rg = RadialGrid(2, 1.9, 128)
+        prof = radial_average(u, rg)
+        err = sphere_area(2) * np.trapezoid(np.abs(prof.values - np.exp(-2 * rg.r**2)), rg.sigma)
         assert err <= 5 * g.h * total_mass(u)
 
     def test_rejects_radial_grid_beyond_box(self):

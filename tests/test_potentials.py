@@ -6,16 +6,12 @@ from math import pi
 
 from scipy.integrate import dblquad, quad
 from hypothesis import given, settings, strategies as st
-from vortexlab.burgers import mass_transform
-from vortexlab.closed_forms import PatchSpec, TwoPatchSpec, patch_mass, two_patch_state
+from vortexlab.burgers import mass_transform, radial_speed_values
 from vortexlab.diagnostics import mollified_reference
 from vortexlab.grids import (
     CartesianGrid,
     DensityField,
-    MassFunction,
     RadialGrid,
-    RadialProfile,
-    lp_norm,
     radial_average,
     total_mass,
 )
@@ -27,12 +23,8 @@ from vortexlab.potentials import (
     _kernel,
     _kernel_table,
     _singular_cell,
-    bilinear_form,
-    bilinear_limit_constant,
     energy,
     potential_values,
-    radial_energy,
-    radial_velocity,
     velocity_constant,
 )
 
@@ -159,9 +151,9 @@ class TestVelocity:
         rg = RadialGrid(2, 1.8, 48)
         speed_prof = radial_average(DensityField(u.grid, cell_speed(u.grid, u.values)), rg)
         m = mass_transform(radial_average(u, rg))
-        expected = radial_velocity(m)
+        expected = radial_speed_values(m)
         keep = rg.r > 0.2  # binned speeds near the origin average over few cells
-        assert np.abs(speed_prof.values[keep] - expected.values[keep]).max() < 4 * u.grid.h
+        assert np.abs(speed_prof.values[keep] - expected[keep]).max() < 4 * u.grid.h
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -179,9 +171,9 @@ class TestVelocity:
         speed = cell_speed(g, u.values)
         rg = RadialGrid(2, 1.8, 24)
         speed_prof = radial_average(DensityField(g, speed), rg)
-        expected = radial_velocity(mass_transform(radial_average(u, rg)))
+        expected = radial_speed_values(mass_transform(radial_average(u, rg)))
         keep = rg.r > 0.2
-        err = np.abs(speed_prof.values[keep] - expected.values[keep]).max()
+        err = np.abs(speed_prof.values[keep] - expected[keep]).max()
         assert err <= 4 * g.h * speed.max()
 
     def test_rejects_bad_exponent(self):
@@ -448,69 +440,7 @@ class TestWindowedVelocity:
             assert np.abs(w - b).max(initial=0.0) <= tol  # a one-cell side has no faces
 
 
-class TestRadialVelocity:
-    def test_zero_mass(self):
-        rg = RadialGrid(2, 2.0, 32)
-        v = radial_velocity(MassFunction(rg, np.zeros(32)))
-        np.testing.assert_array_equal(v.values, 0.0)
-
-    def test_patch_interior_speed(self):
-        # M = sigma/t inside the support: v = r/(n t)
-        spec = PatchSpec(2, 1.0, tau=0.0)
-        t = 2.0
-        rg = RadialGrid(2, 3.0, 256)
-        m = MassFunction(rg, patch_mass(spec, rg.r, t))
-        v = radial_velocity(m)
-        inside = (rg.r > 0) & (rg.r < spec.support_radius(t))
-        np.testing.assert_allclose(v.values[inside], rg.r[inside] / (2 * t), rtol=1e-12)
-
-    def test_two_patch_speed_piecewise_form(self):
-        # v is continuous: r/(n(t+tau1)) inside, plateau/r across the vacuum,
-        # r/(n(t+tau2)) in the annulus, total/r outside
-        spec = TwoPatchSpec(2, 1.0, 1.0, 2.0, 3.0)
-        rg = RadialGrid(2, 6.0, 4096)
-        t = 1.0
-        s1, s2, s3 = spec.interfaces(t)
-        m = MassFunction(rg, two_patch_state(spec, rg.r, t).mass)
-        v = radial_velocity(m).values
-        r = rg.r
-        plateau = spec.c1 * spec.r1**2 / 2
-        expected = np.select(
-            [r <= s1, r <= s2, r <= s3],
-            [r / (2 * (t + spec.tau1)), plateau / np.maximum(r, 1e-12),
-             r / (2 * (t + spec.tau2))],
-            default=spec.radial_total() / np.maximum(r, 1e-12),
-        )
-        np.testing.assert_allclose(v[1:], expected[1:], rtol=1e-10)
-        jumps = np.abs(np.diff(v[1:]))  # away from the origin node the profile is continuous
-        assert jumps.max() < 0.02
-
-    def test_origin_value(self):
-        rg = RadialGrid(2, 2.0, 32)
-        v = radial_velocity(MassFunction(rg, rg.sigma.copy()))
-        assert v.values[0] == 0.0
-
-
 class TestEnergy:
-    def test_ball_energy_n3(self):
-        # unit-height ball of radius R in n=3: int u p = 8 pi R^5 / 15
-        R = 1.0
-        rg = RadialGrid(3, 3.0, 8000)
-        u = RadialProfile(rg, (rg.r <= R).astype(float))
-        assert radial_energy(u) == pytest.approx(8 * pi * R**5 / 15, rel=0.01)
-
-    def test_radial_energy_quadratic_scaling(self):
-        rg = RadialGrid(3, 3.0, 1000)
-        vals = np.maximum(1 - rg.r**2, 0.0)
-        base = radial_energy(RadialProfile(rg, vals))
-        scaled = radial_energy(RadialProfile(rg, 3.0 * vals))
-        assert scaled == pytest.approx(9.0 * base, rel=1e-12)
-
-    def test_radial_energy_needs_three_dimensions(self):
-        rg = RadialGrid(2, 3.0, 64)
-        with pytest.raises(ValueError):
-            radial_energy(RadialProfile(rg, np.zeros(64)))
-
     def test_fractional_energy_scaling(self):
         g = CartesianGrid(2, 1.0, 48)
         vals = np.exp(-g.radius() ** 2 * 8)
@@ -563,43 +493,6 @@ class TestEnergy:
         assert orders.min() >= 1.8
 
 
-class TestBilinearForm:
-    def test_zero_field(self):
-        g = CartesianGrid(2, 1.0, 16)
-        z = DensityField(g, np.zeros(g.shape))
-        w = DensityField(g, np.ones(g.shape))
-        assert bilinear_form(z, w, 0.5) == 0.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(12)
-        g = CartesianGrid(2, 1.0, 16)
-        v = DensityField(g, rng.random(g.shape))
-        w = DensityField(g, rng.random(g.shape))
-        a = bilinear_form(v, w, 0.6)
-        b = bilinear_form(w, v, 0.6)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_limit_constant_is_two(self):
-        assert bilinear_limit_constant(1) == pytest.approx(2.0)
-        assert bilinear_limit_constant(2) == pytest.approx(2.0)
-        assert bilinear_limit_constant(3) == pytest.approx(2.0)
-
-    def test_monotone_approach_to_limit(self):
-        g = CartesianGrid(2, 2.0, 32)
-        r = g.radius()
-        v = DensityField(g, np.maximum(1 - (r / 1.6) ** 2, 0.0) ** 3)
-        target = bilinear_limit_constant(2) * lp_norm(v, 2) ** 2
-        ratios = [bilinear_form(v, v, s) / target for s in (0.6, 0.7, 0.8, 0.9, 0.95)]
-        assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
-        assert abs(ratios[-1] - 1.0) <= 0.10
-
-    def test_rejects_s_equal_one(self):
-        g = CartesianGrid(2, 1.0, 16)
-        v = DensityField(g, np.ones(g.shape))
-        with pytest.raises(ValueError):
-            bilinear_form(v, v, 1.0)
-
-
 class TestVelocitySupBound:
     def test_sup_velocity_bound(self):
         # ||v||_inf <= C M^{1/n} B^{(n-1)/n}; C calibrated once on this grid family
@@ -614,26 +507,3 @@ class TestVelocitySupBound:
                 continue
             vmax = cell_speed(g, vals).max()
             assert vmax <= C * m**0.5 * b**0.5
-
-
-class TestMomentGrowthIdentity:
-    def test_three_dimensional_patch_moment_rate(self):
-        # radial n=3 closed form: the second moment (4 pi/5) R^5 (t+tau)^{2/3}
-        # grows at rate (n-2) * int u p, computable from the radial energy
-        radius, tau, t = 1.0, 1.0, 1.0
-        rate_analytic = (8 * pi / 15) * radius**5 * (t + tau) ** (-1.0 / 3.0)
-        rg = RadialGrid(3, 4.0, 4000)
-        spec_support = radius * (t + tau) ** (1.0 / 3.0)
-        u = RadialProfile(rg, np.where(rg.r <= spec_support, 1.0 / (t + tau), 0.0))
-        assert (3 - 2) * radial_energy(u) == pytest.approx(rate_analytic, rel=0.10)
-
-
-class TestEnergyNonnegativity:
-    def test_random_radial_profiles_n3(self):
-        # int u p >= 0 for nonnegative data in n >= 3
-        rng = np.random.default_rng(21)
-        rg = RadialGrid(3, 3.0, 400)
-        for _ in range(10):
-            vals = rng.random(400) * (rg.r <= rng.uniform(0.5, 2.5))
-            vals[-1] = 0.0
-            assert radial_energy(RadialProfile(rg, vals)) >= 0.0

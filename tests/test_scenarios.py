@@ -165,6 +165,13 @@ class TestValidateConfig:
         {"scenario": "non-comparison", "params": {"cells": 32, "small_radius": 0.001}},
         {"scenario": "asymptotics", "params": {"cells": 32, "mass": 1e-300}},
         {"scenario": "asymptotics", "params": {"cells": 32, "radial_mass": 0.0}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_nodes": 16}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_r_max": 1.0}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_width_sq": 2.0}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_width_sq": 20.0}},
+        {"scenario": "asymptotics",
+         "params": {"cells": 32, "radial_times": [1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 120.0]}},
+        {"scenario": "two-patch", "params": {"check_times": [1.0, 10.0]}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -183,7 +190,10 @@ class TestValidateConfig:
             "s-sweep-repeated-s-values", "s-sweep-subnormal-s", "vortex-patch-massless-patch",
             "radial-vs-field-massless-patch", "s-sweep-massless-patch",
             "non-comparison-massless-small-patch", "asymptotics-massless-gaussian",
-            "asymptotics-zero-radial-mass"])
+            "asymptotics-zero-radial-mass", "asymptotics-coarse-radial-grid-leaks",
+            "asymptotics-short-radial-grid-leaks", "asymptotics-wide-gaussian-leaks",
+            "asymptotics-wider-gaussian-leaks", "asymptotics-late-radial-time-leaks",
+            "two-patch-late-check-time-leaks"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

@@ -134,7 +134,7 @@ class TestStep:
         cfg = SolverConfig(t_end=1e-4, output_times=(1e-4,))
         traj = run(cfg, u)
         assert traj.steps == 1
-        assert total_mass(traj.final()) == pytest.approx(total_mass(u), rel=1e-14)
+        assert total_mass(traj.last) == pytest.approx(total_mass(u), rel=1e-14)
 
     def test_mass_conserved(self):
         g = CartesianGrid(2, 4.0, 64)
@@ -142,7 +142,7 @@ class TestStep:
         cfg = SolverConfig(t_end=1e-3, output_times=(1e-3,))
         traj = run(cfg, u)
         assert traj.steps == 1
-        assert total_mass(traj.final()) == pytest.approx(total_mass(u), rel=1e-13)
+        assert total_mass(traj.last) == pytest.approx(total_mass(u), rel=1e-13)
 
     def test_positivity(self):
         rng = np.random.default_rng(4)
@@ -151,7 +151,7 @@ class TestStep:
         cfg = SolverConfig(t_end=0.1, output_times=(0.1,))
         traj = run(cfg, u)
         assert traj.steps > 1
-        assert traj.final().values.min() >= 0.0
+        assert traj.last.values.min() >= 0.0
         assert traj.clipped_mass <= 1e-12 * total_mass(u)  # run() clips, so check nothing was clipped
 
 
@@ -280,7 +280,7 @@ class TestRun:
         assert [t for t, _, _ in seen] == [rec.t for rec in traj.records]
         assert seen[0][1] is u0
         assert [k for _, _, k in seen] == [1, 2, 3, 4]
-        assert np.array_equal(traj.final().values, seen[-1][1].values)
+        assert np.array_equal(traj.last.values, seen[-1][1].values)
         assert [rec.mass for rec in traj.records] == [total_mass(u) for _, u, _ in seen]
 
     def test_summary_fields(self):
@@ -397,7 +397,7 @@ class TestRunProperties:
             return np.array([i.min() for i in idx]), np.array([i.max() for i in idx])
 
         lo0, hi0 = bbox(fields[0])
-        lo1, hi1 = bbox(traj.final())
+        lo1, hi1 = bbox(traj.last)
         assert (lo0 - lo1).max() <= 2 * traj.steps
         assert (hi1 - hi0).max() <= 2 * traj.steps
 
@@ -581,7 +581,7 @@ class TestOneDimension:
         assert traj.max_bound_ratio() <= 1.05
         # interval patch: height 1/(t+1), support |x| <= (1+t)
         assert traj.records[-1].linf_norm == pytest.approx(0.5, abs=0.03)
-        assert support_radius(traj.final()) == pytest.approx(2.0, abs=0.1)
+        assert support_radius(traj.last) == pytest.approx(2.0, abs=0.1)
 
 
 class TestEnergyDissipationIdentity:
@@ -627,7 +627,7 @@ class TestOrderOfAccuracy:
             g = CartesianGrid(2, 4.0, cells)
             traj = run(SolverConfig(t_end=3.0, output_times=(3.0,)), patch_field(g))
             exact = patch_field(g, t=3.0)
-            diff = np.abs(traj.final().values - exact.values).sum()
+            diff = np.abs(traj.last.values - exact.values).sum()
             errors.append(g.cell_volume * float(diff) / spec.full_mass())
         assert min(self.orders(errors)) >= 0.6, (errors, self.orders(errors))
 
