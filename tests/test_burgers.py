@@ -276,6 +276,17 @@ class TestFiniteVolume:
         with pytest.raises(ValueError, match="leaves the radial grid"):
             check_reach(sol.sigma_knots, sol.mass_knots, 1.01 * t_fit)
 
+    def test_reach_of_a_gaussian_profile(self):
+        # u = exp(-sigma/w)/w has M = 1 - exp(-sigma/w), which reaches (1 - 1e-12) of the
+        # total at sigma_q = w ln(1e12); from there the mass moves at most t M_total = t
+        w = 2.0
+        rg = RadialGrid(2, 12.0, 4096)
+        m = mass_transform(RadialProfile(rg, np.exp(-rg.sigma / w) / w))
+        t_fit = rg.sigma[-1] - w * np.log(1e12)
+        check_reach(rg.sigma, m.values, t_fit - 2 * rg.d_sigma)
+        with pytest.raises(ValueError, match="leaves the radial grid"):
+            check_reach(rg.sigma, m.values, t_fit + 2 * rg.d_sigma)
+
 
 class TestMonotoneInequalities:
     def test_largest_solution_saturates(self):

@@ -70,6 +70,18 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             MassFunction(rg, np.full(32, 0.5))
 
+    def test_mass_function_tolerates_round_off_only(self):
+        # the one monotonicity rule a finite-volume step meets: a dip under
+        # 1e-12 (1 + |M_end|) is round-off, a larger one is rejected
+        rg = RadialGrid(2, 3.0, 32)
+        vals = np.linspace(0.0, 4.0, 32)
+        tol = 1e-12 * (1.0 + vals[-1])
+        vals[10] = vals[9] - 0.5 * tol
+        MassFunction(rg, vals)
+        vals[10] = vals[9] - 2.0 * tol
+        with pytest.raises(ValueError, match="nondecreasing"):
+            MassFunction(rg, vals)
+
 
 class TestReductions:
     def test_zero_field(self):
@@ -98,6 +110,13 @@ class TestReductions:
         # int_0^R r^2 2 pi r dr = pi R^4 / 2
         u = disk_field(N=256, R=1.0)
         assert second_moment(u) == pytest.approx(pi / 2, rel=0.02)
+
+    def test_parallel_axis_identity(self):
+        # the disk moved by whole cells d: its second moment about the origin gains M |d|^2
+        u = disk_field(N=128)
+        d = np.array([8, -16]) * u.grid.h
+        shifted = DensityField(u.grid, np.roll(u.values, (8, -16), axis=(0, 1)))
+        assert second_moment(shifted) == pytest.approx(second_moment(u) + total_mass(u) * d @ d, rel=1e-12)
 
     def test_homogeneity_degree_one(self):
         rng = np.random.default_rng(7)
