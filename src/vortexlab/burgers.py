@@ -28,6 +28,7 @@ __all__ = [
     "interfaces_at",
     "step_finite_volume",
     "check_reach",
+    "check_times",
     "run_finite_volume",
     "radial_speed_values",
     "check_monotone_inequalities",
@@ -218,21 +219,28 @@ def check_reach(sigma, mass, t_end: float) -> None:
         )
 
 
+def check_times(times, least: int, name: str) -> list:
+    """`times` as floats, once they hold at least `least` positive, strictly increasing times."""
+    times = [float(t) for t in times]
+    if len(times) < least or not all(b > a for a, b in zip([0.0] + times, times)):
+        raise ValueError(f"{name} must hold at least {least} positive, strictly increasing times")
+    return times
+
+
 def run_finite_volume(m0: MassFunction, times, cfl: float = 0.9):
-    """Advance from t=0 and record snapshots at the requested times.
+    """Advance from t=0 and record snapshots at the requested times (`check_times`),
+    each reached once t is within 1e-12 of it, relative.
 
     Returns a list of (t, MassFunction) pairs starting with (0, m0).
     """
-    times = sorted(float(t) for t in times)
-    if times and times[0] <= 0:
-        raise ValueError("snapshot times must be positive")
+    times = check_times(times, 1, "snapshot times")
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
     out = [(0.0, m0)]
     t, m = 0.0, m0
     d_sigma = m0.grid.d_sigma
     for target in times:
-        while t < target - 1e-14:
+        while t < target - 1e-12 * target:
             vmax = float(m.values.max())
             dt = cfl * d_sigma / vmax if vmax > 0 else target - t
             dt = min(dt, target - t)
@@ -269,11 +277,7 @@ class MonotoneReport:
 
 def check_monotone_inequalities(trajectory, tol: float = 1e-3) -> MonotoneReport:
     """Apply the rate checks to a list of (t, MassFunction) pairs with t > 0 increasing."""
-    times = [float(t) for t, _ in trajectory]
-    if len(times) < 2:
-        raise ValueError("need at least two snapshots")
-    if min(times) <= 0 or np.min(np.diff(times)) <= 0:
-        raise ValueError("times must be positive and strictly increasing")
+    times = check_times([t for t, _ in trajectory], 2, "snapshot times")
     upper, lower, sat = [], [], []
     for (t1, m1), (t2, m2) in zip(trajectory[:-1], trajectory[1:]):
         rate = (m2.values - m1.values) / (t2 - t1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burgers import mass_transform
+from .burgers import check_times, mass_transform
 from .closed_forms import PatchSpec, patch_mass
 from .grids import (
     CartesianGrid,
@@ -63,7 +63,8 @@ class DiagnosticsRecord:
     """One output-time row of conserved/monotone quantities.
 
     Optional entries are None when the run was configured for basic
-    diagnostics; the CSV writer leaves those cells empty.
+    diagnostics, or when n != 2 or s != 1 (they are the planar s = 1
+    functionals); the CSV writer leaves those cells empty.
     """
 
     t: float
@@ -293,9 +294,7 @@ def wasserstein_continuity_check(trajectory, constant: float) -> ContinuityRepor
     with a safety factor the check is meaningful for any radial trajectory of
     this flow.
     """
-    times = [float(t) for t, _ in trajectory]
-    if len(times) < 2 or min(times) <= 0 or np.min(np.diff(times)) <= 0:
-        raise ValueError("need increasing positive snapshot times")
+    times = check_times([t for t, _ in trajectory], 2, "snapshot times")
     n = trajectory[0][1].grid.n
     dists, bounds = [], []
     for (t1, m1), (t2, m2) in zip(trajectory[:-1], trajectory[1:]):

@@ -272,7 +272,8 @@ def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = Non
     equal mass and is required where the kernel does not decay (n <= 2s); the
     difference is then the renormalized int |grad G(u - r)|^2 + 2 int r G(u - r).
     It is evaluated as h^n sum (u - r) G_h (u + r), equal for the symmetric G_h, on the
-    support window of u and r: no other cell enters, so the window changes only rounding.
+    support window of u + r, which for nonnegative u and r holds every cell of either:
+    no other cell enters, so the window changes only rounding.
     """
     s = _check_exponent(s)
     grid = u.grid
@@ -288,7 +289,7 @@ def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = Non
         if abs(mass_u - mass_ref) > 1e-8 * max(abs(mass_u), 1e-300):
             raise ValueError(f"reference mass {mass_ref:.12g} does not match field mass {mass_u:.12g}")
         diff, total = vals - reference.values, vals + reference.values
-    window = _support_window((diff != 0.0) | (total != 0.0))
+    window = _support_window(total)
     if window is None:
         return 0.0
     masses = float(diff.sum() * total.sum()) if grid.n > 2.0 * s else None

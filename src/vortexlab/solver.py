@@ -71,10 +71,11 @@ class NumericalError(RuntimeError):
 class SolverConfig:
     """Numerical parameters of a run.
 
-    output_times must lie in (0, t_end] and end at t_end, so the run stops
-    at the horizon it reports.  The scheme (MC-limited transport, two-stage
-    SSP stepping, no added diffusion) is second order away from extrema and
-    keeps cell values within local bounds for cfl <= 0.5.
+    output_times must lie in (0, t_end], end at t_end and repeat no time, to the
+    1e-12 relative tolerance at which `run` reaches a time, so the run stops at
+    the horizon it reports and makes one record per time.  The scheme (MC-limited
+    transport, two-stage SSP stepping, no added diffusion) is second order away
+    from extrema and keeps cell values within local bounds for cfl <= 0.5.
     """
 
     t_end: float
@@ -93,6 +94,8 @@ class SolverConfig:
             raise ConfigError("output_times must be finite")
         if outs[0] <= 0 or abs(outs[-1] - self.t_end) > 1e-12 * self.t_end:
             raise ConfigError("output_times must lie in (0, t_end] and end at t_end")
+        if any(b - a <= 1e-12 * b for a, b in zip(outs, outs[1:])):
+            raise ConfigError("output_times must not repeat a time")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("cfl must lie in (0, 1]")
         if not sys.float_info.min <= self.s <= 1.0:  # gamma(s) overflows for subnormal s
@@ -316,7 +319,7 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
         at_output(0.0, u0)
     t, vals = 0.0, u0.values
     for target in cfg.output_times:
-        while t < target - 1e-12:
+        while t < target - 1e-12 * target:
             dt, vals, clipped = _step(grid, vals, target - t, cfg)
             traj.clipped_mass += clipped
             t += dt

@@ -12,6 +12,7 @@ from vortexlab.burgers import (
     evolve_to_mass_function,
     interfaces_at,
     check_reach,
+    check_times,
     mass_transform,
     radial_speed_values,
     run_finite_volume,
@@ -286,6 +287,38 @@ class TestFiniteVolume:
         check_reach(rg.sigma, m.values, t_fit - 2 * rg.d_sigma)
         with pytest.raises(ValueError, match="leaves the radial grid"):
             check_reach(rg.sigma, m.values, t_fit + 2 * rg.d_sigma)
+
+
+    def test_tiny_snapshot_time_is_stepped_to(self):
+        # the guard is relative to the snapshot time, so a time below an absolute
+        # tolerance still gets its one step of that size
+        rg = RadialGrid(2, (2 * 11.0) ** 0.5, 256)
+        m0 = evolve_to_mass_function(two_patch_solution(), 0.0, rg)
+        traj = run_finite_volume(m0, [1e-15, 1.0])
+        assert [t for t, _ in traj] == [0.0, 1e-15, 1.0]
+        np.testing.assert_array_equal(traj[1][1].values, step_finite_volume(m0, 1e-15).values)
+        assert not np.array_equal(traj[1][1].values, m0.values)
+
+    @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0], [0.0, 1.0], []],
+                             ids=["unsorted", "repeated", "zero", "empty"])
+    def test_snapshot_times_are_not_sorted_silently(self, times):
+        m0 = evolve_to_mass_function(two_patch_solution(), 0.0, RadialGrid(2, 4.0, 64))
+        with pytest.raises(ValueError, match="positive, strictly increasing"):
+            run_finite_volume(m0, times)
+
+
+class TestCheckTimes:
+    def test_admits_positive_increasing_times(self):
+        assert check_times([1, 2.5], 2, "times") == [1.0, 2.5]
+        assert check_times((0.5,), 1, "times") == [0.5]
+
+    @pytest.mark.parametrize("times, least", [
+        ([1.0], 2), ([], 1), ([0.0, 1.0], 1), ([-1.0], 1), ([1.0, 1.0], 1), ([2.0, 1.0], 1),
+        ([1.0, float("nan"), 2.0], 1), ([float("nan")], 1),
+    ])
+    def test_rejects_others_by_name(self, times, least):
+        with pytest.raises(ValueError, match=f"radial_times must hold at least {least} positive"):
+            check_times(times, least, "radial_times")
 
 
 class TestMonotoneInequalities:

@@ -172,6 +172,12 @@ class TestValidateConfig:
         {"scenario": "asymptotics",
          "params": {"cells": 32, "radial_times": [1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 120.0]}},
         {"scenario": "two-patch", "params": {"check_times": [1.0, 10.0]}},
+        {"scenario": "dirac-fundamental", "params": {"cells": 64, "cfl": 0.45}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "rate_tol": 1e-3}},
+        {"scenario": "two-patch", "params": {"check_times": [3.0, 1.0]}},
+        {"scenario": "two-patch", "params": {"check_times": [1.0, 1.0]}},
+        {"scenario": "asymptotics",
+         "params": {"cells": 64, "output_times": [0.25, 0.5, 0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -193,7 +199,9 @@ class TestValidateConfig:
             "asymptotics-zero-radial-mass", "asymptotics-coarse-radial-grid-leaks",
             "asymptotics-short-radial-grid-leaks", "asymptotics-wide-gaussian-leaks",
             "asymptotics-wider-gaussian-leaks", "asymptotics-late-radial-time-leaks",
-            "two-patch-late-check-time-leaks"])
+            "two-patch-late-check-time-leaks", "field-scenario-cfl", "asymptotics-rate-tol",
+            "two-patch-unsorted-check-times", "two-patch-repeated-check-times",
+            "asymptotics-repeated-output-times"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -284,6 +292,41 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             run_scenario(ScenarioSpec("vortex-patch", params={"bogus": 1}, outdir=str(tmp_path)))
         assert not (tmp_path / "vortex-patch").exists()
+
+
+# every scenario at a size that runs in about a second
+SMALL = {
+    "vortex-patch": SMALL_PATCH,
+    "two-patch": {"fv_nodes": [64, 128]},
+    "non-comparison": {"cells": 128, "t_end": 0.5},
+    "s-sweep": {"cells": 64, "t_end": 0.25, "s_values": [0.85, 1.0]},
+    "barenblatt-limit": {"radial_points": 64},
+    "asymptotics": {"cells": 64, "t_end": 1.0, "output_times": [0.25, 0.5, 0.75, 1.0],
+                    "radial_nodes": 512, "radial_times": [1.0, 2.0, 5.0, 10.0]},
+    "dirac-fundamental": {"cells": 64, "t_end": 1.0, "output_times": [0.5, 1.0]},
+    "radial-vs-field": {**SMALL_PATCH, "radial_nodes": 48},
+    "wasserstein-oracle": {"pairs": 3, "triples": 2},
+}
+
+
+class TestCheckBounds:
+    def test_every_scenario_is_covered(self):
+        assert set(SMALL) == set(REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_numeric_tolerance_is_the_bound_compared(self, tmp_path, name):
+        # a check whose tolerance reads as a number passes exactly when it measures at
+        # most that number, so the report's text and the verdict cannot drift apart
+        checks = run_scenario(ScenarioSpec(name, params=SMALL[name], outdir=str(tmp_path))).checks
+        numeric = 0
+        for check in checks:
+            try:
+                bound = float(check.tolerance)
+            except ValueError:
+                continue
+            numeric += 1
+            assert check.passed == (check.measured <= bound), check.line()
+        assert numeric or name in ("non-comparison", "barenblatt-limit")
 
 
 class TestCli:

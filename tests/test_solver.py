@@ -110,6 +110,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="output_times must be finite"):
             SolverConfig(t_end=1.0, output_times=(0.5, float("nan"), 1.0))
 
+    @pytest.mark.parametrize("outs", [(0.5, 0.5, 1.0), (0.5, 0.5 * (1 + 1e-13), 1.0), (1.0, 1.0)],
+                             ids=["repeat", "repeat-within-the-time-guard", "repeated-horizon"])
+    def test_repeated_output_times_rejected(self, outs):
+        # each repeat used to become a second record at the same t
+        with pytest.raises(ConfigError, match="repeat"):
+            SolverConfig(t_end=1.0, output_times=outs)
+
     @pytest.mark.parametrize("value", [inf, -inf, nan])
     @pytest.mark.parametrize("build", [
         lambda x: SolverConfig(t_end=x, output_times=(1.0,)),
@@ -126,6 +133,15 @@ class TestConfig:
 class TestStep:
     # run() clamps each step to the next output time, so an output time below the
     # stable step gives exactly one step of that size
+    def test_tiny_horizon_is_stepped_to(self):
+        # the guard is relative to the output time, so a horizon below an absolute
+        # tolerance still gets its one step
+        u0 = patch_field(CartesianGrid(2, 2.0, 32), radius=0.5)
+        traj = run(SolverConfig(t_end=5e-13, output_times=(5e-13,)), u0)
+        assert traj.steps == 1
+        assert [r.t for r in traj.records] == [0.0, 5e-13]
+        assert not np.array_equal(traj.last.values, u0.values)
+
     def test_single_cell_mass_preserved(self):
         g = CartesianGrid(2, 2.0, 32)
         vals = np.zeros(g.shape)
