@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-WINDOW_HALO = 2  # cells past supp u reached by the two SSP stages of one step
+WINDOW_HALO = 4  # cells past supp u reached by one step: a cell per stage, so solver.STAGES
 WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fewer kernel builds)
 
 

@@ -4,14 +4,21 @@ Cartesian grids.
 The one scheme is the finite-volume method of Carrillo, Chertock and Huang
 (Commun. Comput. Phys. 17, 2015): each stage computes one potential p = G_h * u
 and takes the face velocities as its exact discrete gradient xi = -(p_{i+1} - p_i)/h;
-the flux is upwind transport of a monotonized-central (MC) limited
-reconstruction, advanced with two-stage SSP stepping (Gottlieb-Shu-Tadmor 2001).
-G_h is symmetric, so by summation by parts E_h = 1/2 h^n sum u p decays at the
-semi-discrete rate -h^n sum_faces (xi+^2 u_L + xi-^2 u_R) <= 0.  `run` steps at
-cfl * h over the largest cell speed (the sum over axes of the faster of the
-cell's two faces), clamped to the next output time.  At each output time it takes
-the record of `diagnostics._output_record` and hands that output's field to an
-optional `at_output(t, u)` hook, keeping only the last field.
+the flux is upwind transport of a monotonized-central (MC) limited reconstruction.
+It is advanced with the low-storage SSPRK(m, 2) method, m = STAGES (Spiteri and
+Ruuth, SINUM 2002; Ketcheson, SISC 2008): m forward-Euler stages of dt/(m - 1), then
+u^{n+1} = u^n/m + (m - 1)/m u^(m).  Its SSP coefficient is m - 1, so a step of m
+potential solves advances m - 1 forward-Euler CFL steps, where the two-stage method
+advances one per two solves.  G_h is symmetric, so by summation by parts E_h =
+1/2 h^n sum u p decays at the semi-discrete rate -h^n sum_faces (xi+^2 u_L + xi-^2 u_R)
+<= 0.  `run` steps at m - 1 times cfl * h over the largest cell speed (the sum over
+axes of the faster of the cell's two faces), clamped to the next output time, so
+each stage runs at CFL number cfl.  Each later stage checks its own faces' bound, and
+a step with a stage over it is redone at the smaller bound, so the SSP argument of
+Gottlieb, Shu and Tadmor (2001) holds stage by stage; `Trajectory.stage_redos`
+counts the redos.  At each output time `run` takes the record of
+`diagnostics._output_record` and hands that output's field to an optional
+`at_output(t, u)` hook, keeping only the last field.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
 the box must be sized so the support never reaches the boundary.  Before a run
 starts, `check_initial_data` admits only initial data with positive mass and a
@@ -21,10 +28,10 @@ are clipped at zero and the clipped mass is accumulated in a ledger.
 Each step works on the support window W of `potentials._support_window`: the
 bounding box of u > 0 plus a WINDOW_HALO-cell halo per side, each side rounded
 up to a multiple of WINDOW_QUANTUM cells and kept inside the box.  The potential
-of u[W], the CFL maximum, both SSP stages and the clip are computed on W and
+of u[W], the CFL maxima, all STAGES stages and the clip are computed on W and
 written into a zero array of the box.  This is the whole-box step, not an approximation of
-it: the two stages move density at most one cell each, so the halo cells and
-their MC slopes are zero and no flux crosses a face of W; the potential of u[W]
+it: each stage moves density at most one cell, so the WINDOW_HALO = STAGES halo cells
+and their MC slopes stay zero and no flux crosses a face of W; the potential of u[W]
 is the whole-box convolution restricted to W up to FFT rounding, since u
 vanishes outside W; and outside supp u the velocity never enters the update.
 """
@@ -56,6 +63,7 @@ __all__ = [
 
 BOUND_SLACK = 0.05  # warn when max u * (t + 1/max u0) exceeds 1 + this
 BOX_MARGIN = 0.9  # the support growth bound must stay inside this share of the half-width
+STAGES = 4  # forward-Euler stages of one SSPRK(STAGES, 2) step; potentials.WINDOW_HALO equals it
 STRIP_CELLS = 16384  # _advance sweeps a block in strips of about this many cells
 
 
@@ -74,8 +82,9 @@ class SolverConfig:
     output_times must lie in (0, t_end], end at t_end and repeat no time, to the
     1e-12 relative tolerance at which `run` reaches a time, so the run stops at
     the horizon it reports and makes one record per time.  The scheme (MC-limited
-    transport, two-stage SSP stepping, no added diffusion) is second order away
-    from extrema and keeps cell values within local bounds for cfl <= 0.5.
+    transport, SSPRK(STAGES, 2) stepping, no added diffusion) is second order away
+    from extrema and keeps cell values within local bounds for cfl <= 0.5.  cfl is
+    the CFL number of one stage, and a step spans STAGES - 1 stages' worth of time.
     """
 
     t_end: float
@@ -116,6 +125,7 @@ class Trajectory:
     last: DensityField
     warnings: list = field(default_factory=list)
     clipped_mass: float = 0.0
+    stage_redos: int = 0
     steps: int = 0
     wall_time: float = 0.0
 
@@ -135,6 +145,7 @@ class Trajectory:
             "wall_time_s": round(self.wall_time, 3),
             "mass_drift_relative": self.mass_drift(),
             "clipped_mass": self.clipped_mass,
+            "stage_redos": self.stage_redos,
             "max_sup_bound_ratio": self.max_bound_ratio(),
             "warnings": list(self.warnings),
         }
@@ -186,12 +197,14 @@ def _strips(shape: tuple, axis: int, strip_cells: int) -> tuple:
     return tuple(_cut(2, other, start, start + width) for start in range(0, shape[other], width))
 
 
-def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
+def _stable_dt(grid: CartesianGrid, faces, cfl: float, out=None) -> float:
     """cfl * h over the largest cell speed, the sum over axes of the faster of the
     cell's two faces along that axis (a zero face past each end of the block).  The
-    speeds are summed strip by strip, so the only block-sized array is their sum."""
+    speeds are summed strip by strip, so the only block-sized array is their sum,
+    which is written into `out` (a block of the cells' shape) when it is given."""
     ndim = faces[0].ndim
-    speed = np.zeros((faces[0].shape[0] + 1, *faces[0].shape[1:]))
+    speed = np.empty((faces[0].shape[0] + 1, *faces[0].shape[1:])) if out is None else out
+    speed.fill(0.0)
     for axis, xi in enumerate(faces):
         if not xi.shape[axis]:
             continue  # one cell along this axis, so no face
@@ -246,52 +259,79 @@ def _sweep(vals: np.ndarray, face: np.ndarray, new: np.ndarray, axis: int, rate:
     new[hi] += flux
 
 
-def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float) -> np.ndarray:
-    """vals after one upwind step of size dt on the face velocities `faces`.  Each axis
+def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, out=None) -> np.ndarray:
+    """vals after one upwind step of size dt on the face velocities `faces`, written
+    into `out` (a block of vals' shape, not vals itself) when it is given.  Each axis
     is swept in strips of about STRIP_CELLS cells across the other axis, so the sweep's
     temporaries stay small; a strip holds whole lines along the swept axis, so the
     result is that of one sweep of the whole block, bit for bit."""
     rate = dt / grid.h
-    new = vals.copy()
+    if out is None:
+        out = vals.copy()
+    else:
+        np.copyto(out, vals)
     for axis in range(grid.n):
         for strip in _strips(vals.shape, axis, STRIP_CELLS):
-            _sweep(vals[strip], faces[axis][strip], new[strip], axis, rate)
-    return new
+            _sweep(vals[strip], faces[axis][strip], out[strip], axis, rate)
+    return out
 
 
-def _ssp_update(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, cfg: SolverConfig):
-    """One two-stage SSP step of size dt from the face velocities `faces` of `vals`.  Returns
-    the new values and the mass clipped from them; only a negative value triggers a clip.
-    The second stage's face velocities are written into the arrays of `faces`, which
-    the first stage leaves dead."""
-    new = _advance(grid, vals, faces, dt)
-    new = _advance(grid, new, _face_velocities(grid, np.maximum(new, 0.0), cfg.s, out=faces), dt)
-    new += vals
-    new *= 0.5
-    low, high = float(new.min()), float(new.max())  # a NaN anywhere is the min and the max
+def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig):
+    """One SSPRK(STAGES, 2) step of at most max_dt on the block `vals`.  Returns (dt,
+    the new values, the mass clipped from them, the number of redos).
+
+    The step is STAGES forward-Euler stages of dt / (STAGES - 1), each on the face
+    velocities of its own input, then u^n / STAGES + (STAGES - 1) / STAGES times the
+    last stage.  dt is STAGES - 1 times the CFL bound of u^n's faces, clamped to
+    max_dt.  Each later stage's faces set a limit on dt the same way; when dt is over
+    it, the step is redone from u^n at that limit, so every stage is a forward-Euler
+    step inside its own CFL bound.  dt falls at each redo, and a stage whose limit
+    comes out the same on the redo passes.
+
+    The stages take turns in two block registers: the free one takes the positive
+    part of the current stage, from which its face velocities are solved, then its
+    cell speeds, then its update.  Only a negative value of the result triggers a
+    clip."""
+    redos = 0
+    while True:
+        faces = _face_velocities(grid, vals, cfg.s)
+        dt = min((STAGES - 1) * _stable_dt(grid, faces, cfg.cfl), max_dt)
+        if not dt > 0:
+            raise NumericalError("time step collapsed to zero")
+        stage_dt = dt / (STAGES - 1)
+        stage, spare = _advance(grid, vals, faces, stage_dt), np.empty_like(vals)
+        for _ in range(STAGES - 1):
+            faces = _face_velocities(grid, np.maximum(stage, 0.0, out=spare), cfg.s, out=faces)
+            limit = (STAGES - 1) * _stable_dt(grid, faces, cfg.cfl, out=spare)
+            if dt > limit:
+                break
+            stage, spare = _advance(grid, stage, faces, stage_dt, out=spare), stage
+        else:
+            break
+        redos += 1
+        max_dt = limit
+    stage *= (STAGES - 1) / STAGES  # 3/4 and 1/4 at four stages: exact in binary
+    stage += np.multiply(vals, 1.0 / STAGES, out=spare)
+    low, high = float(stage.min()), float(stage.max())  # a NaN anywhere is the min and the max
     if not (isfinite(low) and isfinite(high)):
         raise NumericalError("non-finite values after an explicit step")
     if low >= 0.0:
-        return new, 0.0
-    clipped = -grid.cell_volume * float(new[new < 0.0].sum())
-    return np.maximum(new, 0.0, out=new), clipped
+        return dt, stage, 0.0, redos
+    clipped = -grid.cell_volume * float(stage[stage < 0.0].sum())
+    return dt, np.maximum(stage, 0.0, out=stage), clipped, redos
 
 
 def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig):
     """One SSP step of at most max_dt, computed on the support window of `vals` and
-    written into a fresh zero array of the box.  Returns (dt, values, clipped mass)."""
+    written into a fresh zero array of the box.  Returns (dt, values, clipped mass,
+    redos) as `_ssp_update` does."""
     window = _support_window(vals)
-    block = vals[window]
-    faces = _face_velocities(grid, block, cfg.s)
-    dt = min(_stable_dt(grid, faces, cfg.cfl), max_dt)
-    if not dt > 0:
-        raise NumericalError("time step collapsed to zero")
-    block, clipped = _ssp_update(grid, block, faces, dt, cfg)
+    dt, block, clipped, redos = _ssp_update(grid, vals[window], max_dt, cfg)
     if block.shape != grid.shape:  # a window that fills the box is already the box array
         new = np.zeros(grid.shape)
         new[window] = block
         block = new
-    return dt, block, clipped
+    return dt, block, clipped, redos
 
 
 def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
@@ -320,8 +360,9 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
     t, vals = 0.0, u0.values
     for target in cfg.output_times:
         while t < target - 1e-12 * target:
-            dt, vals, clipped = _step(grid, vals, target - t, cfg)
+            dt, vals, clipped, redos = _step(grid, vals, target - t, cfg)
             traj.clipped_mass += clipped
+            traj.stage_redos += redos
             t += dt
             traj.steps += 1
         u = DensityField(grid, vals)

@@ -5,15 +5,22 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import vortexlab
 from vortexlab.cli import main
+from vortexlab.grids import total_mass
 from vortexlab.scenarios import (
+    MONOTONE_SLACK,
+    ORDERING_SLACK,
     REGISTRY,
     ScenarioSpec,
+    _at_least,
+    _entropy_scale,
+    _monotone_checks,
     catalog,
     list_scenarios,
     run_scenario,
@@ -261,7 +268,7 @@ class TestRunScenario:
         summary = json.loads((tmp_path / "vortex-patch" / "run_summary.json").read_text())
         assert set(summary) == {
             "t_end", "s", "cfl", "steps", "wall_time_s", "mass_drift_relative",
-            "clipped_mass", "max_sup_bound_ratio", "warnings",
+            "clipped_mass", "stage_redos", "max_sup_bound_ratio", "warnings",
         }
         assert "l1-error" in {c.name for c in result.checks}
 
@@ -316,17 +323,45 @@ class TestCheckBounds:
     @pytest.mark.parametrize("name", sorted(SMALL))
     def test_numeric_tolerance_is_the_bound_compared(self, tmp_path, name):
         # a check whose tolerance reads as a number passes exactly when it measures at
-        # most that number, so the report's text and the verdict cannot drift apart
+        # most that number, and one whose tolerance reads `>= x` exactly when it measures
+        # at least x, so the report's text and the verdict cannot drift apart
         checks = run_scenario(ScenarioSpec(name, params=SMALL[name], outdir=str(tmp_path))).checks
         numeric = 0
         for check in checks:
+            at_least = check.tolerance.startswith(">= ")
             try:
-                bound = float(check.tolerance)
+                bound = float(check.tolerance[3:] if at_least else check.tolerance)
             except ValueError:
                 continue
             numeric += 1
-            assert check.passed == (check.measured <= bound), check.line()
-        assert numeric or name in ("non-comparison", "barenblatt-limit")
+            verdict = check.measured >= bound if at_least else check.measured <= bound
+            assert check.passed == verdict, check.line()
+        assert numeric or name == "barenblatt-limit"
+
+    def test_monotone_rise_inside_the_rounding_gap_passes(self):
+        # at vortex-patch's defaults the slack is 7.9078e-4 and the report writes 7.91e-04;
+        # a rise between the two is within the tolerance as written, so it passes
+        scenario = REGISTRY["vortex-patch"]
+        mass = total_mass(scenario.build(dict(scenario.defaults))["u0"])
+        slack = MONOTONE_SLACK * _entropy_scale(mass)
+        text = f"{slack:.2e}"
+        assert (text, slack < float(text)) == ("7.91e-04", True)
+        rise = 0.5 * (slack + float(text))
+        records = [SimpleNamespace(entropy=value, energy=value) for value in (0.0, rise)]
+        checks = _monotone_checks(records, mass, "entropy", "energy")
+        assert [(c.measured, c.tolerance, c.passed) for c in checks] == [(rise, text, True)] * 2
+        records[1].entropy = np.nextafter(float(text), 1.0)
+        assert not _monotone_checks(records, mass, "entropy", "energy")[0].passed
+
+    def test_ordering_slack_is_written_and_compared(self, tmp_path):
+        # non-comparison's orderings allow rounding below zero, and say how much
+        checks = run_scenario(ScenarioSpec("non-comparison", params=SMALL["non-comparison"],
+                                           outdir=str(tmp_path))).checks
+        tolerances = {c.name: c.tolerance for c in checks}
+        assert tolerances["initial-ordering"] == tolerances["grid-ordering"] == ">= -1e-12"
+        slack = float(ORDERING_SLACK)
+        assert _at_least("ordering", "", slack, ORDERING_SLACK).passed
+        assert not _at_least("ordering", "", np.nextafter(slack, -1.0), ORDERING_SLACK).passed
 
 
 class TestCli:

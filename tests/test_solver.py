@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from math import inf, nan, pi
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from vortexlab.closed_forms import PatchSpec, patch_density
 from vortexlab.diagnostics import _output_record
@@ -20,6 +21,7 @@ from vortexlab.grids import (
 from vortexlab import solver
 from vortexlab.potentials import WINDOW_HALO, potential_values
 from vortexlab.solver import (
+    STAGES,
     ConfigError,
     NumericalError,
     SolverConfig,
@@ -164,7 +166,7 @@ class TestStep:
         rng = np.random.default_rng(4)
         g = CartesianGrid(2, 4.0, 64)
         u = DensityField(g, rng.random(g.shape) * (g.radius() <= 2.0))
-        cfg = SolverConfig(t_end=0.1, output_times=(0.1,))
+        cfg = SolverConfig(t_end=0.5, output_times=(0.5,))  # one step of rough data spans about t = 0.1
         traj = run(cfg, u)
         assert traj.steps > 1
         assert traj.last.values.min() >= 0.0
@@ -250,7 +252,7 @@ class TestRun:
         # one-entry cache tabulates a single table (of the window, not the box)
         from vortexlab.potentials import _kernel_table
 
-        g = CartesianGrid(2, 4.0, 32)
+        g = CartesianGrid(2, 4.0, 64)  # the patch and its halo stay inside a 32-cell window
         cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.2, 0.3), diagnostics="full")
         _kernel_table.cache_clear()
         traj = run(cfg, patch_field(g))
@@ -334,8 +336,9 @@ class TestRunProperties:
         data=st.data(),
     )
     def test_window_step_matches_whole_box_step(self, s, cfl, seed, data):
-        # the halo cells and their MC slopes are zero, so no flux crosses the
-        # window's faces and the step on the window is the whole-box step
+        # each of the STAGES stages moves density at most one cell, so the window's
+        # halo of STAGES cells and their MC slopes stay zero through the step, no flux
+        # crosses the window's faces, and the step on the window is the whole-box step
         g = CartesianGrid(2, 2.0, 48)
         block = []
         for _ in range(g.n):
@@ -343,11 +346,11 @@ class TestRunProperties:
             block.append(slice(lo, data.draw(st.integers(lo + 1, min(lo + 20, g.cells)))))
         vals = np.zeros(g.shape)
         vals[tuple(block)] = np.random.default_rng(seed).random(vals[tuple(block)].shape)
+        for cut, side in zip(_support_window(vals), block):
+            assert cut.start <= max(side.start - STAGES, 0) and cut.stop >= min(side.stop + STAGES, g.cells)
         cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=s, cfl=cfl)
-        dt, new, clipped = _step(g, vals, 1.0, cfg)
-        faces = _face_velocities(g, vals, s)
-        whole_dt = min(_stable_dt(g, faces, cfl), 1.0)
-        whole, whole_clipped = _ssp_update(g, vals, faces, whole_dt, cfg)
+        dt, new, clipped, _ = _step(g, vals, 1.0, cfg)
+        whole_dt, whole, whole_clipped, _ = _ssp_update(g, vals, 1.0, cfg)
         assert dt == pytest.approx(whole_dt, rel=1e-12)
         assert np.abs(new - whole).max() <= 1e-13 * vals.max()
         assert clipped == pytest.approx(whole_clipped, abs=1e-13 * vals.max())
@@ -396,8 +399,9 @@ class TestRunProperties:
     @settings(max_examples=25, deadline=None)
     @given(cfl=st.floats(0.05, 0.5), seed=st.integers(0, 2**32 - 1))
     def test_support_grows_at_most_one_cell_per_stage(self, cfl, seed):
-        # the MC stencil reaches one cell past supp u per SSP stage, so the
-        # bounding box of u > 0 grows by at most 2 cells per step on each side
+        # the MC stencil reaches one cell past supp u per stage, so the bounding box
+        # of u > 0 grows by at most STAGES cells per step on each side, which is the
+        # support window's halo
         g = CartesianGrid(2, 4.0, 32)
         rng = np.random.default_rng(seed)
         lo = rng.integers(10, 15, size=2)
@@ -405,17 +409,16 @@ class TestRunProperties:
         vals = np.zeros(g.shape)
         vals[lo[0]:hi[0], lo[1]:hi[1]] = rng.random((hi - lo).tolist())
         cfg = SolverConfig(t_end=0.5, output_times=(0.5,), cfl=cfl)
-        fields = []
-        traj = run(cfg, DensityField(g, vals), at_output=lambda t, u: fields.append(u))
 
         def bbox(u):
-            idx = np.nonzero(u.values > 0.0)
+            idx = np.nonzero(u > 0.0)
             return np.array([i.min() for i in idx]), np.array([i.max() for i in idx])
 
-        lo0, hi0 = bbox(fields[0])
-        lo1, hi1 = bbox(traj.last)
-        assert (lo0 - lo1).max() <= 2 * traj.steps
-        assert (hi1 - hi0).max() <= 2 * traj.steps
+        for _ in range(3):
+            new = _step(g, vals, cfg.t_end, cfg)[1]
+            (lo0, hi0), (lo1, hi1) = bbox(vals), bbox(new)
+            assert (lo0 - lo1).max() <= STAGES and (hi1 - hi0).max() <= STAGES
+            vals = new
 
 
 class TestTransport:
@@ -444,8 +447,10 @@ class TestTransport:
         faces = [rng.normal(size=face) * (rng.random(face) < 0.8) for face in face_shapes(shape)]
         with np.errstate(invalid="ignore"), mock.patch.object(solver, "STRIP_CELLS", strip):
             got, want = _advance(g, vals, faces, dt), reference_advance(g, vals, faces, dt)
+            into = _advance(g, vals, faces, dt, out=np.full(shape, 7.0))  # a stage register's old values
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(into, got, equal_nan=True) and np.array_equal(np.signbit(into), np.signbit(got))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -500,13 +505,17 @@ class TestAllocationBudget:
         assert advance <= 2 * vals.nbytes
 
     def test_step_and_its_cfl_bound(self):
-        # the cell speeds are summed strip by strip into one array, and the second stage's
-        # face velocities take the first stage's arrays
+        # the cell speeds are summed strip by strip into one array, which a later stage
+        # takes from its free register; each later stage's face velocities take the
+        # first stage's arrays
         g = CartesianGrid(2, 4.0, 384)
         vals = np.exp(-g.radius() ** 2)
         faces = _face_velocities(g, vals, 1.0)
         cfg = SolverConfig(t_end=1.0, output_times=(1.0,))
         assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl)) <= 2 * vals.nbytes
+        register = np.full(vals.shape, 9.0)
+        assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl, out=register)) <= vals.nbytes
+        assert _stable_dt(g, faces, cfg.cfl, out=register) == _stable_dt(g, faces, cfg.cfl)
         assert self.peak_bytes(lambda: _step(g, vals, 1e-3, cfg)) <= 5 * vals.nbytes
 
     def test_full_diagnostics_record(self):
@@ -694,33 +703,89 @@ class TestDiscreteEnergyLaw:
         n=st.sampled_from([1, 2]),
         s=st.floats(0.3, 1.0),
         cfl=st.floats(0.05, 0.45),
+        rim=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_ssp_step_energy_rise_bound(self, n, s, cfl, seed, data):
+    def test_ssp_step_energy_rise_bound(self, n, s, cfl, rim, seed, data):
         # E_h is the quadratic form 1/2 <u, A u> of the symmetric A = h^n G_h, and the
-        # SSP2 step is u + dt/2 (L0 + L1), with L0 = L(u) and L1 = L(u1) of the stage
-        # u1 = u + dt L0.  Expanding the form exactly,
-        #     E_h(u2) - E_h(u) = dt/2 (h^n sum L0 p(u) + h^n sum L1 p(u1)) + dt^2/8 Q(L0 - L1),
-        # with Q(d) = h^n sum d (G_h * d).  Both first-order terms are <= 0 by summation
-        # by parts, so the energy rises by at most the second-order term dt^2/8 Q(L0 - L1),
-        # which vanishes as L0 - L1 = O(dt) for smooth data.  The block is as `_step`
-        # sees it, with a zero rim of WINDOW_HALO cells, so its edge faces carry the
-        # field of its mass and bound dt; then below cfl 1/2 the step keeps u >= 0 and
-        # the clip takes nothing.  (Without the rim, two near-equal cells give a step so
-        # long that the stage overshoots and the second stage goes negative.)
+        # SSPRK(m, 2) step (m = STAGES) is u + dt/m (L_0 + ... + L_{m-1}), with L_k = L(u_k)
+        # at the stages u_0 = u, u_{k+1} = u_k + tau L_k, tau = dt/(m - 1).  Writing
+        # <L_k, A u> = <L_k, A u_k> - tau sum_{j<k} <L_k, A L_j> and expanding the form exactly,
+        #     E_h(u_new) - E_h(u) = dt/m sum_k h^n sum L_k p(u_k)
+        #                           + dt^2 / (2 m^2 (m - 1)) sum_{j<k} Q(L_j - L_k),
+        # with Q(d) = h^n sum d (G_h * d); at m = 2 the last term is the two-stage step's
+        # dt^2/8 Q(L_0 - L_1).  Every first-order term is <= 0 by summation by parts, so
+        # the energy rises by at most the second-order term, which vanishes as the L_k
+        # differ by O(dt) for smooth data.  Summation by parts needs u_k >= 0: below cfl
+        # 1/2 each stage keeps that inside its own CFL bound, which the step checks, so
+        # this holds with the zero rim of WINDOW_HALO cells that `_step` gives a block
+        # and without it, where the data reaches the block's edge and a stage can outrun
+        # the bound of u's faces.
         g, vals = self.field(n, seed, data)
-        vals = np.pad(vals, WINDOW_HALO)
+        if rim:
+            vals = np.pad(vals, WINDOW_HALO)
         cv = g.cell_volume
         energy = lambda v: 0.5 * cv * float((v * potential_values(g, v, s)).sum())
-        faces = _face_velocities(g, vals, s)
-        dt = min(_stable_dt(g, faces, cfl), 1.0)  # as run() clamps a step to the output time
         cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=s, cfl=cfl)
-        stage = _advance(g, vals, faces, dt)
-        new, clipped = _ssp_update(g, vals, faces, dt, cfg)  # takes the stage-2 faces
-        assert clipped == 0.0 and stage.min() >= 0.0
-        gap = (stage - vals) / dt - (_advance(g, stage, _face_velocities(g, stage, s), dt) - stage) / dt
-        rise_bound = 0.125 * dt**2 * cv * float((gap * potential_values(g, gap, s)).sum())
+        dt, new, clipped, _ = _ssp_update(g, vals, 1.0, cfg)  # 1.0 as run() clamps a step to the output time
+        tau = dt / (STAGES - 1)
+        stages, rates = [vals], []
+        for _ in range(STAGES):
+            u = stages[-1]
+            rates.append((_advance(g, u, _face_velocities(g, u, s), tau) - u) / tau)
+            stages.append(u + tau * rates[-1])
+        assert clipped == 0.0 and min(u.min() for u in stages) >= 0.0
+        q = lambda d: cv * float((d * potential_values(g, d, s)).sum())
+        pairs = sum(q(rates[j] - rates[k]) for k in range(STAGES) for j in range(k))
+        rise_bound = dt**2 / (2 * STAGES**2 * (STAGES - 1)) * pairs
         offset = max(np.abs(potential_values(g, v, s)).max() for v in (vals, new))
         tol = 1e-12 * cv * offset * vals.sum()
         assert energy(new) - energy(vals) <= rise_bound + tol
+
+
+class TestStagePositivity:
+    # every stage of a step is a forward-Euler step inside the CFL bound of its own
+    # faces, so a block whose data reaches its edge (no zero rim, as `_step` gives one
+    # only away from the box wall) keeps u >= 0 and the clip takes nothing
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.floats(0.3, 1.0),
+        cfl=st.floats(0.05, 0.45),
+        vals=st.integers(1, 2).flatmap(lambda n: arrays(
+            float, array_shapes(min_dims=n, max_dims=n, min_side=1, max_side=20),
+            elements=st.floats(0.0, 1.0))),
+    )
+    @example(s=0.375, cfl=0.25, vals=np.array([0.732, 0.710]))
+    def test_rimless_block_step_clips_nothing(self, s, cfl, vals):
+        g = CartesianGrid(vals.ndim, 1.0, 24)  # h = 1/12
+        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=s, cfl=cfl)
+        _, new, clipped, _ = _ssp_update(g, vals, 1.0, cfg)
+        assert clipped == 0.0
+        assert new.min() >= 0.0
+
+    def test_stage_over_its_bound_redoes_the_step(self):
+        # this block's first stage overshoots to about [0.55, 0.89], whose faces are
+        # far faster than u's: the step is redone from u at the stage's bound
+        g = CartesianGrid(1, 1.0, 24)
+        vals = np.array([0.732, 0.710])
+        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=0.375, cfl=0.25)
+        faces = _face_velocities(g, vals, cfg.s)
+        dt, new, clipped, redos = _ssp_update(g, vals, 1.0, cfg)
+        assert redos >= 1
+        assert dt < (STAGES - 1) * _stable_dt(g, faces, cfg.cfl)
+        assert clipped == 0.0 and new.min() >= 0.0
+        assert new.sum() == pytest.approx(vals.sum(), rel=1e-14)
+
+    def test_run_counts_redos(self, monkeypatch):
+        # the trajectory adds up the redos of its steps and reports them
+        ssp_update = solver._ssp_update
+        monkeypatch.setattr(solver, "_ssp_update", lambda *args: (*ssp_update(*args)[:3], 2))
+        g = CartesianGrid(2, 4.0, 32)
+        traj = run(SolverConfig(t_end=0.2, output_times=(0.2,)), patch_field(g))
+        assert traj.stage_redos == 2 * traj.steps > 0
+        assert traj.summary()["stage_redos"] == traj.stage_redos
+
+    def test_window_halo_is_one_cell_per_stage(self):
+        assert WINDOW_HALO == STAGES
