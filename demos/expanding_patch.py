@@ -29,7 +29,7 @@ u0 = field_from_function(grid, lambda p: patch_density(spec, p, 0.0))
 
 print(f"initial mass {total_mass(u0):.6f} (exact {spec.full_mass():.6f}), height {u0.values.max():.3f}")
 
-cfg = SolverConfig(t_end=3.0, output_times=(0.5, 1.0, 2.0, 3.0), cfl=0.45)
+cfg = SolverConfig(output_times=(0.5, 1.0, 2.0, 3.0), cfl=0.45)
 fields = []  # the run keeps only the last output's field, so collect them all
 traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
 

@@ -36,7 +36,7 @@ print("\nsolver sweep: patch data advanced to t=1 at several exponents")
 grid = CartesianGrid(2, 4.0, 128)
 patch = PatchSpec(2, radius=1.0, tau=1.0)
 u0 = field_from_function(grid, lambda p: patch_density(patch, p, 0.0))
-cfg = SolverConfig(t_end=1.0, output_times=(1.0,), cfl=0.45)
+cfg = SolverConfig(output_times=(1.0,), cfl=0.45)
 report = sweep_s(cfg, u0, [0.7, 0.85, 1.0])
 for s, d in zip(report.s_values, report.distances):
     print(f"  s = {s:4.2f}: L1 distance to the s=1 run {d:.4f}")

@@ -44,7 +44,7 @@ print("\nGodunov error against the exact solution at t = 1:")
 for nodes in (256, 512, 1024):
     rgrid = RadialGrid(2, np.sqrt(2 * 11.0), nodes)
     m0 = evolve_to_mass_function(sol, 0.0, rgrid)
-    m_end = run_finite_volume(m0, [1.0], cfl=0.9)[-1][1]
+    m_end = run_finite_volume(m0, [1.0])[-1][1]
     exact = evolve_characteristics(sol, 1.0, rgrid.sigma)
     err = np.trapezoid(np.abs(m_end.values - exact), rgrid.sigma)
     print(f"  J = {nodes:5d}: L1(sigma) error {err:.5f}")

@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grids import MassFunction, RadialGrid, RadialProfile, write_csv
+from .grids import ConfigError, MassFunction, RadialGrid, RadialProfile, write_csv
 
 __all__ = [
     "CFLError",
@@ -35,6 +35,9 @@ __all__ = [
     "MonotoneReport",
     "write_radial_trajectory_csv",
 ]
+
+FV_CFL = 0.9  # the CFL number dt max(M) / dsigma of run_finite_volume's steps
+TIME_TOL = 1e-12  # a run reaches a time t once within TIME_TOL * t of it, relative
 
 
 class CFLError(RuntimeError):
@@ -220,29 +223,30 @@ def check_reach(sigma, mass, t_end: float) -> None:
 
 
 def check_times(times, least: int, name: str) -> list:
-    """`times` as floats, once they hold at least `least` positive, strictly increasing times."""
+    """`times` as floats, once they hold at least `least` positive times, each more than
+    TIME_TOL past the one before (b - a > TIME_TOL b, false at NaN and inf): the rule of
+    every time list, field and radial, which sorts none."""
     times = [float(t) for t in times]
-    if len(times) < least or not all(b > a for a, b in zip([0.0] + times, times)):
-        raise ValueError(f"{name} must hold at least {least} positive, strictly increasing times")
+    if len(times) < least or not all(b - a > TIME_TOL * b for a, b in zip([0.0] + times, times)):
+        raise ConfigError(f"{name} must hold at least {least} positive, strictly increasing times, "
+                          f"finite and none repeated to {TIME_TOL:g} relative")
     return times
 
 
-def run_finite_volume(m0: MassFunction, times, cfl: float = 0.9):
-    """Advance from t=0 and record snapshots at the requested times (`check_times`),
-    each reached once t is within 1e-12 of it, relative.
+def run_finite_volume(m0: MassFunction, times):
+    """Advance from t=0 at CFL number FV_CFL and record snapshots at the requested
+    times (`check_times`), each reached once t is within TIME_TOL of it, relative.
 
     Returns a list of (t, MassFunction) pairs starting with (0, m0).
     """
     times = check_times(times, 1, "snapshot times")
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
     out = [(0.0, m0)]
     t, m = 0.0, m0
     d_sigma = m0.grid.d_sigma
     for target in times:
-        while t < target - 1e-12 * target:
+        while t < target - TIME_TOL * target:
             vmax = float(m.values.max())
-            dt = cfl * d_sigma / vmax if vmax > 0 else target - t
+            dt = FV_CFL * d_sigma / vmax if vmax > 0 else target - t
             dt = min(dt, target - t)
             m = step_finite_volume(m, dt)
             t += dt

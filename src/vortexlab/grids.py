@@ -19,6 +19,7 @@ from math import gamma, inf, pi
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "CartesianGrid",
     "DensityField",
     "RadialGrid",
@@ -37,6 +38,10 @@ __all__ = [
     "write_grid_csv",
     "write_csv",
 ]
+
+
+class ConfigError(ValueError):
+    """Invalid solver or scenario configuration."""
 
 
 def unit_ball_volume(n: int) -> float:

@@ -31,7 +31,7 @@ from math import gamma, pi
 
 import numpy as np
 
-from .grids import CartesianGrid, DensityField
+from .grids import CartesianGrid, ConfigError, DensityField
 
 __all__ = [
     "velocity_constant",
@@ -47,7 +47,7 @@ WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fe
 def _check_exponent(s: float) -> float:
     s = float(s)
     if not sys.float_info.min <= s <= 1.0:  # gamma(s) overflows for subnormal s
-        raise ValueError(f"exponent s must lie in (0, 1] and not be subnormal, got {s}")
+        raise ConfigError(f"exponent s must lie in (0, 1] and not be subnormal, got {s}")
     return s
 
 

@@ -14,9 +14,9 @@ advances one per two solves.  G_h is symmetric, so by summation by parts E_h =
 <= 0.  `run` steps at m - 1 times cfl * h over the largest cell speed (the sum over
 axes of the faster of the cell's two faces), clamped to the next output time, so
 each stage runs at CFL number cfl.  Each later stage checks its own faces' bound, and
-a step with a stage over it is redone at the smaller bound, so the SSP argument of
-Gottlieb, Shu and Tadmor (2001) holds stage by stage; `Trajectory.stage_redos`
-counts the redos.  At each output time `run` takes the record of
+a step with a stage over it by more than rounding is redone at the smaller bound, so
+the SSP argument of Gottlieb, Shu and Tadmor (2001) holds stage by stage;
+`Trajectory.stage_redos` counts the redos.  At each output time `run` takes the record of
 `diagnostics._output_record` and hands that output's field to an optional
 `at_output(t, u)` hook, keeping only the last field.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
@@ -38,7 +38,6 @@ vanishes outside W; and outside supp u the velocity never enters the update.
 
 from __future__ import annotations
 
-import sys
 import time as _time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -46,9 +45,10 @@ from math import isfinite
 
 import numpy as np
 
+from .burgers import TIME_TOL, check_times
 from .diagnostics import _output_record
-from .grids import CartesianGrid, DensityField, sphere_area, support_radius, total_mass
-from .potentials import _cut, _face_velocities, _sides, _support_window
+from .grids import CartesianGrid, ConfigError, DensityField, sphere_area, support_radius, total_mass
+from .potentials import _check_exponent, _cut, _face_velocities, _sides, _support_window
 
 __all__ = [
     "ConfigError",
@@ -63,12 +63,9 @@ __all__ = [
 
 BOUND_SLACK = 0.05  # warn when max u * (t + 1/max u0) exceeds 1 + this
 BOX_MARGIN = 0.9  # the support growth bound must stay inside this share of the half-width
+STAGE_SLACK = 1e-12  # a stage whose CFL limit is below dt by this share or less (rounding) passes
 STAGES = 4  # forward-Euler stages of one SSPRK(STAGES, 2) step; potentials.WINDOW_HALO equals it
 STRIP_CELLS = 16384  # _advance sweeps a block in strips of about this many cells
-
-
-class ConfigError(ValueError):
-    """Invalid solver or scenario configuration."""
 
 
 class NumericalError(RuntimeError):
@@ -79,39 +76,31 @@ class NumericalError(RuntimeError):
 class SolverConfig:
     """Numerical parameters of a run.
 
-    output_times must lie in (0, t_end], end at t_end and repeat no time, to the
-    1e-12 relative tolerance at which `run` reaches a time, so the run stops at
-    the horizon it reports and makes one record per time.  The scheme (MC-limited
-    transport, SSPRK(STAGES, 2) stepping, no added diffusion) is second order away
-    from extrema and keeps cell values within local bounds for cfl <= 0.5.  cfl is
-    the CFL number of one stage, and a step spans STAGES - 1 stages' worth of time.
+    output_times follow `burgers.check_times` (increasing, not sorted for you, one record
+    each), and the last of them is the horizon `t_end`; s follows
+    `potentials._check_exponent`.  The scheme (MC-limited transport, SSPRK(STAGES, 2)
+    stepping, no added diffusion) is second order away from extrema and keeps cell
+    values within local bounds for cfl <= 0.5.  cfl is the CFL number of one stage, and
+    a step spans STAGES - 1 stages' worth of time.
     """
 
-    t_end: float
     output_times: tuple
     s: float = 1.0
     cfl: float = 0.45
     diagnostics: str = "basic"  # or "full"
 
     def __post_init__(self):
-        if not 0 < self.t_end < np.inf:
-            raise ConfigError("t_end must be positive and finite")
-        outs = tuple(sorted(float(t) for t in self.output_times))
-        if not outs:
-            raise ConfigError("output_times must hold at least one time")
-        if not np.isfinite(outs).all():
-            raise ConfigError("output_times must be finite")
-        if outs[0] <= 0 or abs(outs[-1] - self.t_end) > 1e-12 * self.t_end:
-            raise ConfigError("output_times must lie in (0, t_end] and end at t_end")
-        if any(b - a <= 1e-12 * b for a, b in zip(outs, outs[1:])):
-            raise ConfigError("output_times must not repeat a time")
+        object.__setattr__(self, "output_times", tuple(check_times(self.output_times, 1, "output_times")))
+        _check_exponent(self.s)
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("cfl must lie in (0, 1]")
-        if not sys.float_info.min <= self.s <= 1.0:  # gamma(s) overflows for subnormal s
-            raise ConfigError("s must lie in (0, 1] and not be subnormal")
         if self.diagnostics not in ("basic", "full"):
             raise ConfigError("diagnostics must be 'basic' or 'full'")
-        object.__setattr__(self, "output_times", outs)
+
+    @property
+    def t_end(self) -> float:
+        """The horizon of the run: its last output time."""
+        return self.output_times[-1]
 
 
 @dataclass
@@ -284,9 +273,9 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
     velocities of its own input, then u^n / STAGES + (STAGES - 1) / STAGES times the
     last stage.  dt is STAGES - 1 times the CFL bound of u^n's faces, clamped to
     max_dt.  Each later stage's faces set a limit on dt the same way; when dt is over
-    it, the step is redone from u^n at that limit, so every stage is a forward-Euler
-    step inside its own CFL bound.  dt falls at each redo, and a stage whose limit
-    comes out the same on the redo passes.
+    it by more than rounding (STAGE_SLACK, relative), the step is redone from u^n at
+    that limit, so every stage is a forward-Euler step inside its own CFL bound.  dt
+    falls at each redo, and a stage whose limit comes out the same on the redo passes.
 
     The stages take turns in two block registers: the free one takes the positive
     part of the current stage, from which its face velocities are solved, then its
@@ -303,7 +292,7 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
         for _ in range(STAGES - 1):
             faces = _face_velocities(grid, np.maximum(stage, 0.0, out=spare), cfg.s, out=faces)
             limit = (STAGES - 1) * _stable_dt(grid, faces, cfg.cfl, out=spare)
-            if dt > limit:
+            if dt > limit * (1.0 + STAGE_SLACK):
                 break
             stage, spare = _advance(grid, stage, faces, stage_dt, out=spare), stage
         else:
@@ -359,7 +348,7 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
         at_output(0.0, u0)
     t, vals = 0.0, u0.values
     for target in cfg.output_times:
-        while t < target - 1e-12 * target:
+        while t < target - TIME_TOL * target:
             dt, vals, clipped, redos = _step(grid, vals, target - t, cfg)
             traj.clipped_mass += clipped
             traj.stage_redos += redos

@@ -49,7 +49,7 @@ def patch_run():
     exact = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, 3.0))
     start = time.perf_counter()
     cfg = solver.SolverConfig(
-        t_end=3.0, output_times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+        output_times=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
         cfl=0.45, diagnostics="full",
     )
     fields = []
@@ -66,7 +66,7 @@ def gaussian_run():
     width_sq = 1.0 / (4.0 * pi)
     u0 = field_from_function(grid, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
     cfg = solver.SolverConfig(
-        t_end=3.0, output_times=(0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+        output_times=(0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
         cfl=0.45, diagnostics="full",
     )
     return {"traj": solver.run(cfg, u0), "grid": grid, "u0": u0}
@@ -82,7 +82,7 @@ def radial_gaussian_run():
     m0 = burgers.mass_transform(u0)
     times = [1.0, 2.0, 5.0, 10.0, 20.0, 35.0, 50.0]
     start = time.perf_counter()
-    traj = burgers.run_finite_volume(m0, times, cfl=0.9)
+    traj = burgers.run_finite_volume(m0, times)
     return {"traj": traj, "rgrid": rgrid, "m0": m0, "times": times,
             "elapsed": time.perf_counter() - start}
 
@@ -159,7 +159,7 @@ def test_criterion_03_finite_volume_convergence():
     for nodes in (256, 512, 1024):
         rgrid = RadialGrid(2, sqrt(2 * 11.0), nodes)
         m0 = burgers.evolve_to_mass_function(sol, 0.0, rgrid)
-        m_end = burgers.run_finite_volume(m0, [t_end], cfl=0.9)[-1][1]
+        m_end = burgers.run_finite_volume(m0, [t_end])[-1][1]
         exact = burgers.evolve_characteristics(sol, t_end, rgrid.sigma)
         errs.append(float(np.trapezoid(np.abs(m_end.values - exact), rgrid.sigma)))
         widths.append(rgrid.d_sigma)
@@ -274,7 +274,7 @@ def test_criterion_08_non_comparison():
         grid, lambda p: closed_forms.two_patch_state(spec, np.linalg.norm(p, axis=-1), 0.0).density
     )
     u2_0 = field_from_function(grid, lambda p: closed_forms.patch_density(small, p, 0.0))
-    cfg = solver.SolverConfig(t_end=3.0, output_times=(3.0,), cfl=0.45)
+    cfg = solver.SolverConfig(output_times=(3.0,), cfl=0.45)
     tr1 = solver.run(cfg, u1_0)
     tr2 = solver.run(cfg, u2_0)
     x = grid.axis_centers()
@@ -304,7 +304,7 @@ def test_criterion_09_limit_toward_unit_exponent():
     grid = CartesianGrid(2, 4.0, 128)
     spec_p = closed_forms.PatchSpec(2, radius=1.0, tau=1.0)
     u0 = field_from_function(grid, lambda p: closed_forms.patch_density(spec_p, p, 0.0))
-    cfg = solver.SolverConfig(t_end=1.0, output_times=(1.0,), cfl=0.45)
+    cfg = solver.SolverConfig(output_times=(1.0,), cfl=0.45)
     rep = solver.sweep_s(cfg, u0, [0.7, 0.85, 1.0])
     elapsed = time.perf_counter() - start
     report("09 fractional-to-unit-limit",
@@ -398,7 +398,7 @@ def test_criterion_13_fundamental_solution():
     vals = np.zeros(grid.shape)
     vals[256, 256] = pi / grid.cell_volume
     u0 = DensityField(grid, vals)
-    cfg = solver.SolverConfig(t_end=3.0, output_times=(1.0, 3.0), cfl=0.45)
+    cfg = solver.SolverConfig(output_times=(1.0, 3.0), cfl=0.45)
     fields = []
     traj = solver.run(cfg, u0, at_output=lambda t, u: fields.append(u))
     patch = closed_forms.PatchSpec(2, radius=1.0, tau=0.0)

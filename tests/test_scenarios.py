@@ -185,6 +185,8 @@ class TestValidateConfig:
         {"scenario": "two-patch", "params": {"check_times": [1.0, 1.0]}},
         {"scenario": "asymptotics",
          "params": {"cells": 64, "output_times": [0.25, 0.5, 0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]}},
+        {"scenario": "vortex-patch", "params": {"cells": 32, "output_times": [3.0, 1.0, 2.0]}},
+        {"scenario": "vortex-patch", "params": {"cells": 32, "t_end": 1.0, "output_times": [0.5]}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -208,7 +210,8 @@ class TestValidateConfig:
             "asymptotics-wider-gaussian-leaks", "asymptotics-late-radial-time-leaks",
             "two-patch-late-check-time-leaks", "field-scenario-cfl", "asymptotics-rate-tol",
             "two-patch-unsorted-check-times", "two-patch-repeated-check-times",
-            "asymptotics-repeated-output-times"])
+            "asymptotics-repeated-output-times", "vortex-patch-unsorted-output-times",
+            "vortex-patch-output-times-short-of-t-end"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

@@ -97,38 +97,41 @@ def rough_field(rng, shape):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError, match="t_end"):
-            SolverConfig(t_end=-1.0, output_times=(1.0,))
+        # the horizon is the last output time, so a negative one is a negative output time;
+        # outputs past or short of a scenario's t_end are the scenario layer's to reject
         with pytest.raises(ConfigError, match="output_times"):
-            SolverConfig(t_end=1.0, output_times=(2.0,))
-        with pytest.raises(ConfigError, match="end at t_end"):
-            SolverConfig(t_end=1.0, output_times=(0.5,))
+            SolverConfig(output_times=(-1.0,))
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            SolverConfig(output_times=(1.0, 0.5))  # no time list is sorted for you
         with pytest.raises(ConfigError, match="cfl"):
-            SolverConfig(t_end=1.0, output_times=(1.0,), cfl=0.0)
+            SolverConfig(output_times=(1.0,), cfl=0.0)
         with pytest.raises(ConfigError, match="s must"):
-            SolverConfig(t_end=1.0, output_times=(1.0,), s=1.5)
+            SolverConfig(output_times=(1.0,), s=1.5)
         with pytest.raises(ConfigError, match="subnormal"):
-            SolverConfig(t_end=1.0, output_times=(1.0,), s=5e-324)
-        with pytest.raises(ConfigError, match="output_times must be finite"):
-            SolverConfig(t_end=1.0, output_times=(0.5, float("nan"), 1.0))
+            SolverConfig(output_times=(1.0,), s=5e-324)
+        with pytest.raises(ConfigError, match="output_times must hold .* finite"):
+            SolverConfig(output_times=(0.5, float("nan"), 1.0))
+
+    def test_horizon_is_the_last_output_time(self):
+        assert SolverConfig(output_times=[0.5, 1.0]).t_end == 1.0
 
     @pytest.mark.parametrize("outs", [(0.5, 0.5, 1.0), (0.5, 0.5 * (1 + 1e-13), 1.0), (1.0, 1.0)],
                              ids=["repeat", "repeat-within-the-time-guard", "repeated-horizon"])
     def test_repeated_output_times_rejected(self, outs):
         # each repeat used to become a second record at the same t
         with pytest.raises(ConfigError, match="repeat"):
-            SolverConfig(t_end=1.0, output_times=outs)
+            SolverConfig(output_times=outs)
 
     @pytest.mark.parametrize("value", [inf, -inf, nan])
-    @pytest.mark.parametrize("build", [
-        lambda x: SolverConfig(t_end=x, output_times=(1.0,)),
-        lambda x: CartesianGrid(2, x, 16),
-        lambda x: RadialGrid(2, x, 16),
+    @pytest.mark.parametrize("build, match", [
+        (lambda x: SolverConfig(output_times=(x,)), "output_times must hold .* finite"),
+        (lambda x: CartesianGrid(2, x, 16), "positive and finite"),
+        (lambda x: RadialGrid(2, x, 16), "positive and finite"),
     ], ids=["t_end", "half_width", "r_max"])
-    def test_non_finite_sizes_rejected(self, build, value):
+    def test_non_finite_sizes_rejected(self, build, match, value):
         # an infinite horizon or box would run to its first output and report inf,
         # or give an infinite cell or a nan node spacing
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=match):
             build(value)
 
 
@@ -139,7 +142,7 @@ class TestStep:
         # the guard is relative to the output time, so a horizon below an absolute
         # tolerance still gets its one step
         u0 = patch_field(CartesianGrid(2, 2.0, 32), radius=0.5)
-        traj = run(SolverConfig(t_end=5e-13, output_times=(5e-13,)), u0)
+        traj = run(SolverConfig(output_times=(5e-13,)), u0)
         assert traj.steps == 1
         assert [r.t for r in traj.records] == [0.0, 5e-13]
         assert not np.array_equal(traj.last.values, u0.values)
@@ -149,7 +152,7 @@ class TestStep:
         vals = np.zeros(g.shape)
         vals[16, 16] = 5.0
         u = DensityField(g, vals)
-        cfg = SolverConfig(t_end=1e-4, output_times=(1e-4,))
+        cfg = SolverConfig(output_times=(1e-4,))
         traj = run(cfg, u)
         assert traj.steps == 1
         assert total_mass(traj.last) == pytest.approx(total_mass(u), rel=1e-14)
@@ -157,7 +160,7 @@ class TestStep:
     def test_mass_conserved(self):
         g = CartesianGrid(2, 4.0, 64)
         u = patch_field(g)
-        cfg = SolverConfig(t_end=1e-3, output_times=(1e-3,))
+        cfg = SolverConfig(output_times=(1e-3,))
         traj = run(cfg, u)
         assert traj.steps == 1
         assert total_mass(traj.last) == pytest.approx(total_mass(u), rel=1e-13)
@@ -166,7 +169,7 @@ class TestStep:
         rng = np.random.default_rng(4)
         g = CartesianGrid(2, 4.0, 64)
         u = DensityField(g, rng.random(g.shape) * (g.radius() <= 2.0))
-        cfg = SolverConfig(t_end=0.5, output_times=(0.5,))  # one step of rough data spans about t = 0.1
+        cfg = SolverConfig(output_times=(0.5,))  # one step of rough data spans about t = 0.1
         traj = run(cfg, u)
         assert traj.steps > 1
         assert traj.last.values.min() >= 0.0
@@ -195,7 +198,7 @@ class TestBoxSizing:
     def test_run_rejects_small_box(self):
         g = CartesianGrid(2, 2.0, 64)
         u = patch_field(g)
-        cfg = SolverConfig(t_end=8.0, output_times=(8.0,))
+        cfg = SolverConfig(output_times=(8.0,))
         with pytest.raises(ConfigError, match="support growth bound"):
             run(cfg, u)
 
@@ -205,7 +208,7 @@ class TestRun:
     def test_zero_initial_data_rejected(self, diagnostics):
         # every record and check is measured against the initial mass or 1/max u0
         g = CartesianGrid(2, 2.0, 32)
-        cfg = SolverConfig(t_end=0.5, output_times=(0.25, 0.5), diagnostics=diagnostics)
+        cfg = SolverConfig(output_times=(0.25, 0.5), diagnostics=diagnostics)
         with pytest.raises(ConfigError, match="positive mass"):
             run(cfg, DensityField(g, np.zeros(g.shape)))
 
@@ -214,7 +217,7 @@ class TestRun:
         # so a fractional run leaves them empty, as it leaves the energy
         g = CartesianGrid(2, 4.0, 64)
         u0 = field_from_function(g, lambda p: np.exp(-(p**2).sum(axis=-1) / 0.5))
-        cfg = SolverConfig(t_end=0.2, output_times=(0.1, 0.2), s=0.7, diagnostics="full")
+        cfg = SolverConfig(output_times=(0.1, 0.2), s=0.7, diagnostics="full")
         traj = run(cfg, u0)
         for rec in traj.records:
             assert rec.energy is None and rec.entropy is None
@@ -223,7 +226,7 @@ class TestRun:
     def test_patch_run_invariants(self):
         g = CartesianGrid(2, 4.0, 128)
         u0 = patch_field(g)
-        cfg = SolverConfig(t_end=1.0, output_times=(0.5, 1.0))
+        cfg = SolverConfig(output_times=(0.5, 1.0))
         traj = run(cfg, u0)
         assert traj.mass_drift() <= 1e-12
         assert traj.max_bound_ratio() <= 1.05
@@ -234,7 +237,7 @@ class TestRun:
     def test_l_infinity_decay_tracked(self):
         g = CartesianGrid(2, 4.0, 128)
         u0 = patch_field(g)
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,))
+        cfg = SolverConfig(output_times=(1.0,))
         traj = run(cfg, u0)
         # patch height at t=1 is 1/2
         assert traj.records[-1].linf_norm == pytest.approx(0.5, abs=0.03)
@@ -243,7 +246,7 @@ class TestRun:
         g = CartesianGrid(2, 2.56, 128)
         w2 = 1.0 / (4 * pi)
         u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * w2)))
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,))
+        cfg = SolverConfig(output_times=(1.0,))
         traj = run(cfg, u0)
         assert traj.mass_drift() <= 1e-9
 
@@ -253,7 +256,7 @@ class TestRun:
         from vortexlab.potentials import _kernel_table
 
         g = CartesianGrid(2, 4.0, 64)  # the patch and its halo stay inside a 32-cell window
-        cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.2, 0.3), diagnostics="full")
+        cfg = SolverConfig(output_times=(0.1, 0.2, 0.3), diagnostics="full")
         _kernel_table.cache_clear()
         traj = run(cfg, patch_field(g))
         assert all(rec.entropy is not None for rec in traj.records)
@@ -274,7 +277,7 @@ class TestRun:
         monkeypatch.setattr(potentials, "_kernel_table", recording_table)
         g = CartesianGrid(2, 4.0, 64)
         for diagnostics in ("basic", "full"):
-            cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.3), diagnostics=diagnostics)
+            cfg = SolverConfig(output_times=(0.1, 0.3), diagnostics=diagnostics)
             traj = run(cfg, patch_field(g))
             assert traj.steps > 1
         assert shapes and g.shape not in shapes
@@ -292,7 +295,7 @@ class TestRun:
         monkeypatch.setattr(solver, "_output_record", recording)
         g = CartesianGrid(2, 4.0, 64)
         u0 = patch_field(g)
-        cfg = SolverConfig(t_end=0.3, output_times=(0.1, 0.2, 0.3))
+        cfg = SolverConfig(output_times=(0.1, 0.2, 0.3))
         seen = []
         traj = run(cfg, u0, at_output=lambda t, u: seen.append((t, u, len(records))))
         assert [t for t, _, _ in seen] == [rec.t for rec in traj.records]
@@ -303,7 +306,7 @@ class TestRun:
 
     def test_summary_fields(self):
         g = CartesianGrid(2, 4.0, 64)
-        cfg = SolverConfig(t_end=0.5, output_times=(0.5,))
+        cfg = SolverConfig(output_times=(0.5,))
         traj = run(cfg, patch_field(g))
         s = traj.summary()
         for key in ("steps", "mass_drift_relative", "clipped_mass", "max_sup_bound_ratio", "warnings"):
@@ -321,7 +324,7 @@ class TestRunProperties:
         g = CartesianGrid(2, half_width, 16)
         rng = np.random.default_rng(seed)
         u0 = DensityField(g, rng.random(g.shape) * (g.radius() <= half_width / 4))
-        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), cfl=cfl)
+        cfg = SolverConfig(output_times=(0.1,), cfl=cfl)
         fields = []
         traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
         assert traj.mass_drift() <= 1e-12
@@ -348,7 +351,7 @@ class TestRunProperties:
         vals[tuple(block)] = np.random.default_rng(seed).random(vals[tuple(block)].shape)
         for cut, side in zip(_support_window(vals), block):
             assert cut.start <= max(side.start - STAGES, 0) and cut.stop >= min(side.stop + STAGES, g.cells)
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=s, cfl=cfl)
+        cfg = SolverConfig(output_times=(1.0,), s=s, cfl=cfl)
         dt, new, clipped, _ = _step(g, vals, 1.0, cfg)
         whole_dt, whole, whole_clipped, _ = _ssp_update(g, vals, 1.0, cfg)
         assert dt == pytest.approx(whole_dt, rel=1e-12)
@@ -389,7 +392,7 @@ class TestRunProperties:
         vals[block] = np.random.default_rng(seed).random(vals[block].shape)
         assert any(w.start == 0 or w.stop == cells for w in _support_window(vals))
         u0 = DensityField(g, vals)
-        cfg = SolverConfig(t_end=0.1, output_times=(0.1,), cfl=cfl)
+        cfg = SolverConfig(output_times=(0.1,), cfl=cfl)
         fields = []
         traj = run(cfg, u0, at_output=lambda t, u: fields.append(u))
         assert traj.mass_drift() <= 1e-12
@@ -408,7 +411,7 @@ class TestRunProperties:
         hi = lo + rng.integers(1, 8, size=2)
         vals = np.zeros(g.shape)
         vals[lo[0]:hi[0], lo[1]:hi[1]] = rng.random((hi - lo).tolist())
-        cfg = SolverConfig(t_end=0.5, output_times=(0.5,), cfl=cfl)
+        cfg = SolverConfig(output_times=(0.5,), cfl=cfl)
 
         def bbox(u):
             idx = np.nonzero(u > 0.0)
@@ -476,7 +479,7 @@ class TestTransport:
         vals = np.zeros(g.shape)
         vals[12:20, 12:20] = 1.0
         vals[15, 16] = np.nan
-        cfg = SolverConfig(t_end=0.1, output_times=(0.1,))
+        cfg = SolverConfig(output_times=(0.1,))
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             _step(g, vals, 0.1, cfg)
 
@@ -511,7 +514,7 @@ class TestAllocationBudget:
         g = CartesianGrid(2, 4.0, 384)
         vals = np.exp(-g.radius() ** 2)
         faces = _face_velocities(g, vals, 1.0)
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,))
+        cfg = SolverConfig(output_times=(1.0,))
         assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl)) <= 2 * vals.nbytes
         register = np.full(vals.shape, 9.0)
         assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl, out=register)) <= vals.nbytes
@@ -535,7 +538,7 @@ class TestAllocationBudget:
         g = CartesianGrid(2, 2.56, 192)
         width_sq = 1.0 / (4 * pi)
         u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
-        cfg = SolverConfig(t_end=0.5, output_times=(0.25, 0.5), diagnostics="full")
+        cfg = SolverConfig(output_times=(0.25, 0.5), diagnostics="full")
         assert self.peak_bytes(lambda: run(cfg, u0)) <= 18 * u0.values.nbytes
 
     def test_run_peak_does_not_grow_with_its_outputs(self):
@@ -547,7 +550,7 @@ class TestAllocationBudget:
 
         def outputs(count):
             times = tuple(0.5 * k / count for k in range(1, count + 1))
-            return SolverConfig(t_end=0.5, output_times=times, diagnostics="full")
+            return SolverConfig(output_times=times, diagnostics="full")
 
         two, sixteen = outputs(2), outputs(16)
         run(two, u0)  # builds and caches the kernel table
@@ -560,26 +563,26 @@ class TestAllocationBudget:
 class TestSweep:
     def test_single_member_distance_zero(self):
         g = CartesianGrid(2, 4.0, 64)
-        cfg = SolverConfig(t_end=0.25, output_times=(0.25,))
+        cfg = SolverConfig(output_times=(0.25,))
         rep = sweep_s(cfg, patch_field(g), [1.0])
         assert rep.distances == [0.0]
         assert rep.nonincreasing
 
     def test_requires_unit_exponent(self):
         g = CartesianGrid(2, 4.0, 64)
-        cfg = SolverConfig(t_end=0.25, output_times=(0.25,))
+        cfg = SolverConfig(output_times=(0.25,))
         with pytest.raises(ConfigError):
             sweep_s(cfg, patch_field(g), [0.5, 0.8])
 
     def test_rejects_repeated_exponent(self):
         g = CartesianGrid(2, 4.0, 32)
-        cfg = SolverConfig(t_end=0.1, output_times=(0.1,))
+        cfg = SolverConfig(output_times=(0.1,))
         with pytest.raises(ConfigError, match="none repeated"):
             sweep_s(cfg, patch_field(g), [0.85, 1.0, 0.85])
 
     def test_failing_member_keeps_partial_report(self):
         g = CartesianGrid(2, 4.0, 32)
-        cfg = SolverConfig(t_end=0.1, output_times=(0.1,))
+        cfg = SolverConfig(output_times=(0.1,))
         rep = sweep_s(cfg, patch_field(g), [0.0, 1.0])  # s = 0 is rejected by replace
         assert rep.partial
         assert set(rep.errors) == {0.0} and "ConfigError" in rep.errors[0.0]
@@ -587,7 +590,7 @@ class TestSweep:
 
     def test_distances_nonincreasing_in_s(self):
         g = CartesianGrid(2, 4.0, 96)
-        cfg = SolverConfig(t_end=0.5, output_times=(0.5,))
+        cfg = SolverConfig(output_times=(0.5,))
         rep = sweep_s(cfg, patch_field(g), [0.7, 0.85, 1.0])
         assert rep.nonincreasing
         assert rep.distances[0] > rep.distances[1] > 0.0
@@ -600,10 +603,13 @@ class TestOneDimension:
         g = CartesianGrid(1, 4.0, 256)
         x = g.axis_centers()
         u0 = DensityField(g, (np.abs(x) <= 1.0).astype(float))
-        cfg = SolverConfig(t_end=1.0, output_times=(0.5, 1.0))
+        cfg = SolverConfig(output_times=(0.5, 1.0))
         traj = run(cfg, u0)
         assert traj.mass_drift() <= 1e-12
         assert traj.max_bound_ratio() <= 1.05
+        # outside the support the s = 1 face speed is M/2 at every stage, so a stage's
+        # CFL limit is u^n's up to rounding and the step stands
+        assert traj.stage_redos == 0
         # interval patch: height 1/(t+1), support |x| <= (1+t)
         assert traj.records[-1].linf_norm == pytest.approx(0.5, abs=0.03)
         assert support_radius(traj.last) == pytest.approx(2.0, abs=0.1)
@@ -617,7 +623,7 @@ class TestEnergyDissipationIdentity:
         width_sq = 1.0 / (4 * pi)
         u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
         cfg = SolverConfig(
-            t_end=2.0, output_times=(0.5, 0.75, 1.0, 1.25, 1.5, 2.0),
+            output_times=(0.5, 0.75, 1.0, 1.25, 1.5, 2.0),
             cfl=0.45, diagnostics="full",
         )
         fields = []
@@ -650,7 +656,7 @@ class TestOrderOfAccuracy:
         errors = []
         for cells in self.LADDER:
             g = CartesianGrid(2, 4.0, cells)
-            traj = run(SolverConfig(t_end=3.0, output_times=(3.0,)), patch_field(g))
+            traj = run(SolverConfig(output_times=(3.0,)), patch_field(g))
             exact = patch_field(g, t=3.0)
             diff = np.abs(traj.last.values - exact.values).sum()
             errors.append(g.cell_volume * float(diff) / spec.full_mass())
@@ -664,7 +670,7 @@ class TestOrderOfAccuracy:
             g = CartesianGrid(2, 2.56, cells)
             width_sq = 1.0 / (4 * pi)
             u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
-            traj = run(SolverConfig(t_end=3.0, output_times=(1.0, 2.0, 3.0)), u0)
+            traj = run(SolverConfig(output_times=(1.0, 2.0, 3.0)), u0)
             mass = total_mass(u0)
             m2 = traj.records[0].second_moment
             errors.append(max(abs(r.second_moment - (m2 + r.t * mass**2 / (2 * pi))) / m2
@@ -727,7 +733,7 @@ class TestDiscreteEnergyLaw:
             vals = np.pad(vals, WINDOW_HALO)
         cv = g.cell_volume
         energy = lambda v: 0.5 * cv * float((v * potential_values(g, v, s)).sum())
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=s, cfl=cfl)
+        cfg = SolverConfig(output_times=(1.0,), s=s, cfl=cfl)
         dt, new, clipped, _ = _ssp_update(g, vals, 1.0, cfg)  # 1.0 as run() clamps a step to the output time
         tau = dt / (STAGES - 1)
         stages, rates = [vals], []
@@ -760,7 +766,7 @@ class TestStagePositivity:
     @example(s=0.375, cfl=0.25, vals=np.array([0.732, 0.710]))
     def test_rimless_block_step_clips_nothing(self, s, cfl, vals):
         g = CartesianGrid(vals.ndim, 1.0, 24)  # h = 1/12
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=s, cfl=cfl)
+        cfg = SolverConfig(output_times=(1.0,), s=s, cfl=cfl)
         _, new, clipped, _ = _ssp_update(g, vals, 1.0, cfg)
         assert clipped == 0.0
         assert new.min() >= 0.0
@@ -770,7 +776,7 @@ class TestStagePositivity:
         # far faster than u's: the step is redone from u at the stage's bound
         g = CartesianGrid(1, 1.0, 24)
         vals = np.array([0.732, 0.710])
-        cfg = SolverConfig(t_end=1.0, output_times=(1.0,), s=0.375, cfl=0.25)
+        cfg = SolverConfig(output_times=(1.0,), s=0.375, cfl=0.25)
         faces = _face_velocities(g, vals, cfg.s)
         dt, new, clipped, redos = _ssp_update(g, vals, 1.0, cfg)
         assert redos >= 1
@@ -783,7 +789,7 @@ class TestStagePositivity:
         ssp_update = solver._ssp_update
         monkeypatch.setattr(solver, "_ssp_update", lambda *args: (*ssp_update(*args)[:3], 2))
         g = CartesianGrid(2, 4.0, 32)
-        traj = run(SolverConfig(t_end=0.2, output_times=(0.2,)), patch_field(g))
+        traj = run(SolverConfig(output_times=(0.2,)), patch_field(g))
         assert traj.stage_redos == 2 * traj.steps > 0
         assert traj.summary()["stage_redos"] == traj.stage_redos
 
