@@ -11,11 +11,10 @@ open rarefaction fans that are resolved analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .grids import ConfigError, MassFunction, RadialGrid, RadialProfile, write_csv
+from .grids import ConfigError, MassFunction, RadialGrid, RadialProfile, _row_tails, _write_csv_lines
 
 __all__ = [
     "CFLError",
@@ -293,12 +292,17 @@ def check_monotone_inequalities(trajectory, tol: float = 1e-3) -> MonotoneReport
 
 
 def write_radial_trajectory_csv(trajectory, path) -> None:
-    """Rows (t, sigma, r, M, u, v) for every snapshot and node."""
+    """Rows (t, sigma, r, M, u, v) for every snapshot and node.
 
-    def rows():
+    A snapshot is one line of grids._write_csv_lines: its t is formatted once,
+    and the (sigma, r) text of each radial grid once for all its snapshots.
+    """
+    tails = {}
+
+    def lines():
         for t, m in trajectory:
-            u = density_from_mass(m).values
-            v = radial_speed_values(m)
-            yield from zip(repeat(t), m.grid.sigma, m.grid.r, m.values, u, v)
+            if m.grid not in tails:
+                tails[m.grid] = _row_tails([m.grid.sigma, m.grid.r], 3)
+            yield "%.17g," % t, tails[m.grid], [m.values, density_from_mass(m).values, radial_speed_values(m)]
 
-    write_csv(path, ["t", "sigma", "r", "M", "u", "v"], rows())
+    _write_csv_lines(path, ["t", "sigma", "r", "M", "u", "v"], lines())

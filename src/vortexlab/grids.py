@@ -313,13 +313,40 @@ def write_grid_csv(grid: CartesianGrid, columns: dict, path) -> None:
 
     Row order is row-major over the grid.  Floats are written with round-trip
     precision (see write_csv) so identical data produces byte-identical files.
+    Each axis coordinate is formatted once, and a grid line (fixed x in 2-d,
+    the whole axis in 1-d) is one line of _write_csv_lines.
     """
-    coords = grid.centers()
-    names = ["x"] if grid.n == 1 else ["x", "y"]
-    header = names + list(columns.keys())
-    cols = [c.ravel() for c in coords] + [np.asarray(v).ravel() for v in columns.values()]
-    batches = range(0, cols[0].size, CSV_BATCH_ROWS)  # Python floats for one batch at a time
-    write_csv(path, header, chain.from_iterable(zip(*(c[i:i + CSV_BATCH_ROWS].tolist() for c in cols)) for i in batches))
+    x = grid.axis_centers()
+    header = (["x"] if grid.n == 1 else ["x", "y"]) + list(columns.keys())
+    arrays = [np.asarray(v).reshape(-1, grid.cells) for v in columns.values()]
+    tails = _row_tails([x], len(arrays))
+    leads = [""] if grid.n == 1 else [text + "," for text in _g17_texts(x)]
+    _write_csv_lines(path, header, ((lead, tails, [a[i] for a in arrays]) for i, lead in enumerate(leads)))
+
+
+def _g17_texts(values) -> list:
+    """The %.17g text of each value."""
+    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
+
+
+def _row_tails(coords, n_values: int) -> list:
+    """One row end per node: the node's coordinate texts, each formatted once,
+    then a %.17g slot per value and the newline."""
+    slots = ",%.17g" * n_values + "\n"
+    return [",".join(texts) + slots for texts in zip(*map(_g17_texts, coords))]
+
+
+def _write_csv_lines(path, header, lines) -> None:
+    """CSV from lines of rows that share text: each line is (lead, tails, columns),
+    its rows lead + tail for each of the tails (see _row_tails), whose %.17g slots
+    take the columns' values in row order.  One %-format per line formats only
+    the values; the fixed text is %.17g text too, so the bytes are write_csv's.
+    """
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for lead, tails, columns in lines:
+            values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+            f.write((lead + lead.join(tails)) % values)
 
 
 def write_csv(path, header, rows) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from math import isfinite, pi, sqrt
+from math import inf, isfinite, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -111,9 +111,10 @@ class Scenario:
     summary: str
     defaults: dict
     runner: object
-    # merged params -> the inputs of runner(params, rng, outdir, **inputs);
+    # merged params -> the inputs of runner(params, outdir, **inputs);
     # raises ValueError on bad input, so validation builds and a run builds once
     build: object
+    seeded: bool = False  # the runner draws, from the run's seed passed as `seed`
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,8 @@ def _grid(params) -> CartesianGrid:
 def _field_inputs(params, u0, diagnostics="basic") -> dict:
     """A field run's admitted u0 and SolverConfig, whose output_times (t_end alone when
     not given) must end at t_end, to the tolerance at which a run reaches a time."""
+    if not 0 < params["t_end"] < inf:  # NaN fails
+        raise solver.ConfigError("t_end must be positive and finite")
     cfg = solver.SolverConfig(params.get("output_times", [params["t_end"]]), diagnostics=diagnostics)
     if not abs(cfg.t_end - params["t_end"]) <= burgers.TIME_TOL * cfg.t_end:  # NaN and inf fail
         raise solver.ConfigError("output_times must end at t_end")
@@ -332,7 +335,7 @@ def _monotone_checks(records, mass, entropy_claim, energy_claim) -> list:
 # scenario runners
 
 
-def _scenario_vortex_patch(params, rng, outdir, u0, cfg, spec):
+def _scenario_vortex_patch(params, outdir, u0, cfg, spec):
     grid = u0.grid
     traj = solver.run(cfg, u0)
     exact = field_from_function(grid, lambda p: closed_forms.patch_density(spec, p, cfg.t_end))
@@ -371,7 +374,7 @@ def _scenario_vortex_patch(params, rng, outdir, u0, cfg, spec):
     return checks, ["diagnostics.csv", "final_field.bin", "final_field.csv", "run_summary.json"]
 
 
-def _scenario_two_patch(params, rng, outdir, spec, sol, rgrids):
+def _scenario_two_patch(params, outdir, spec, sol, rgrids):
     sigma = np.linspace(0.0, params["sigma_max"], 2000)
     worst = 0.0
     for t in params["check_times"]:
@@ -419,7 +422,7 @@ def _scenario_two_patch(params, rng, outdir, spec, sol, rgrids):
     return checks, ["two_patch_trajectory.csv"]
 
 
-def _scenario_non_comparison(params, rng, outdir, u0, cfg, u2_0, spec, small, x0):
+def _scenario_non_comparison(params, outdir, u0, cfg, u2_0, spec, small, x0):
     t_rev = cfg.t_end
     u1_x0 = [closed_forms.two_patch_density_at_point(spec, x0, t) for t in (0.0, t_rev)]
     u2_x0 = [float(closed_forms.patch_density(small, x0, t)) for t in (0.0, t_rev)]
@@ -442,7 +445,7 @@ def _scenario_non_comparison(params, rng, outdir, u0, cfg, u2_0, spec, small, x0
     return checks, ["final_fields.csv"]
 
 
-def _scenario_s_sweep(params, rng, outdir, u0, cfg, spec, s_values):
+def _scenario_s_sweep(params, outdir, u0, cfg, spec, s_values):
     rep = solver.sweep_s(cfg, u0, s_values)
     checks = [
         _at_most("sweep-complete", "every sweep member ran to completion", len(rep.errors), "0"),
@@ -455,7 +458,7 @@ def _scenario_s_sweep(params, rng, outdir, u0, cfg, spec, s_values):
     return checks, ["sweep_distances.csv"]
 
 
-def _scenario_barenblatt_limit(params, rng, outdir, r, specs):
+def _scenario_barenblatt_limit(params, outdir, r, specs):
     patch_radius = diagnostics.equilibrium_radius(params["mass"], 2)
     target = np.where(r <= patch_radius, 1.0, 0.0)
     dists = []
@@ -472,7 +475,7 @@ def _scenario_barenblatt_limit(params, rng, outdir, r, specs):
     return checks, ["barenblatt_distances.csv"]
 
 
-def _scenario_asymptotics(params, rng, outdir, u0, cfg, rgrid, m0):
+def _scenario_asymptotics(params, outdir, u0, cfg, rgrid, m0):
     checks = []
     # (a) planar Gaussian relaxation: entropy decay and moment identities
     traj = solver.run(cfg, u0)
@@ -548,7 +551,7 @@ def _scenario_asymptotics(params, rng, outdir, u0, cfg, rgrid, m0):
     return checks, ["gaussian_diagnostics.csv", "radial_trajectory.csv"]
 
 
-def _scenario_dirac(params, rng, outdir, u0, cfg, patch):
+def _scenario_dirac(params, outdir, u0, cfg, patch):
     grid = u0.grid
     # the single live cell sits half a cell off the origin; compare against the patch there
     offset = np.array([grid.h / 2, grid.h / 2])
@@ -575,7 +578,7 @@ def _scenario_dirac(params, rng, outdir, u0, cfg, patch):
     return checks, ["dirac_diagnostics.csv"]
 
 
-def _scenario_radial_vs_field(params, rng, outdir, u0, cfg, spec, rgrid):
+def _scenario_radial_vs_field(params, outdir, u0, cfg, spec, rgrid):
     grid = u0.grid
     worst_iface = 0.0
     worst_l1 = 0.0
@@ -606,9 +609,10 @@ def _scenario_radial_vs_field(params, rng, outdir, u0, cfg, spec, rgrid):
     return checks, []
 
 
-def _scenario_wasserstein_oracle(params, rng, outdir, rgrid):
+def _scenario_wasserstein_oracle(params, outdir, rgrid, seed):
     from scipy.optimize import linear_sum_assignment
 
+    rng = np.random.default_rng(seed)
     worst = 0.0
     rows = []
     for k in range(params["pairs"]):
@@ -739,7 +743,7 @@ REGISTRY = {
         {
             "nodes": 64, "r_max": 3.0, "pairs": 20, "triples": 10, "atoms": 400,
         },
-        _scenario_wasserstein_oracle, _build_wasserstein_oracle,
+        _scenario_wasserstein_oracle, _build_wasserstein_oracle, seeded=True,
     ),
 }
 
@@ -848,9 +852,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     params = {**scenario.defaults, **spec.params}
     outdir = Path(spec.outdir) / spec.name
     outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(spec.seed)
+    if scenario.seeded:
+        inputs["seed"] = spec.seed
     start = time.perf_counter()
-    checks, outputs = scenario.runner(params, rng, outdir, **inputs)
+    checks, outputs = scenario.runner(params, outdir, **inputs)
     result = ScenarioResult(
         spec.name, scenario.section, params, spec.seed, checks,
         outputs + ["report.json", "report.txt"], time.perf_counter() - start,

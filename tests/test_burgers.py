@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_grids import reference_write_csv
 
 from vortexlab.burgers import (
     CFLError,
@@ -362,6 +364,31 @@ class TestTrajectoryCsv:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,sigma,r,M,u,v"
         assert len(lines) == 1 + 2 * 32
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        r_max=st.floats(1e-3, 1e3),
+        nodes=st.integers(16, 300),
+        times=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_value_writer(self, tmp_path_factory, n, r_max, nodes, times, seed):
+        # several snapshots on one grid, so writes of one snapshot each follow one
+        # another; values over many binades and exact zeros
+        rg = RadialGrid(n, r_max, nodes)
+        rng = np.random.default_rng(seed)
+        trajectory = []
+        for t in times:
+            inc = rng.random(nodes - 1) * 10.0 ** rng.integers(-300, 250, size=nodes - 1)
+            inc[rng.random(nodes - 1) < 0.2] = 0.0
+            trajectory.append((t, MassFunction(rg, np.concatenate([[0.0], np.cumsum(inc)]))))
+        base = tmp_path_factory.mktemp("radial")
+        write_radial_trajectory_csv(trajectory, base / "got.csv")
+        rows = [row for t, m in trajectory for row in zip(
+            [t] * nodes, rg.sigma, rg.r, m.values, density_from_mass(m).values, radial_speed_values(m))]
+        reference_write_csv(base / "want.csv", ["t", "sigma", "r", "M", "u", "v"], rows)
+        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
 
 
 class TestOneDimensionalTransform:

@@ -302,18 +302,21 @@ class TestBatchedCsv:
         cells=st.integers(4, 80).map(lambda k: 2 * k),
         seed=st.integers(0, 2**32 - 1),
         specials=st.lists(st.sampled_from(SPECIAL_VALUES), max_size=12),
+        width=st.integers(0, 3),
     )
-    def test_grid_matches_per_value_writer(self, tmp_path_factory, n, cells, seed, specials):
-        # values over every binade down to the subnormals, specials at random cells
+    def test_grid_matches_per_value_writer(self, tmp_path_factory, n, cells, seed, specials, width):
+        # values over every binade down to the subnormals, specials at random cells;
+        # 0 to 3 value columns
         g = CartesianGrid(n, 1.0, cells)
         rng = np.random.default_rng(seed)
         u = rng.normal(size=g.shape) * 10.0 ** rng.integers(-325, 300, size=g.shape)
         flat = u.reshape(-1)
         flat[rng.integers(0, flat.size, size=len(specials))] = specials
+        columns = dict(list(zip("uwv", [u, -u, u[::-1]]))[:width])
         base = tmp_path_factory.mktemp("grid")
-        write_grid_csv(g, {"u": u, "w": -u}, base / "got.csv")
-        cols = [c.ravel() for c in g.centers()] + [u.ravel(), -u.ravel()]
+        write_grid_csv(g, columns, base / "got.csv")
+        cols = [c.ravel() for c in g.centers()] + [v.ravel() for v in columns.values()]
         header = ["x"] if n == 1 else ["x", "y"]
-        reference_write_csv(base / "want.csv", header + ["u", "w"], zip(*cols))
+        reference_write_csv(base / "want.csv", header + list(columns), zip(*cols))
         assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
 

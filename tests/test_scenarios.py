@@ -9,10 +9,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_grids import reference_write_csv
 
 import vortexlab
 from vortexlab.cli import main
-from vortexlab.grids import total_mass
+from vortexlab.grids import read_grid_array, total_mass
 from vortexlab.scenarios import (
     MONOTONE_SLACK,
     ORDERING_SLACK,
@@ -120,6 +121,19 @@ class TestValidateConfig:
             {"scenario": "vortex-patch", "params": {"cells": 64, "t_end": 1.0, "output_times": [0.5]}}
         ))
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["s-sweep", "non-comparison"])
+    def test_bad_t_end_is_named_t_end(self, tmp_path, capsys, name, t_end):
+        # these scenarios have no output_times: their one output time is t_end
+        cfg = {"scenario": name, "params": {"t_end": t_end}}
+        errs = validate_config(cfg)
+        assert len(errs) == 1 and "t_end must be" in errs[0] and "output_times" not in errs[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "t_end must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cfg", [
         {"scenario": "vortex-patch", "params": {**SMALL_PATCH, "radius": float("nan")}},
@@ -265,6 +279,14 @@ class TestRunScenario:
         run_scenario(ScenarioSpec(name, params=params, outdir=str(b), seed=11))
         for f in files:
             assert (a / name / f).read_bytes() == (b / name / f).read_bytes()
+
+    def test_field_csv_is_the_binary_field_rendered(self, tmp_path):
+        run_scenario(ScenarioSpec("vortex-patch", params=SMALL_PATCH, outdir=str(tmp_path)))
+        out = tmp_path / "vortex-patch"
+        grid, values = read_grid_array(out / "final_field.bin")
+        reference_write_csv(out / "want.csv", ["x", "y", "u"],
+                            zip(*(c.ravel() for c in grid.centers()), values.ravel()))
+        assert (out / "final_field.csv").read_bytes() == (out / "want.csv").read_bytes()
 
     def test_vortex_patch_run_summary(self, tmp_path):
         result = run_scenario(ScenarioSpec("vortex-patch", params=SMALL_PATCH, outdir=str(tmp_path)))
@@ -421,6 +443,19 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": str(Path(vortexlab.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+    def test_run_without_draws_loads_no_numpy_random(self, tmp_path):
+        # only the wasserstein-oracle runner draws, so only it seeds a generator;
+        # numpy.random and what it imports cost a run start-up time and memory
+        code = (
+            "import sys; from vortexlab.cli import main; "
+            f"code = main(['run', 'two-patch', '--out', {str(tmp_path)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(vortexlab.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
 
 
 class TestSweepScenario:
