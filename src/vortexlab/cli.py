@@ -14,7 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from .burgers import CFLError
 from .scenarios import REGISTRY, ScenarioSpec, catalog, read_config, run_scenario, validate_config
 from .solver import ConfigError, NumericalError
 
@@ -63,7 +62,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, CFLError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(result.to_text(), end="")

@@ -11,8 +11,11 @@ variables, and the entropy
 
 P and P0 the potentials (-Lap)^{-1} of U and U0, decays along orbits at rate
 D(U) = int U |V - y/n|^2 dy.  Ent and D read only the cells of U and U0, so a
-record runs on their support window, like a solver step.  The renormalized
-quantities are evaluated on the grid of the physical field u: the s = 1
+record runs on their support window, like a solver step.  On u's grid the first
+term is half the energy P(u) - P(r) of `potentials.energy`, and one solve of G_h u
+gives P(u), the face velocities of D and the first-stage faces of the next solver
+step; the reference bumps are tabulated only on their disks' bounding boxes.  The
+renormalized quantities are evaluated on the grid of the physical field u: the s = 1
 kernels are homogeneous up to a constant, so no contracted y-grid is built.
 The planar entropy needs a fixed smooth reference density U0 of equal mass;
 only entropy differences are reference-independent, so reported absolute
@@ -42,7 +45,16 @@ from .grids import (
     unit_ball_volume,
     write_csv,
 )
-from .potentials import _face_velocities, _support_window, energy
+from .potentials import (
+    STRIP_CELLS,
+    _check_equal_mass,
+    _pairing,
+    _potential_faces,
+    _potential_view,
+    _sides,
+    _strips,
+    _support_window,
+)
 
 __all__ = [
     "DiagnosticsRecord",
@@ -119,8 +131,10 @@ def asymptotic_error(u: DensityField, t: float, mass: float) -> float:
     return g.cell_volume * float(np.abs(u.values - inside / (1.0 + t)).sum())
 
 
-def mollified_reference(grid: CartesianGrid, mass: float, radius: float | None = None) -> DensityField:
-    """C^2 bump (1 - (r/rho)^2)_+^3 normalized to the requested mass.
+def _bump(grid: CartesianGrid, mass: float, radius: float | None = None):
+    """The C^2 bump (1 - (r/rho)^2)_+^3 normalized to the requested mass, on the box of
+    the cells within rho of the origin along every axis, which holds its disk: the
+    box's slices and the bump's values on it.
 
     rho defaults to the equilibrium radius of the mass, capped inside the box;
     the construction is deterministic so entropy values are reproducible.
@@ -129,11 +143,47 @@ def mollified_reference(grid: CartesianGrid, mass: float, radius: float | None =
         raise ValueError("mass must be positive")
     rho = equilibrium_radius(mass, grid.n) if radius is None else float(radius)
     rho = min(rho, 0.8 * grid.half_width)
-    shape = np.maximum(1.0 - (grid.radius() / rho) ** 2, 0.0) ** 3
+    x = grid.axis_centers()
+    inside = np.flatnonzero(np.abs(x) < rho)
+    if not inside.size:
+        raise ValueError("reference bump is unresolved on this grid")
+    box = (slice(int(inside[0]), int(inside[-1]) + 1),) * grid.n
+    sq = x[box[0]] ** 2
+    shape = sq if grid.n == 1 else np.add.outer(sq, sq)
+    np.sqrt(shape, out=shape)  # the radius of each cell of the box
+    shape /= rho
+    np.square(shape, out=shape)
+    np.subtract(1.0, shape, out=shape)
+    np.maximum(shape, 0.0, out=shape)
+    np.power(shape, 3, out=shape)
     raw = grid.cell_volume * shape.sum()
     if raw == 0.0:
         raise ValueError("reference bump is unresolved on this grid")
-    return DensityField(grid, shape * (mass / raw))
+    shape *= mass / raw
+    return box, shape
+
+
+def mollified_reference(grid: CartesianGrid, mass: float, radius: float | None = None) -> DensityField:
+    """C^2 bump (1 - (r/rho)^2)_+^3 normalized to the requested mass (`_bump`), as a
+    field of the whole box."""
+    box, bump = _bump(grid, mass, radius)
+    vals = np.zeros(grid.shape)
+    vals[box] = bump
+    return DensityField(grid, vals)
+
+
+def _reference_pairing(grid: CartesianGrid, vals: np.ndarray, mass: float, radius: float | None = None):
+    """P(r) = h^n sum r G_h r (`potentials._pairing`) at s = 1 of the bump r of `mass` and
+    `radius` (`_bump`), solved on the support window of the cell values `vals` and r
+    together: the window of a step from vals whenever r lies in it, so the solve
+    reuses that step's kernel table.  Only the bump's box is tabulated, and the one
+    window-shaped block is the solve's input."""
+    box, bump = _bump(grid, mass, radius)
+    window = _support_window(vals, box)
+    block = np.zeros(tuple(w.stop - w.start for w in window))
+    block[tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))] = bump
+    del bump
+    return _pairing(grid, block, _potential_view(grid, block, 1.0))
 
 
 def entropy_and_dissipation(u: DensityField, t: float, mass: float):
@@ -143,40 +193,56 @@ def entropy_and_dissipation(u: DensityField, t: float, mass: float):
     Evaluated on u's grid: on the y-grid the log kernel is the x-grid kernel
     plus ln(a)/2pi, which integrates to zero against the zero-mass difference
     U - U0, and the velocity of U is a v.  The y-grid reference pulls back to
-    (1+t) times the bump of radius a R0, so
+    (1+t) times the bump r of radius a R0, so
 
-        Ent = 1/2 energy(u, reference) + int u |x|^2 dx / (2n(1+t)),
-        D   = int u |a v - x/(n a)|^2 dx.
+        Ent = 1/2 (P(u) - P(r)) + int u |x|^2 dx / (2n(1+t)),
+        D   = int u |a v - x/(n a)|^2 dx,
 
+    with P the pairing of `potentials.energy`: P(u) - P(r) is energy(u, 1, r).
     D is summed over the faces between neighbouring cells, with v the face velocities
     xi = -(p[i+1] - p[i]) / h of p = G_h * u that the field step moves u with, and u
-    and x averaged to each face.  p is solved on the support window of u, exact up to
-    rounding since D multiplies it by u.  `mass` must match the mass of u to 1e-8
+    and x averaged to each face.  One solve of p on the support window of u gives both
+    P(u) and D, exact up to rounding since both multiply p by u; P(r) is solved on the
+    window of u and r (`_reference_pairing`).  `mass` must match the mass of u to 1e-8
     relative.
     """
+    ent, dis, _, _ = _entropy_terms(u, t, mass)
+    return ent, dis
+
+
+def _entropy_terms(u: DensityField, t: float, mass: float):
+    """(Ent, D, P(u), face velocities of u) of `entropy_and_dissipation`, all from its
+    one solve of G_h u on the support window of u.  P(r) and its block come first and
+    are gone before that solve; D reads the faces and leaves them as solved."""
     g = u.grid
     if g.n != 2:
         raise ValueError("entropy is implemented for the planar case (n = 2)")
+    _check_equal_mass(total_mass(u), mass)
     a = _spatial_scale(t, g.n)
-    reference = mollified_reference(g, mass, radius=a * equilibrium_radius(mass, g.n))
-    ent = 0.5 * energy(u, 1.0, reference=reference) + second_moment(u) / (2.0 * g.n * (1.0 + t))
-    del reference  # before the dissipation's solve
+    moment = second_moment(u) / (2.0 * g.n * (1.0 + t))
+    reference = _reference_pairing(g, u.values, mass, a * equilibrium_radius(mass, g.n))
     window = _support_window(u.values)
     block = u.values[window]
+    p = _potential_view(g, block, 1.0)
+    own = _pairing(g, block, p)
+    faces = _potential_faces(g, p)
     x = g.axis_centers()
     dis = 0.0
-    for axis, xi in enumerate(_face_velocities(g, block, 1.0)):
-        lines, xi = np.moveaxis(block, axis, -1), np.moveaxis(xi, axis, -1)
+    for axis, xi in enumerate(faces):
+        lo, hi = _sides(g.n, axis)[:2]
         xk = x[window[axis]]
-        xi *= a
-        xi -= 0.5 * (xk[:-1] + xk[1:]) / (g.n * a)  # minus the face's x / (n a)
-        np.square(xi, out=xi)
-        face_u = np.add(lines[..., :-1], lines[..., 1:])
-        face_u *= 0.5
-        xi *= face_u
-        del face_u  # before the next axis builds its own
-        dis += float(xi.sum())
-    return ent, g.cell_volume * dis
+        face_x = 0.5 * (xk[:-1] + xk[1:]) / (g.n * a)  # the face's x / (n a)
+        face_x = face_x.reshape([-1 if k == axis else 1 for k in range(g.n)])
+        for strip in _strips(block.shape, axis, STRIP_CELLS):  # the faces stay untouched
+            cells = block[strip]
+            w = np.multiply(xi[strip], a)
+            w -= face_x
+            np.square(w, out=w)
+            face_u = np.add(cells[lo], cells[hi])
+            face_u *= 0.5
+            w *= face_u
+            dis += float(w.sum())
+    return 0.5 * (own - reference) + moment, g.cell_volume * dis, own, faces
 
 
 def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> float:
@@ -193,11 +259,18 @@ def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> flo
     return wasserstein_radial(m_run, m_patch)
 
 
-def _output_record(u: DensityField, t: float, tau: float, mass0: float, full: bool) -> DiagnosticsRecord:
+def _output_record(u: DensityField, t: float, tau: float, mass0: float, full: bool, reference=None):
     """The record of a field run's output u at time t: the basic diagnostics, and with
-    `full` (n = 2, s = 1) the energy against the reference bump of mass0 > 0, the
-    entropy and dissipation, and the W2 distance to the matched patch.
-    For a nonnegative field the L1 norm is its mass, bit for bit."""
+    `full` (n = 2, s = 1) the energy against the reference bump r of mass0 > 0 and the
+    equilibrium radius, the entropy and dissipation, and the W2 distance to the
+    matched patch.  For a nonnegative field the L1 norm is its mass, bit for bit.
+
+    The energy is P(u) - P(r) (`potentials.energy`).  `reference` is P(r), which a run
+    computes once (`_reference_pairing`); it is solved here when not given.  P(u)
+    comes from the entropy's one solve of G_h u on the support window of u, which a
+    step from u solves first.  Returns the record and, with `full`, the face
+    velocities of that solve, so the next step takes them instead of solving again
+    (None without `full`)."""
     peak = float(u.values.max())
     mass = total_mass(u)
     rec = DiagnosticsRecord(
@@ -210,11 +283,14 @@ def _output_record(u: DensityField, t: float, tau: float, mass0: float, full: bo
         support_radius=support_radius(u),
         sup_bound_ratio=peak * (t + tau),
     )
-    if full:
-        rec.energy = energy(u, 1.0, reference=mollified_reference(u.grid, mass0))
-        rec.entropy, rec.dissipation = entropy_and_dissipation(u, t, mass0)
-        rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)
-    return rec
+    if not full:
+        return rec, None
+    rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)  # its temporaries go before the faces come
+    if reference is None:
+        reference = _reference_pairing(u.grid, u.values, mass0)
+    rec.entropy, rec.dissipation, own, faces = _entropy_terms(u, t, mass0)
+    rec.energy = own - reference
+    return rec, faces
 
 
 # ---------------------------------------------------------------------------

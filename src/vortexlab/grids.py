@@ -11,6 +11,7 @@ pure functions.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -54,12 +55,19 @@ def sphere_area(n: int) -> float:
     return n * unit_ball_volume(n)
 
 
+def _normal(x: float) -> bool:
+    """x is a positive, finite float of full precision (not subnormal)."""
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class CartesianGrid:
     """Uniform cell-centered grid on the box [-half_width, half_width]^n.
 
     Cells per axis must be even and at least 8 so the box center sits on a
-    cell face and coarse quadrature stays meaningful.
+    cell face and coarse quadrature stays meaningful.  The cell side h and the cell
+    volume h^n must be normal floats: a subnormal or zero volume turns every
+    density-from-mass division into an overflow or a division by zero.
     """
 
     n: int
@@ -73,6 +81,15 @@ class CartesianGrid:
             raise ValueError(f"cells must be even and >= 8, got {self.cells}")
         if not 0 < self.half_width < inf:
             raise ValueError("half_width must be positive and finite")
+        try:
+            normal = _normal(self.h) and _normal(self.cell_volume)
+        except OverflowError:  # h**n beyond the float range
+            normal = False
+        if not normal:
+            raise ConfigError(
+                f"half_width {self.half_width} over {self.cells} cells: the cell side and the cell "
+                "volume must be positive normal floats"
+            )
 
     @property
     def h(self) -> float:

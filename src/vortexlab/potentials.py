@@ -10,10 +10,18 @@ periodic images; Hockney-Eastwood).  One scalar kernel serves every (n, s):
 
 with its limit -C ln|z| at n = 2s (-ln|z|/(2 pi) at (2, 1)).  It is C |z|^{2s-n}/(n-2s)
 (the Riesz kernel for n > 2s, -|z|/2 at (1, 1)) less the constant C/(n-2s), which
-would cancel every digit of the potential's differences as s -> n/2; `energy` adds
-it back where n > 2s.  The singular cell of G takes the analytic cell average.
-Every velocity is the face gradient xi = -(p[i+1] - p[i]) / h of p = G_h * u
-(`_face_velocities`): the field step's and the dissipation record's alike.
+would cancel every digit of the potential's differences as s -> n/2; the pairing
+`_pairing` adds it back where n > 2s.  The singular cell of G takes the analytic
+cell average.  Every velocity is the face gradient xi = -(p[i+1] - p[i]) / h of
+p = G_h * u (`_face_velocities`): the field step's and the dissipation record's alike.
+
+The interaction energy is the pairing P(u) = h^n sum u G_h u, less P(r) for a
+reference r of equal mass: for the symmetric G_h of Carrillo, Chertock and Huang
+(2015), P(u) - P(r) = h^n sum (u - r) G_h (u + r), and the constant G_h leaves out
+cancels.  So one solve of
+p = G_h u gives both P(u) and the face velocities: a full-diagnostics record solves
+its output's potential once, and the next step takes that solve's faces for its
+first stage (`diagnostics._output_record`).
 
 Every convolution takes its spectrum and buffer from `_kernel_table`, one cached
 entry keyed by block shape.  G is radial, so on the doubled grid it is even along
@@ -42,6 +50,7 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 WINDOW_HALO = 4  # cells past supp u reached by one step: a cell per stage, so solver.STAGES
 WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fewer kernel builds)
+STRIP_CELLS = 16384  # sweeps over a block run in strips of about this many cells (`_strips`)
 
 
 def _check_exponent(s: float) -> float:
@@ -152,17 +161,32 @@ def _kernel_table(grid: CartesianGrid, s: float, shape: tuple) -> _KernelTable:
     return _BUILT[0]
 
 
-def _support_window(vals: np.ndarray):
-    """Slices of the block holding u != 0 plus WINDOW_HALO cells on each side, each
-    side rounded up to a multiple of WINDOW_QUANTUM cells and kept inside the box;
-    None when u vanishes.  A NaN counts as support, so a step still fails on it."""
+def _bounding_box(vals: np.ndarray):
+    """Slices of the smallest block holding every cell of `vals` != 0 (a NaN counts);
+    None when vals vanish."""
     positive = vals != 0.0
     if not positive.any():
         return None
+    box = []
+    for axis in range(vals.ndim):
+        hit = np.flatnonzero(positive.any(axis=tuple(k for k in range(vals.ndim) if k != axis)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def _support_window(vals: np.ndarray, *boxes):
+    """Slices of the block holding u != 0 and the cells of every box in `boxes` (slices
+    of the same block, such as a reference bump's), plus WINDOW_HALO cells on each
+    side, each side rounded up to a multiple of WINDOW_QUANTUM cells and kept inside
+    the box; None when there are no such cells.  A NaN counts as support, so a step
+    still fails on it."""
+    boxes = [box for box in (_bounding_box(vals), *boxes) if box is not None]
+    if not boxes:
+        return None
     window = []
     for axis, cells in enumerate(vals.shape):
-        hit = np.flatnonzero(positive.any(axis=tuple(k for k in range(vals.ndim) if k != axis)))
-        lo, hi = int(hit[0]) - WINDOW_HALO, int(hit[-1]) + 1 + WINDOW_HALO
+        lo = min(box[axis].start for box in boxes) - WINDOW_HALO
+        hi = max(box[axis].stop for box in boxes) + WINDOW_HALO
         size = min(-(-(hi - lo) // WINDOW_QUANTUM) * WINDOW_QUANTUM, cells)
         start = min(max(lo - (size - (hi - lo)) // 2, 0), cells - size)
         window.append(slice(start, start + size))
@@ -247,12 +271,28 @@ def _sides(ndim: int, axis: int) -> tuple:
     return tuple(_cut(ndim, axis, *ends) for ends in ((None, -1), (1, None), (None, 1), (-1, None)))
 
 
+@lru_cache(maxsize=64)
+def _strips(shape: tuple, axis: int, strip_cells: int) -> tuple:
+    """Index tuples of strips of a block of `shape`, each about `strip_cells` cells of
+    whole lines along `axis`, so a sweep along `axis` can run one strip at a time.
+    Callers pass STRIP_CELLS, so the cache is keyed on its current value."""
+    if len(shape) == 1:
+        return ((slice(None),),)
+    other = 1 - axis
+    width = max(1, strip_cells // shape[axis])
+    return tuple(_cut(2, other, start, start + width) for start in range(0, shape[other], width))
+
+
 def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) -> list:
     """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals, one array per axis:
     the transport velocity v = -grad p at the faces between neighbouring cells.  They
-    are written into the arrays of `out` when it is given.  p is not copied out of its
-    table's buffer."""
-    p = _potential_view(grid, vals, s)
+    are written into the arrays of `out` when it is given."""
+    return _potential_faces(grid, _potential_view(grid, vals, s), out)
+
+
+def _potential_faces(grid: CartesianGrid, p: np.ndarray, out=None) -> list:
+    """`_face_velocities` of a solved potential p, which is read and not copied out of
+    its table's buffer."""
     faces = []
     for axis in range(grid.n):
         lo, hi = _sides(grid.n, axis)[:2]
@@ -266,36 +306,51 @@ def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) 
 # interaction energy
 
 
+def _check_equal_mass(mass_u: float, mass_ref: float) -> None:
+    """A reference must carry the field's mass to 1e-8 relative."""
+    if abs(mass_u - mass_ref) > 1e-8 * max(abs(mass_u), 1e-300):
+        raise ValueError(f"reference mass {mass_ref:.12g} does not match field mass {mass_u:.12g}")
+
+
+def _pairing(grid: CartesianGrid, vals: np.ndarray, p: np.ndarray) -> float:
+    """P(u) = h^n sum u p of the cell values `vals` of u and their potential p = G_h u,
+    both on a block holding every cell of u."""
+    return grid.cell_volume * float((vals * p).sum())
+
+
 def energy(u: DensityField, s: float = 1.0, reference: DensityField | None = None) -> float:
-    """Interaction energy h^n sum u G_h u of the discrete G_h = (-Lap)^{-s} (the Riesz
-    kernel where n > 2s), minus h^n sum r G_h r for a reference r, which must have
-    equal mass and is required where the kernel does not decay (n <= 2s); the
-    difference is then the renormalized int |grad G(u - r)|^2 + 2 int r G(u - r).
-    It is evaluated as h^n sum (u - r) G_h (u + r), equal for the symmetric G_h, on the
-    support window of u + r, which for nonnegative u and r holds every cell of either:
-    no other cell enters, so the window changes only rounding.
+    """Interaction energy P(u) = h^n sum u G_h u of the discrete G_h = (-Lap)^{-s} (the
+    Riesz kernel where n > 2s), minus P(r) for a reference r, which must have equal
+    mass and is required where the kernel does not decay (n <= 2s); the difference is
+    then the renormalized int |grad G(u - r)|^2 + 2 int r G(u - r).  For the symmetric
+    G_h, P(u) - P(r) = h^n sum (u - r) G_h (u + r).  Each pairing (`_pairing`) is solved
+    on the support window of u and r together, which holds every cell of either: no
+    other cell enters, so the window changes only rounding, and the two solves share
+    one kernel table.  Where n > 2s the Riesz kernel's constant C/(n-2s), left out of
+    G_h, adds C/(n-2s) (m_u - m_r)(m_u + m_r): added once to the difference, not to
+    each pairing, it cancels no digits as s -> n/2.
     """
     s = _check_exponent(s)
     grid = u.grid
     cv = grid.cell_volume
-    vals = u.values
+    sum_u = float(u.values.sum())
     if reference is None:
         if grid.n <= 2.0 * s:
             raise ValueError(f"energy for n={grid.n}, s={s} needs an equal-mass reference density")
-        diff = total = vals
+        sum_ref, window = 0.0, _support_window(u.values)
     else:
-        mass_u = cv * vals.sum()
-        mass_ref = cv * reference.values.sum()
-        if abs(mass_u - mass_ref) > 1e-8 * max(abs(mass_u), 1e-300):
-            raise ValueError(f"reference mass {mass_ref:.12g} does not match field mass {mass_u:.12g}")
-        diff, total = vals - reference.values, vals + reference.values
-    window = _support_window(total)
+        sum_ref = float(reference.values.sum())
+        _check_equal_mass(cv * sum_u, cv * sum_ref)
+        window = _support_window(u.values, _bounding_box(reference.values))
     if window is None:
         return 0.0
-    masses = float(diff.sum() * total.sum()) if grid.n > 2.0 * s else None
-    p = _potential_view(grid, total[window], s)
-    del total  # before the product
-    pairing = cv * float((diff[window] * p).sum())
-    if masses is not None:  # the Riesz kernel's constant C / (n - 2s), left out of G_h
+
+    def pair(field: DensityField) -> float:
+        block = field.values[window]
+        return _pairing(grid, block, _potential_view(grid, block, s))
+
+    pairing = pair(u) if reference is None else pair(u) - pair(reference)
+    if grid.n > 2.0 * s:
+        masses = (sum_u - sum_ref) * (sum_u + sum_ref)
         pairing += velocity_constant(grid.n, s) / (grid.n - 2.0 * s) * cv**2 * masses
     return pairing

@@ -25,6 +25,7 @@ from .grids import (
     MassFunction,
     RadialGrid,
     RadialProfile,
+    _normal,
     field_from_function,
     radial_average,
     sphere_area,
@@ -180,10 +181,14 @@ def _build_non_comparison(params) -> dict:
 
 def _build_asymptotics(params) -> dict:
     times = burgers.check_times(params["radial_times"], 2, "radial_times")
-    if min(params["peak"], params["radial_width_sq"], params["radial_mass"]) <= 0:
-        raise ValueError("peak, radial_width_sq and radial_mass must be positive")
+    if min(params["mass"], params["peak"], params["radial_width_sq"], params["radial_mass"]) <= 0:
+        raise ValueError("mass, peak, radial_width_sq and radial_mass must be positive")
     peak = params["peak"]
     width_sq = params["mass"] / (2.0 * pi * peak)
+    if not _normal(width_sq):
+        raise ValueError(
+            f"the Gaussian's width^2 = mass / (2 pi peak) = {width_sq} must be a positive normal float"
+        )
     u0 = field_from_function(
         _grid(params), lambda p: peak * np.exp(-(p**2).sum(axis=-1) / (2.0 * width_sq))
     )

@@ -18,7 +18,11 @@ a step with a stage over it by more than rounding is redone at the smaller bound
 the SSP argument of Gottlieb, Shu and Tadmor (2001) holds stage by stage;
 `Trajectory.stage_redos` counts the redos.  At each output time `run` takes the record of
 `diagnostics._output_record` and hands that output's field to an optional
-`at_output(t, u)` hook, keeping only the last field.
+`at_output(t, u)` hook, keeping only the last field.  A full-diagnostics record
+solves its output's potential once, on the window the next step solves it on, and
+that step takes the solve's face velocities for its first stage; with P(r) of the
+energy's reference bump solved once per run and one solve per record for the
+entropy's bump, a full run makes STAGES * steps + records + 2 solves.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
 the box must be sized so the support never reaches the boundary.  Before a run
 starts, `check_initial_data` admits only initial data with positive mass and a
@@ -40,15 +44,14 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from math import isfinite
 
 import numpy as np
 
 from .burgers import TIME_TOL, check_times
-from .diagnostics import _output_record
+from .diagnostics import _output_record, _reference_pairing
 from .grids import CartesianGrid, ConfigError, DensityField, sphere_area, support_radius, total_mass
-from .potentials import _check_exponent, _cut, _face_velocities, _sides, _support_window
+from .potentials import STRIP_CELLS, _check_exponent, _cut, _face_velocities, _sides, _strips, _support_window
 
 __all__ = [
     "ConfigError",
@@ -65,7 +68,6 @@ BOUND_SLACK = 0.05  # warn when max u * (t + 1/max u0) exceeds 1 + this
 BOX_MARGIN = 0.9  # the support growth bound must stay inside this share of the half-width
 STAGE_SLACK = 1e-12  # a stage whose CFL limit is below dt by this share or less (rounding) passes
 STAGES = 4  # forward-Euler stages of one SSPRK(STAGES, 2) step; potentials.WINDOW_HALO equals it
-STRIP_CELLS = 16384  # _advance sweeps a block in strips of about this many cells
 
 
 class NumericalError(RuntimeError):
@@ -174,18 +176,6 @@ def check_initial_data(u0: DensityField, t_end: float) -> None:
 # the explicit update
 
 
-@lru_cache(maxsize=64)
-def _strips(shape: tuple, axis: int, strip_cells: int) -> tuple:
-    """Index tuples of strips of a block of `shape`, each about `strip_cells` cells of
-    whole lines along `axis`, so a sweep along `axis` can run one strip at a time.
-    Callers pass STRIP_CELLS, so the cache is keyed on its current value."""
-    if len(shape) == 1:
-        return ((slice(None),),)
-    other = 1 - axis
-    width = max(1, strip_cells // shape[axis])
-    return tuple(_cut(2, other, start, start + width) for start in range(0, shape[other], width))
-
-
 def _stable_dt(grid: CartesianGrid, faces, cfl: float, out=None) -> float:
     """cfl * h over the largest cell speed, the sum over axes of the faster of the
     cell's two faces along that axis (a zero face past each end of the block).  The
@@ -265,7 +255,7 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, out=None) 
     return out
 
 
-def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig):
+def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig, faces=None):
     """One SSPRK(STAGES, 2) step of at most max_dt on the block `vals`.  Returns (dt,
     the new values, the mass clipped from them, the number of redos).
 
@@ -277,13 +267,19 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
     that limit, so every stage is a forward-Euler step inside its own CFL bound.  dt
     falls at each redo, and a stage whose limit comes out the same on the redo passes.
 
+    `faces`, when given, are the face velocities of `vals` itself, solved by a
+    full-diagnostics record on the same block (`diagnostics._output_record`); the first
+    stage takes them instead of solving, and the later stages overwrite them.  A redo
+    solves u^n's faces again.
+
     The stages take turns in two block registers: the free one takes the positive
     part of the current stage, from which its face velocities are solved, then its
     cell speeds, then its update.  Only a negative value of the result triggers a
     clip."""
     redos = 0
-    while True:
+    if faces is None:
         faces = _face_velocities(grid, vals, cfg.s)
+    while True:
         dt = min((STAGES - 1) * _stable_dt(grid, faces, cfg.cfl), max_dt)
         if not dt > 0:
             raise NumericalError("time step collapsed to zero")
@@ -299,6 +295,7 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
             break
         redos += 1
         max_dt = limit
+        faces = _face_velocities(grid, vals, cfg.s, out=faces)
     stage *= (STAGES - 1) / STAGES  # 3/4 and 1/4 at four stages: exact in binary
     stage += np.multiply(vals, 1.0 / STAGES, out=spare)
     low, high = float(stage.min()), float(stage.max())  # a NaN anywhere is the min and the max
@@ -310,12 +307,13 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
     return dt, np.maximum(stage, 0.0, out=stage), clipped, redos
 
 
-def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig):
+def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig, faces=None):
     """One SSP step of at most max_dt, computed on the support window of `vals` and
     written into a fresh zero array of the box.  Returns (dt, values, clipped mass,
-    redos) as `_ssp_update` does."""
+    redos) as `_ssp_update` does, which takes `faces` (the face velocities of the
+    window's block, when a record solved them)."""
     window = _support_window(vals)
-    dt, block, clipped, redos = _ssp_update(grid, vals[window], max_dt, cfg)
+    dt, block, clipped, redos = _ssp_update(grid, vals[window], max_dt, cfg, faces)
     if block.shape != grid.shape:  # a window that fills the box is already the box array
         new = np.zeros(grid.shape)
         new[window] = block
@@ -343,25 +341,29 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
     full = cfg.diagnostics == "full" and grid.n == 2 and cfg.s == 1.0
 
     t0 = _time.perf_counter()
-    traj = Trajectory([_output_record(u0, 0.0, tau, mass0, full)], cfg, u0)
+    reference = _reference_pairing(grid, u0.values, mass0) if full else None
+    rec, faces = _output_record(u0, 0.0, tau, mass0, full, reference)
+    traj = Trajectory([rec], cfg, u0)
     if at_output is not None:
         at_output(0.0, u0)
     t, vals = 0.0, u0.values
     for target in cfg.output_times:
         while t < target - TIME_TOL * target:
-            dt, vals, clipped, redos = _step(grid, vals, target - t, cfg)
+            dt, vals, clipped, redos = _step(grid, vals, target - t, cfg, faces)
+            faces = None
             traj.clipped_mass += clipped
             traj.stage_redos += redos
             t += dt
             traj.steps += 1
         u = DensityField(grid, vals)
-        rec = _output_record(u, t, tau, mass0, full)
+        rec, faces = _output_record(u, t, tau, mass0, full, reference)
         if rec.sup_bound_ratio > 1.0 + BOUND_SLACK:
             traj.warnings.append(f"sup bound ratio {rec.sup_bound_ratio:.4f} at t={t:.6g}")
         traj.records.append(rec)
         if at_output is not None:
             at_output(t, u)
         del u  # a field copies its values, and the steps to the next output need only `vals`
+    del faces  # no step takes the last record's faces: drop them before `last` copies the values
     traj.last = DensityField(grid, vals)
     traj.wall_time = _time.perf_counter() - t0
     return traj

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from vortexlab.grids import (
     CSV_BATCH_ROWS,
     CartesianGrid,
+    ConfigError,
     DensityField,
     MassFunction,
     RadialGrid,
@@ -43,6 +44,17 @@ class TestGridValidation:
         g = CartesianGrid(2, 4.0, 256)
         assert g.h == pytest.approx(8.0 / 256)
         assert g.cell_volume == pytest.approx(g.h**2)
+
+    @pytest.mark.parametrize("n, half_width", [
+        (2, 2.2e-300),  # h is normal, h^2 underflows to zero
+        (2, 1e-160),  # h^2 is subnormal
+        (1, 1e-320),  # h is subnormal
+        (2, 1e200),  # h^2 overflows
+        (1, 1.7e308),  # 2 half_width overflows
+    ])
+    def test_cell_side_and_volume_must_be_normal(self, n, half_width):
+        with pytest.raises(ConfigError, match="positive normal floats"):
+            CartesianGrid(n, half_width, 64)
 
     def test_density_must_be_nonnegative(self):
         g = CartesianGrid(1, 1.0, 16)

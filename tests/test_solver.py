@@ -9,12 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from vortexlab.closed_forms import PatchSpec, patch_density
-from vortexlab.diagnostics import _output_record
+from vortexlab.diagnostics import _output_record, equilibrium_radius, mollified_reference
 from vortexlab.grids import (
     CartesianGrid,
     DensityField,
     RadialGrid,
     field_from_function,
+    second_moment,
     support_radius,
     total_mass,
 )
@@ -313,6 +314,82 @@ class TestRun:
             assert key in s
 
 
+class TestSharedOutputSolve:
+    # a full record solves G_h u once: its P(u), its dissipation and the next step's
+    # first-stage faces all come from that solve
+    @staticmethod
+    def field(kind):
+        if kind == "patch":  # compact and centred: steps and records run on a window
+            return patch_field(CartesianGrid(2, 4.0, 64))
+        if kind == "gaussian":  # the tails fill the box, so the window is the box
+            g = CartesianGrid(2, 2.56, 96)
+            return field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) * 2 * pi))
+        g = CartesianGrid(2, 4.0, 64)  # a compact blob away from the reference bumps' centre
+        return field_from_function(
+            g, lambda p: np.maximum(1.0 - ((p - [0.7, -0.4]) ** 2).sum(axis=-1) / 0.36, 0.0) ** 2
+        )
+
+    @pytest.mark.parametrize("kind", ["patch", "gaussian", "blob"])
+    def test_full_records_leave_the_steps_unchanged(self, kind):
+        u0 = self.field(kind)
+        basic, full = (run(SolverConfig(output_times=(0.1, 0.2, 0.3), diagnostics=level), u0)
+                       for level in ("basic", "full"))
+        assert full.records[-1].dissipation is not None
+        assert full.last.values.tobytes() == basic.last.values.tobytes()
+        assert (full.steps, full.stage_redos) == (basic.steps, basic.stage_redos)
+
+    def test_solves_per_full_run(self, monkeypatch):
+        # 4 per step, 1 per record for its bump, 1 for the energy's bump and 1 for the
+        # last record's own potential; every other record's is its next step's
+        from vortexlab import diagnostics, potentials
+
+        calls = []
+        view = potentials._potential_view
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return view(*args)
+
+        monkeypatch.setattr(potentials, "_potential_view", counting)
+        monkeypatch.setattr(diagnostics, "_potential_view", counting)
+        g = CartesianGrid(2, 2.56, 192)
+        u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) * 2 * pi))
+        traj = run(SolverConfig(output_times=(0.25, 0.5), diagnostics="full"), u0)
+        assert len(calls) == STAGES * traj.steps + len(traj.records) + 2
+        assert set(calls) == {g.shape}
+
+    @pytest.mark.parametrize("kind", ["patch", "gaussian", "blob"])
+    def test_record_matches_the_difference_form(self, kind):
+        # energy, entropy and dissipation against h^2 sum (u - r) G_h (u + r) and the
+        # face sum, each solved on the whole box
+        u = self.field(kind)
+        g, t, mass = u.grid, 0.3, total_mass(u)
+        a = (1.0 + t) ** 0.5
+        cv = g.cell_volume
+        rec, faces = _output_record(u, t, 1.0, mass, True)
+
+        def renormalized(ref):
+            return cv * float(((u.values - ref) * potential_values(g, u.values + ref, 1.0)).sum())
+
+        energy = renormalized(mollified_reference(g, mass).values)
+        bump = mollified_reference(g, mass, radius=a * equilibrium_radius(mass, 2)).values
+        entropy = 0.5 * renormalized(bump) + second_moment(u) / (4.0 * (1.0 + t))
+        x = g.axis_centers()
+        face_x = 0.5 * (x[:-1] + x[1:])
+        dissipation = 0.0
+        for axis, xi in enumerate(_face_velocities(g, u.values, 1.0)):
+            lines, xi = np.moveaxis(u.values, axis, -1), np.moveaxis(xi, axis, -1)
+            face_u = 0.5 * (lines[..., :-1] + lines[..., 1:])
+            dissipation += cv * float((face_u * (a * xi - face_x / (2.0 * a)) ** 2).sum())
+        assert rec.energy == pytest.approx(energy, rel=1e-12)
+        assert rec.entropy == pytest.approx(entropy, rel=1e-12)
+        assert rec.dissipation == pytest.approx(dissipation, rel=1e-12)
+        # the faces the record hands on are the step's own, bit for bit
+        window = _support_window(u.values)
+        for got, want in zip(faces, _face_velocities(g, u.values[window], 1.0)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRunProperties:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -522,9 +599,9 @@ class TestAllocationBudget:
         assert self.peak_bytes(lambda: _step(g, vals, 1e-3, cfg)) <= 5 * vals.nbytes
 
     def test_full_diagnostics_record(self):
-        # the energy and entropy solves stay in the table's buffer; the energy's reference,
-        # built inside the record, is gone once the energy returns, and the entropy's
-        # before the dissipation's solve
+        # every solve stays in the table's buffer; each reference bump is built on its
+        # disk's box and its window-shaped block is gone before G_h u is solved, and the
+        # dissipation reads the faces that the record returns without copying them
         g = CartesianGrid(2, 4.0, 384)
         u = DensityField(g, np.exp(-g.radius() ** 2))
         mass = total_mass(u)
@@ -783,6 +860,11 @@ class TestStagePositivity:
         assert dt < (STAGES - 1) * _stable_dt(g, faces, cfg.cfl)
         assert clipped == 0.0 and new.min() >= 0.0
         assert new.sum() == pytest.approx(vals.sum(), rel=1e-14)
+        # the redo starts from u's own faces again: it is the step at its final dt, and
+        # so is a step handed u's faces (as a full record hands them)
+        for handed in (None, faces):
+            again = _ssp_update(g, vals, dt, cfg, handed)
+            assert (again[0], again[1].tobytes(), again[3]) == (dt, new.tobytes(), 0)
 
     def test_run_counts_redos(self, monkeypatch):
         # the trajectory adds up the redos of its steps and reports them
