@@ -48,6 +48,7 @@ from .grids import (
 from .potentials import (
     STRIP_CELLS,
     _check_equal_mass,
+    _interior_faces,
     _pairing,
     _potential_faces,
     _potential_view,
@@ -228,7 +229,7 @@ def _entropy_terms(u: DensityField, t: float, mass: float):
     faces = _potential_faces(g, p)
     x = g.axis_centers()
     dis = 0.0
-    for axis, xi in enumerate(faces):
+    for axis, xi in enumerate(_interior_faces(faces)):
         lo, hi = _sides(g.n, axis)[:2]
         xk = x[window[axis]]
         face_x = 0.5 * (xk[:-1] + xk[1:]) / (g.n * a)  # the face's x / (n a)

@@ -14,7 +14,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from math import gamma, inf, pi
 
 import numpy as np
@@ -144,6 +144,19 @@ class DensityField:
         if arr.min() < 0.0:
             raise ValueError(f"density values must be nonnegative (min {arr.min():.3e})")
         object.__setattr__(self, "values", arr)
+
+
+def _field_view(grid: CartesianGrid, values: np.ndarray) -> DensityField:
+    """A DensityField on a read-only view of `values`, without the copy and the scans of
+    the constructor: for a float array of the grid's shape that is finite and
+    nonnegative by construction and that nothing writes into again, such as a
+    solver step's result."""
+    view = values.view()
+    view.flags.writeable = False
+    field = object.__new__(DensityField)
+    object.__setattr__(field, "grid", grid)
+    object.__setattr__(field, "values", view)
+    return field
 
 
 @dataclass(frozen=True)
@@ -303,7 +316,6 @@ def radial_average(field: DensityField, rgrid: RadialGrid) -> RadialProfile:
 # serialization
 
 _HEADER = struct.Struct("<qqd")  # n, cells, half_width
-CSV_BATCH_ROWS = 1024  # rows formatted by one %-format in write_csv
 
 
 def write_grid_array(grid: CartesianGrid, values: np.ndarray, path) -> None:
@@ -367,20 +379,8 @@ def _write_csv_lines(path, header, lines) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """CSV with a header line; numbers are written as .17g and None as an empty cell.
-
-    Each batch of CSV_BATCH_ROWS rows is one %-format: "%.17g" % v is format(v, ".17g")
-    for every int and float, and a batch bounds the text held in memory at once.
-    """
-    rows = iter(rows)
+    """CSV with a header line; numbers are written as .17g and None as an empty cell."""
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        while batch := list(map(tuple, islice(rows, CSV_BATCH_ROWS))):
-            values = list(chain.from_iterable(batch))
-            if None in values:
-                template = "".join(",".join("" if v is None else "%.17g" for v in row) + "\n" for row in batch)
-                values = [v for v in values if v is not None]
-            else:
-                line = {width: ",".join(["%.17g"] * width) + "\n" for width in set(map(len, batch))}
-                template = "".join(map(line.__getitem__, map(len, batch)))
-            f.write(template % tuple(values))
+        for row in rows:
+            f.write(",".join("" if v is None else format(v, ".17g") for v in row) + "\n")

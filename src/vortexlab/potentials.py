@@ -14,6 +14,9 @@ would cancel every digit of the potential's differences as s -> n/2; the pairing
 `_pairing` adds it back where n > 2s.  The singular cell of G takes the analytic
 cell average.  Every velocity is the face gradient xi = -(p[i+1] - p[i]) / h of
 p = G_h * u (`_face_velocities`): the field step's and the dissipation record's alike.
+Each axis's faces are stored in an array of the block's shape, entry c the face after
+cell c and the entry past each line's end zero, so the solver sweeps flat runs of
+cells; `_interior_faces` views the faces between cells.
 
 The interaction energy is the pairing P(u) = h^n sum u G_h u, less P(r) for a
 reference r of equal mass: for the symmetric G_h of Carrillo, Chertock and Huang
@@ -47,10 +50,9 @@ __all__ = [
     "energy",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 WINDOW_HALO = 4  # cells past supp u reached by one step: a cell per stage, so solver.STAGES
 WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fewer kernel builds)
-STRIP_CELLS = 16384  # sweeps over a block run in strips of about this many cells (`_strips`)
+STRIP_CELLS = 16384  # block sweeps run in strips of about this many cells: 128 KiB per temporary
 
 
 def _check_exponent(s: float) -> float:
@@ -65,10 +67,18 @@ def velocity_constant(n: int, s: float) -> float:
     return 2.0 * gamma(n / 2.0 + 1.0 - s) / (4.0**s * pi ** (n / 2.0) * gamma(s))
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple:
+    """The 64-point Gauss-Legendre nodes and weights, tabulated on first use: importing
+    numpy.polynomial costs every process that never tabulates a kernel."""
+    return np.polynomial.legendre.leggauss(64)
+
+
 def _angular_integral(f) -> float:
     """Integrate f(theta) over [0, pi/4] with 64-point Gauss-Legendre."""
-    theta = 0.125 * pi * (_GL_NODES + 1.0)
-    return float(0.125 * pi * np.sum(_GL_WEIGHTS * f(theta)))
+    nodes, weights = _gauss_legendre()
+    theta = 0.125 * pi * (nodes + 1.0)
+    return float(0.125 * pi * np.sum(weights * f(theta)))
 
 
 def _box_cox(x, a: float, out=None):
@@ -284,22 +294,33 @@ def _strips(shape: tuple, axis: int, strip_cells: int) -> tuple:
 
 
 def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) -> list:
-    """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals, one array per axis:
-    the transport velocity v = -grad p at the faces between neighbouring cells.  They
-    are written into the arrays of `out` when it is given."""
+    """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals: the transport
+    velocity v = -grad p at the faces between neighbouring cells, stored cell-shaped
+    (`_potential_faces`).  They are written into the arrays of `out` when it is given."""
     return _potential_faces(grid, _potential_view(grid, vals, s), out)
 
 
 def _potential_faces(grid: CartesianGrid, p: np.ndarray, out=None) -> list:
     """`_face_velocities` of a solved potential p, which is read and not copied out of
-    its table's buffer."""
+    its table's buffer.  One C-contiguous array of the block's shape per axis: entry c
+    is the face after cell c along that axis, and the entry past each line's end is
+    zero (-0.0), so the solver's sweeps and its CFL bound run on flat runs of cells
+    (`solver._advance`).  `_interior_faces` gives the faces between cells as views."""
     faces = []
     for axis in range(grid.n):
-        lo, hi = _sides(grid.n, axis)[:2]
-        xi = np.subtract(p[hi], p[lo], out=None if out is None else out[axis])
+        lo, hi, _, last = _sides(grid.n, axis)
+        xi = np.empty(p.shape) if out is None else out[axis]
+        np.subtract(p[hi], p[lo], out=xi[lo])
+        xi[last] = 0.0
         xi /= -grid.h
         faces.append(xi)
     return faces
+
+
+def _interior_faces(faces) -> list:
+    """The faces between neighbouring cells of cell-shaped face arrays, as views: each
+    axis's array without its last line."""
+    return [xi[_sides(xi.ndim, axis)[0]] for axis, xi in enumerate(faces)]
 
 
 # ---------------------------------------------------------------------------

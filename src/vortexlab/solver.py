@@ -38,6 +38,14 @@ it: each stage moves density at most one cell, so the WINDOW_HALO = STAGES halo 
 and their MC slopes stay zero and no flux crosses a face of W; the potential of u[W]
 is the whole-box convolution restricted to W up to FFT rounding, since u
 vanishes outside W; and outside supp u the velocity never enters the update.
+
+The step runs on contiguous memory.  The block of W is C-contiguous, each axis's face
+velocities are stored in an array of the block's shape (`potentials._potential_faces`),
+and the transport (`_advance`) and the CFL bound (`_stable_dt`) run in row blocks of
+about STRIP_CELLS cells, so each of their operations, like the stage register updates,
+is a 1-D one over contiguous cells at the flat offset of the swept axis's stride.  Each
+cell sees the operations of one sweep per axis over the whole block, in the same order,
+so the step is that sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,8 +58,8 @@ import numpy as np
 
 from .burgers import TIME_TOL, check_times
 from .diagnostics import _output_record, _reference_pairing
-from .grids import CartesianGrid, ConfigError, DensityField, sphere_area, support_radius, total_mass
-from .potentials import STRIP_CELLS, _check_exponent, _cut, _face_velocities, _sides, _strips, _support_window
+from .grids import CartesianGrid, ConfigError, DensityField, _field_view, sphere_area, support_radius, total_mass
+from .potentials import STRIP_CELLS, _check_exponent, _face_velocities, _support_window
 
 __all__ = [
     "ConfigError",
@@ -176,88 +184,142 @@ def check_initial_data(u0: DensityField, t_end: float) -> None:
 # the explicit update
 
 
-def _stable_dt(grid: CartesianGrid, faces, cfl: float, out=None) -> float:
+def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
     """cfl * h over the largest cell speed, the sum over axes of the faster of the
-    cell's two faces along that axis (a zero face past each end of the block).  The
-    speeds are summed strip by strip, so the only block-sized array is their sum,
-    which is written into `out` (a block of the cells' shape) when it is given."""
-    ndim = faces[0].ndim
-    speed = np.empty((faces[0].shape[0] + 1, *faces[0].shape[1:])) if out is None else out
-    speed.fill(0.0)
-    for axis, xi in enumerate(faces):
-        if not xi.shape[axis]:
-            continue  # one cell along this axis, so no face
-        lo, hi, first, last = _sides(ndim, axis)
-        inner = _cut(ndim, axis, 1, -1)
-        for strip in _strips(speed.shape, axis, STRIP_CELLS):
-            mag, cell = np.abs(xi[strip]), speed[strip]
-            cell[first] += mag[first]
-            cell[last] += mag[last]
-            cell[inner] += np.maximum(mag[lo], mag[hi])
-    top = float(speed.max())
+    cell's two faces along that axis, on the cell-shaped face arrays of
+    `potentials._potential_faces`.  The zero entry past each line's end is the zero
+    face past each end of the block, so the speed along the axis of stride d (in
+    cells) is max(|xi[c - d]|, |xi[c]|) of the flat arrays, with xi[c - d] = 0 before
+    the block.  The speeds are summed and reduced row block by row block (`_row_blocks`),
+    so no temporary is block-sized."""
+    width, ranges = _row_blocks(faces[0])
+    flats = [xi.reshape(-1) for xi in faces]
+    tops = []
+    for p, q in ranges:
+        speed = 0.0
+        for xi, d in zip(flats, (width, 1)):
+            mag = np.empty(q - p + d)  # |xi| of the row block's cells and the d cells before it
+            if p:
+                np.abs(xi[p - d : q], out=mag)
+            else:
+                mag[:d] = 0.0
+                np.abs(xi[:q], out=mag[d:])
+            speed += np.maximum(mag[:-d], mag[d:])
+        tops.append(speed.max())
+    top = float(np.max(tops))  # a NaN anywhere is the max
     return cfl * (grid.h / top) if top > 0 else np.inf
 
 
-def _sweep(vals: np.ndarray, face: np.ndarray, new: np.ndarray, axis: int, rate: float) -> None:
-    """Move rate times the upwind flux through each face of `face` (along `axis`) from
-    the cell before it to the cell after it, in `new`.  The face values are the
-    monotonized-central (MC) limited reconstruction of `vals`: its half slopes are
-    written straight into the two face buffers, and the end cells' slopes are zero.
+def _row_blocks(block: np.ndarray) -> tuple:
+    """(width, ranges) of a C-contiguous block: the cells of one row, which is the
+    leading axis's stride in cells (1 for n = 1), and the flat (start, stop) cell
+    ranges of consecutive whole rows, each about STRIP_CELLS cells (at least one row)."""
+    rows = block.shape[0]
+    width = block.size // rows
+    step = max(1, STRIP_CELLS // width)
+    return width, [(a * width, min(a + step, rows) * width) for a in range(0, rows, step)]
+
+
+def _half_slopes(u: np.ndarray, d: int) -> np.ndarray:
+    """Monotonized-central (MC) limited half slopes of the flat run `u` along the axis
+    of stride d: those of the cells that have d cells on both sides, and zero for the
+    first and the last d cells, which the run treats as the ends of its lines.
 
     The MC half slope sign(cen) min(|cen|, 2 min(|dm|, |dp|)) / 2, cen = (dm + dp) / 2,
     is taken as copysign(min(|dm + dp| / 4, min(|dm|, |dp|)), dm + dp): the halvings and
     the doubling fold into one quartering, bit for bit, since rounding commutes with the
     min and two halvings round as one quartering does, subnormals included."""
-    lo, hi, first, last = _sides(vals.ndim, axis)
-    left, right = np.empty(face.shape), np.empty(face.shape)
-    half = left[hi]  # the half slope of the interior cells, as seen from their right face
-    diff = np.subtract(vals[hi], vals[lo])  # diff[i] = vals[i+1] - vals[i]
-    dm, dp = diff[lo], diff[hi]
-    total = np.add(dm, dp, out=right[lo])  # free until the right faces take the slopes
+    slope = np.empty(u.size)
+    half = slope[d : u.size - d]
+    diff = np.subtract(u[d:], u[:-d])  # diff[c] = u[c + d] - u[c]
+    dm, dp = diff[:-d], diff[d:]
     mag = np.abs(diff)
-    np.minimum(mag[lo], mag[hi], out=half)
-    quarter = np.abs(total, out=mag[lo])
-    quarter *= 0.25
-    np.copysign(np.minimum(quarter, half, out=half), total, out=half)
+    np.minimum(mag[:-d], mag[d:], out=half)
     # zero unless dm * dp > 0, by a where and not a multiply by the mask: 0 * inf and
     # 0 * NaN are NaN, and 0 times a negative slope is -0
-    flat = np.multiply(dm, dp, out=mag[lo]) > 0
+    flat = np.multiply(dm, dp, out=mag[:-d]) > 0
+    total = np.add(dm, dp, out=mag[:-d])
+    quarter = np.abs(total, out=diff[:-d])
+    quarter *= 0.25
+    np.copysign(np.minimum(quarter, half, out=half), total, out=half)
     np.copyto(half, 0.0, where=np.logical_not(flat, out=flat))
-    right[lo] = half
-    left[first] = 0.0
-    right[last] = 0.0
-    np.add(vals[lo], left, out=left)
-    np.subtract(vals[hi], right, out=right)
-    flux = np.maximum(face, 0.0, out=diff)
+    slope[:d] = 0.0
+    slope[u.size - d :] = 0.0
+    return slope
+
+
+def _fluxes(u: np.ndarray, slope: np.ndarray, face: np.ndarray, d: int, start: int, rate: float) -> np.ndarray:
+    """rate times the upwind flux through the faces `face` (along the axis of stride d)
+    after the cells start, start + 1, ... of the flat run `u`, from the MC face values
+    u + slope of the cell before each face and u - slope of the cell after it.  The
+    fluxes are written over the slopes."""
+    stop = start + face.size
+    left = np.add(u[start:stop], slope[start:stop])
+    right = np.subtract(u[start + d : stop + d], slope[start + d : stop + d])
+    flux = np.maximum(face, 0.0, out=slope[start:stop])
     flux *= left
     np.minimum(face, 0.0, out=left)
     left *= right
     flux += left
     flux *= rate
-    new[lo] -= flux
-    new[hi] += flux
+    return flux
 
 
 def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, out=None) -> np.ndarray:
-    """vals after one upwind step of size dt on the face velocities `faces`, written
-    into `out` (a block of vals' shape, not vals itself) when it is given.  Each axis
-    is swept in strips of about STRIP_CELLS cells across the other axis, so the sweep's
-    temporaries stay small; a strip holds whole lines along the swept axis, so the
-    result is that of one sweep of the whole block, bit for bit."""
+    """vals after one upwind step of size dt on the cell-shaped face velocities `faces`
+    (`potentials._potential_faces`), written into `out` (a C-contiguous block of vals'
+    shape, not vals itself) when it is given.
+
+    The block runs in row blocks of about STRIP_CELLS cells (`_row_blocks`), and every
+    operation is one on contiguous flat runs, at the flat offset d of the swept axis's
+    stride in cells.  A row block takes its cells from vals, then the flux through each
+    cell's right face and its left face along axis 0, then along axis 1: each cell sees
+    the operations of one sweep of the whole block per axis, in the same order, so the
+    result is that sweep's, bit for bit.
+    - Axis 0 reads two rows past each side of the row block: the slopes of the row
+      before it and the row after it need them, and the faces between them and the
+      block's own rows move mass into its cells.  The run's first and last rows are
+      taken as line ends, which they are at the block's edge; elsewhere their slopes
+      are wrong, but no flux taken here reads them.
+    - Along axis 1 a row block is one run of whole rows.  The slopes of each row's
+      first and last cell are set to zero, and the flux through the face that crosses
+      from a row's last cell to the next row's first is +0 where it is taken from a
+      cell and -0 where it is added to one, so it moves nothing and keeps every zero's
+      sign; a NaN spreads no further than in a sweep per line."""
     rate = dt / grid.h
     if out is None:
-        out = vals.copy()
-    else:
-        np.copyto(out, vals)
-    for axis in range(grid.n):
-        for strip in _strips(vals.shape, axis, STRIP_CELLS):
-            _sweep(vals[strip], faces[axis][strip], out[strip], axis, rate)
+        out = np.empty(vals.shape)
+    width, ranges = _row_blocks(vals)
+    flat, new = vals.reshape(-1), out.reshape(-1)
+    flats = [xi.reshape(-1) for xi in faces]
+    size = flat.size
+    for p, q in ranges:
+        new[p:q] = flat[p:q]
+        # axis 0: the faces after the row before the block and after its rows (the
+        # block's last row has none), their slopes from two rows past each side
+        lo, hi = max(p - 2 * width, 0), min(q + 2 * width, size)
+        first, stop = max(p - width, 0), min(q, size - width)
+        u = flat[lo:hi]
+        flux = _fluxes(u, _half_slopes(u, width), flats[0][first:stop], width, first - lo, rate)
+        new[p:stop] -= flux[p - first :]
+        new[first + width : q] += flux[: q - width - first]
+        if len(flats) == 2 and width > 1:
+            u = flat[p:q]
+            slope = _half_slopes(u, 1)
+            slope[::width] = 0.0
+            slope[width - 1 :: width] = 0.0
+            flux = _fluxes(u, slope, flats[1][p : q - 1], 1, 0, rate)
+            flux[width - 1 :: width] = 0.0  # the faces from a row's last cell to the next row's first
+            new[p : q - 1] -= flux
+            flux[width - 1 :: width] = -0.0
+            new[p + 1 : q] += flux
     return out
 
 
 def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig, faces=None):
-    """One SSPRK(STAGES, 2) step of at most max_dt on the block `vals`.  Returns (dt,
-    the new values, the mass clipped from them, the number of redos).
+    """One SSPRK(STAGES, 2) step of at most max_dt on the C-contiguous block `vals`,
+    which it does not write into.  Returns (dt, the new values, the mass clipped from
+    them, the number of redos).
 
     The step is STAGES forward-Euler stages of dt / (STAGES - 1), each on the face
     velocities of its own input, then u^n / STAGES + (STAGES - 1) / STAGES times the
@@ -274,8 +336,7 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
 
     The stages take turns in two block registers: the free one takes the positive
     part of the current stage, from which its face velocities are solved, then its
-    cell speeds, then its update.  Only a negative value of the result triggers a
-    clip."""
+    update.  Only a negative value of the result triggers a clip."""
     redos = 0
     if faces is None:
         faces = _face_velocities(grid, vals, cfg.s)
@@ -287,7 +348,7 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
         stage, spare = _advance(grid, vals, faces, stage_dt), np.empty_like(vals)
         for _ in range(STAGES - 1):
             faces = _face_velocities(grid, np.maximum(stage, 0.0, out=spare), cfg.s, out=faces)
-            limit = (STAGES - 1) * _stable_dt(grid, faces, cfg.cfl, out=spare)
+            limit = (STAGES - 1) * _stable_dt(grid, faces, cfg.cfl)
             if dt > limit * (1.0 + STAGE_SLACK):
                 break
             stage, spare = _advance(grid, stage, faces, stage_dt, out=spare), stage
@@ -308,12 +369,13 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
 
 
 def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig, faces=None):
-    """One SSP step of at most max_dt, computed on the support window of `vals` and
-    written into a fresh zero array of the box.  Returns (dt, values, clipped mass,
-    redos) as `_ssp_update` does, which takes `faces` (the face velocities of the
-    window's block, when a record solved them)."""
+    """One SSP step of at most max_dt, computed on a C-contiguous copy of the support
+    window of `vals` (the array itself when the window is the box) and written into a
+    fresh zero array of the box.  Returns (dt, values, clipped mass, redos) as
+    `_ssp_update` does, which takes `faces` (the face velocities of the window's block,
+    when a record solved them)."""
     window = _support_window(vals)
-    dt, block, clipped, redos = _ssp_update(grid, vals[window], max_dt, cfg, faces)
+    dt, block, clipped, redos = _ssp_update(grid, np.ascontiguousarray(vals[window]), max_dt, cfg, faces)
     if block.shape != grid.shape:  # a window that fills the box is already the box array
         new = np.zeros(grid.shape)
         new[window] = block
@@ -355,16 +417,15 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
             traj.stage_redos += redos
             t += dt
             traj.steps += 1
-        u = DensityField(grid, vals)
+        u = _field_view(grid, vals)  # `_ssp_update` proved vals finite, and no step writes into them
         rec, faces = _output_record(u, t, tau, mass0, full, reference)
         if rec.sup_bound_ratio > 1.0 + BOUND_SLACK:
             traj.warnings.append(f"sup bound ratio {rec.sup_bound_ratio:.4f} at t={t:.6g}")
         traj.records.append(rec)
         if at_output is not None:
             at_output(t, u)
-        del u  # a field copies its values, and the steps to the next output need only `vals`
-    del faces  # no step takes the last record's faces: drop them before `last` copies the values
-    traj.last = DensityField(grid, vals)
+        del u  # a view keeps its array alive: the steps to the next output free it as they go
+    traj.last = _field_view(grid, vals)
     traj.wall_time = _time.perf_counter() - t0
     return traj
 

@@ -4,7 +4,6 @@ from math import inf, nan, pi, sqrt
 
 from hypothesis import given, settings, strategies as st
 from vortexlab.grids import (
-    CSV_BATCH_ROWS,
     CartesianGrid,
     ConfigError,
     DensityField,
@@ -276,7 +275,7 @@ class TestSignedArraySerialization:
 
 
 def reference_write_csv(path, header, rows):
-    """The per-value writer that `write_csv` batches; its bytes are the contract."""
+    """The per-value writer whose bytes are the CSV contract of every writer."""
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
@@ -294,19 +293,19 @@ cell_values = st.one_of(
 )
 
 
-class TestBatchedCsv:
+class TestCsvText:
     @settings(max_examples=80, deadline=None)
-    @given(
-        rows=st.lists(st.lists(cell_values, max_size=6), max_size=40),
-        repeat=st.sampled_from([1, CSV_BATCH_ROWS // 3 + 1]),
-    )
-    def test_rows_match_per_value_writer(self, tmp_path_factory, rows, repeat):
-        # ragged rows, None cells and every special float; the repeat crosses batches
-        rows = rows * repeat
+    @given(rows=st.lists(st.lists(cell_values, max_size=6), max_size=40))
+    def test_rows_match_per_value_writer(self, tmp_path_factory, rows):
+        # ragged rows, None cells and every special float, from an iterator; the text
+        # is also the %.17g text the grid writers' templates give each value
         base = tmp_path_factory.mktemp("csv")
         write_csv(base / "got.csv", ["a", "b"], iter(rows))
         reference_write_csv(base / "want.csv", ["a", "b"], rows)
-        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+        got = (base / "got.csv").read_bytes()
+        assert got == (base / "want.csv").read_bytes()
+        lines = ["a,b"] + [",".join("" if v is None else "%.17g" % v for v in row) for row in rows]
+        assert got == "".join(line + "\n" for line in lines).encode()
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -20,6 +20,7 @@ from vortexlab.potentials import (
     _box_cox,
     _convolve,
     _face_velocities,
+    _interior_faces,
     _kernel,
     _kernel_table,
     _singular_cell,
@@ -27,6 +28,11 @@ from vortexlab.potentials import (
     potential_values,
     velocity_constant,
 )
+
+
+def face_velocities(grid, vals, s):
+    """The face velocities between neighbouring cells, one compact array per axis."""
+    return _interior_faces(_face_velocities(grid, vals, s))
 
 
 def disk_field(N=128, L=2.0, R=1.0, height=1.0):
@@ -40,7 +46,7 @@ def gradient_form_energy(u, ref):
     of what `energy` computes as the difference <u,Gu> - <r,Gr> on the support window."""
     g = u.grid
     diff = u.values - ref.values
-    grad_sq = sum(float((xi * xi).sum()) for xi in _face_velocities(g, diff, 1.0))
+    grad_sq = sum(float((xi * xi).sum()) for xi in face_velocities(g, diff, 1.0))
     w = potential_values(g, diff, 1.0)
     return g.cell_volume * grad_sq + 2.0 * g.cell_volume * float((ref.values * w).sum())
 
@@ -69,7 +75,7 @@ def cell_speed(grid, vals, s=1.0):
     """|v| at the cell centers, each component the mean of the cell's two faces along
     its axis (the one face in an end cell)."""
     sq = 0.0
-    for axis, xi in enumerate(_face_velocities(grid, vals, s)):
+    for axis, xi in enumerate(face_velocities(grid, vals, s)):
         lines = np.moveaxis(xi, axis, 0)
         ends = np.concatenate([lines[:1], lines, lines[-1:]])
         sq = sq + np.moveaxis(0.5 * (ends[:-1] + ends[1:]), 0, axis) ** 2
@@ -80,12 +86,26 @@ class TestVelocity:
     # the velocity every step and record uses: the face gradient of p = G_h * u
     def test_zero_field(self):
         g = CartesianGrid(2, 1.0, 16)
-        for xi in _face_velocities(g, np.zeros(g.shape), 1.0):
+        for xi in face_velocities(g, np.zeros(g.shape), 1.0):
             np.testing.assert_array_equal(xi, 0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (5, 7)])
+    def test_cell_shaped_storage(self, shape):
+        # entry c of an axis's array is the face after cell c along that axis, and the
+        # entry past each line's end is zero; the faces between cells are views of it
+        g = CartesianGrid(2, 1.0, 16)
+        vals = np.random.default_rng(3).random(shape)
+        p = potential_values(g, vals, 1.0)
+        faces = _face_velocities(g, vals, 1.0)
+        for axis, (xi, inner) in enumerate(zip(faces, _interior_faces(faces))):
+            assert xi.shape == shape and xi.flags.c_contiguous
+            assert inner.base is xi
+            assert inner.tobytes() == (np.diff(p, axis=axis) / -g.h).tobytes()
+            assert not np.take(xi, -1, axis=axis).any()
 
     def test_matches_brute_force_s1(self):
         u = disk_field(N=32)
-        fast = _face_velocities(u.grid, u.values, 1.0)
+        fast = face_velocities(u.grid, u.values, 1.0)
         slow = brute_force_faces(u, 1.0)
         for a, b in zip(fast, slow):
             assert np.abs(a - b).max() < 1e-12
@@ -94,7 +114,7 @@ class TestVelocity:
     def test_matches_brute_force_fractional(self, s):
         g = CartesianGrid(2, 1.0, 32)
         u = DensityField(g, np.exp(-g.radius() ** 2 * 6))
-        fast = _face_velocities(g, u.values, s)
+        fast = face_velocities(g, u.values, s)
         slow = brute_force_faces(u, s)
         for a, b in zip(fast, slow):
             assert np.abs(a - b).max() < 1e-12
@@ -118,7 +138,7 @@ class TestVelocity:
     def test_velocity_points_outward(self):
         # every face velocity points away from the disk's center along its axis
         u = disk_field(N=64)
-        for axis, xi in enumerate(_face_velocities(u.grid, u.values, 1.0)):
+        for axis, xi in enumerate(face_velocities(u.grid, u.values, 1.0)):
             shape = [1, 1]
             shape[axis] = -1
             assert (face_centers(u.grid, axis).reshape(shape) * xi).min() >= -1e-12
@@ -128,9 +148,9 @@ class TestVelocity:
         g = CartesianGrid(2, 1.0, 32)
         u1, u2 = rng.random(g.shape), rng.random(g.shape)
         a, b = 1.7, 0.3
-        vab = _face_velocities(g, a * u1 + b * u2, 1.0)
-        v1 = _face_velocities(g, u1, 1.0)
-        v2 = _face_velocities(g, u2, 1.0)
+        vab = face_velocities(g, a * u1 + b * u2, 1.0)
+        v1 = face_velocities(g, u1, 1.0)
+        v2 = face_velocities(g, u2, 1.0)
         for k in range(2):
             np.testing.assert_allclose(vab[k], a * v1[k] + b * v2[k], atol=1e-12)
 
@@ -138,7 +158,7 @@ class TestVelocity:
         # even interval [-R, R] of height 1: v(x) = x inside, R sign(x) outside
         g = CartesianGrid(1, 3.0, 512)
         x = g.axis_centers()
-        (v,) = _face_velocities(g, (np.abs(x) <= 1.0).astype(float), 1.0)
+        (v,) = face_velocities(g, (np.abs(x) <= 1.0).astype(float), 1.0)
         xf = face_centers(g, 0)
         inside = np.abs(xf) < 0.9
         outside = np.abs(xf) > 1.1
@@ -198,13 +218,13 @@ class TestVelocitySymmetry:
         # with the axis swap, and each axis flip reverses and negates that axis's faces
         g = CartesianGrid(2, 1.0, cells)
         vals = np.random.default_rng(seed).random(g.shape)
-        vx, vy = _face_velocities(g, vals, s)
+        vx, vy = face_velocities(g, vals, s)
         tol = 1e-12 * max(np.abs(vx).max(), np.abs(vy).max())
-        tx, ty = _face_velocities(g, vals.T, s)
+        tx, ty = face_velocities(g, vals.T, s)
         assert np.abs(tx - vy.T).max() <= tol
         assert np.abs(ty - vx.T).max() <= tol
         for k in range(2):
-            flipped = _face_velocities(g, np.flip(vals, k), s)
+            flipped = face_velocities(g, np.flip(vals, k), s)
             for j, comp in enumerate((vx, vy)):
                 sign = -1.0 if j == k else 1.0
                 assert np.abs(flipped[j] - sign * np.flip(comp, k)).max() <= tol
@@ -430,9 +450,9 @@ class TestWindowedVelocity:
         whole = potential_values(g, vals, s)
         cases = [(whole[window], potential_values(g, vals[window], s), 1e-12 * np.abs(whole).max())]
         # and so do its face velocities, on the faces between cells of W
-        whole = _face_velocities(g, vals, s)
+        whole = face_velocities(g, vals, s)
         tol = 1e-12 * max(np.abs(xi).max() for xi in whole)
-        for axis, (w, b) in enumerate(zip(whole, _face_velocities(g, vals[window], s))):
+        for axis, (w, b) in enumerate(zip(whole, face_velocities(g, vals[window], s))):
             faces = tuple(slice(cut.start, cut.stop - 1) if k == axis else cut for k, cut in enumerate(window))
             cases.append((w[faces], b, tol))
         for w, b, tol in cases:

@@ -449,6 +449,23 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_import_and_validate_load_no_numpy_polynomial(self, tmp_path):
+        # the Gauss-Legendre nodes of the singular kernel cell are tabulated on first
+        # use, so neither the import nor `cli validate` of each default config loads
+        # numpy.polynomial
+        paths = []
+        for name in REGISTRY:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"scenario": name, "params": {}}))
+            paths.append(str(path))
+        code = (
+            "import sys; from vortexlab.cli import main; "
+            f"codes = [main(['validate', path]) for path in {paths!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(vortexlab.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == f"{[0] * len(paths)} []"
 
     def test_run_without_draws_loads_no_numpy_random(self, tmp_path):
         # only the wasserstein-oracle runner draws, so only it seeds a generator;

@@ -20,7 +20,7 @@ from vortexlab.grids import (
     total_mass,
 )
 from vortexlab import solver
-from vortexlab.potentials import WINDOW_HALO, potential_values
+from vortexlab.potentials import WINDOW_HALO, _interior_faces, potential_values
 from vortexlab.solver import (
     STAGES,
     ConfigError,
@@ -84,6 +84,26 @@ def reference_advance(grid, vals, faces, dt):
 def face_shapes(shape):
     """Shapes of the face arrays of a block: one entry fewer along each face's axis."""
     return [tuple(c - (k == axis) for k, c in enumerate(shape)) for axis in range(len(shape))]
+
+
+def cell_faces(faces):
+    """The cell-shaped storage of the compact face arrays `faces` that `_advance` and
+    `_stable_dt` take: each axis's faces, then a zero past each line's end."""
+    return [np.pad(xi, [(0, int(k == axis)) for k in range(xi.ndim)]) for axis, xi in enumerate(faces)]
+
+
+def reference_stable_dt(grid, faces, cfl):
+    """The CFL bound of `_stable_dt` from the compact faces, axis by axis: each cell's
+    speed along an axis is the larger |face| of its two, with a zero face past each
+    end of the block."""
+    speed = 0.0
+    for axis, xi in enumerate(faces):
+        mag = np.abs(np.moveaxis(xi, axis, 0))
+        ends = np.zeros((1, *mag.shape[1:]))
+        padded = np.concatenate([ends, mag, ends])
+        speed = speed + np.moveaxis(np.maximum(padded[:-1], padded[1:]), 0, axis)
+    top = float(speed.max())
+    return cfl * (grid.h / top) if top > 0 else inf
 
 
 def rough_field(rng, shape):
@@ -305,6 +325,24 @@ class TestRun:
         assert np.array_equal(traj.last.values, seen[-1][1].values)
         assert [rec.mass for rec in traj.records] == [total_mass(u) for _, u, _ in seen]
 
+    @pytest.mark.parametrize("kind", ["patch", "gaussian"])
+    def test_output_fields_are_read_only_views_of_the_step(self, kind):
+        # each output's field wraps the step's array without a copy, and so does the
+        # trajectory's last field; the next step writes a new array, so each hook field
+        # keeps its values, and no one can write into them
+        u0 = TestSharedOutputSolve.field(kind)
+        cfg = SolverConfig(output_times=(0.1, 0.2, 0.3))
+        seen = []
+        traj = run(cfg, u0, at_output=lambda t, u: seen.append((u, u.values.copy())))
+        last = seen[-1][0]
+        assert np.shares_memory(traj.last.values, last.values) and not traj.last.values.flags.writeable
+        for u, values in seen[1:]:
+            assert not u.values.flags.writeable
+            assert u.values.tobytes() == values.tobytes()
+            with pytest.raises(ValueError):
+                u.values[0] = 1.0
+        assert not any(np.shares_memory(u.values, v.values) for (u, _), (v, _) in zip(seen[1:], seen[2:]))
+
     def test_summary_fields(self):
         g = CartesianGrid(2, 4.0, 64)
         cfg = SolverConfig(output_times=(0.5,))
@@ -377,7 +415,7 @@ class TestSharedOutputSolve:
         x = g.axis_centers()
         face_x = 0.5 * (x[:-1] + x[1:])
         dissipation = 0.0
-        for axis, xi in enumerate(_face_velocities(g, u.values, 1.0)):
+        for axis, xi in enumerate(_interior_faces(_face_velocities(g, u.values, 1.0))):
             lines, xi = np.moveaxis(u.values, axis, -1), np.moveaxis(xi, axis, -1)
             face_u = 0.5 * (lines[..., :-1] + lines[..., 1:])
             dissipation += cv * float((face_u * (a * xi - face_x / (2.0 * a)) ** 2).sum())
@@ -502,6 +540,29 @@ class TestRunProperties:
 
 
 class TestTransport:
+    @staticmethod
+    def check_against_reference(n, shape, seed, dt, nan, strip):
+        # swept in row blocks of a few cells, so a block spans several; a NaN cell
+        # spreads exactly as far as in the reference: the limiter's zero branch keeps
+        # the slopes next to it zero.  Subnormal cells catch a scaling by two folded into
+        # another, which is exact only in the normal range; -0 cells and the signs of
+        # every zero must match too, and so must a step into a stage register's old values
+        g = CartesianGrid(n, 1.0, 32)
+        rng = np.random.default_rng(seed)
+        vals = rough_field(rng, shape)
+        sub = rng.random(shape) < 0.15
+        vals[sub] = rng.integers(1, 2**52, size=int(sub.sum())) * 5e-324
+        vals[rng.random(shape) < 0.05] = -0.0
+        if nan:
+            vals[tuple(rng.integers(cells) for cells in shape)] = np.nan
+        faces = [rng.normal(size=face) * (rng.random(face) < 0.8) for face in face_shapes(shape)]
+        with np.errstate(invalid="ignore"), mock.patch.object(solver, "STRIP_CELLS", strip):
+            got, want = _advance(g, vals, cell_faces(faces), dt), reference_advance(g, vals, faces, dt)
+            into = _advance(g, vals, cell_faces(faces), dt, out=np.full(shape, 7.0))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(into, got, equal_nan=True) and np.array_equal(np.signbit(into), np.signbit(got))
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.sampled_from([1, 2]),
@@ -512,25 +573,40 @@ class TestTransport:
         data=st.data(),
     )
     def test_matches_moveaxis_formulation(self, n, seed, dt, nan, strip, data):
-        # swept in strips of a few cells, so a block spans several; a NaN cell spreads
-        # exactly as far as in the reference: the limiter's zero branch keeps the slopes
-        # next to it zero.  Subnormal cells catch a scaling by two folded into another,
-        # which is exact only in the normal range; signs of zeros must match too
+        shape = tuple(data.draw(st.integers(1, 40)) for _ in range(n))
+        self.check_against_reference(n, shape, seed, dt, nan, strip)
+
+    # one-row strips, blocks of fewer rows than axis 0's two-row halo, 1 x N and N x 1
+    # blocks, and lines of one to three cells along either axis
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (3,), (40,), (1, 1), (1, 17), (17, 1), (2, 9), (3, 9), (5, 2), (6, 3), (9, 40)]
+    )
+    @pytest.mark.parametrize("strip", [1, 9, 40, 10**6])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_edge_blocks_match_moveaxis_formulation(self, shape, strip, nan):
+        for seed in range(4):
+            self.check_against_reference(len(shape), shape, seed, 0.03, nan, strip)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        nan=st.booleans(),
+        strip=st.integers(1, 64),
+        data=st.data(),
+    )
+    def test_stable_dt_matches_per_axis_reference(self, n, seed, nan, strip, data):
+        # the same bound, bit for bit, in row blocks of any size; zero faces, zero
+        # blocks (no bound) and a NaN face (no bound either, so the step fails later)
         g = CartesianGrid(n, 1.0, 32)
         shape = tuple(data.draw(st.integers(1, 40)) for _ in range(n))
         rng = np.random.default_rng(seed)
-        vals = rough_field(rng, shape)
-        sub = rng.random(shape) < 0.15
-        vals[sub] = rng.integers(1, 2**52, size=int(sub.sum())) * 5e-324
-        if nan:
-            vals[tuple(rng.integers(cells) for cells in shape)] = np.nan
-        faces = [rng.normal(size=face) * (rng.random(face) < 0.8) for face in face_shapes(shape)]
-        with np.errstate(invalid="ignore"), mock.patch.object(solver, "STRIP_CELLS", strip):
-            got, want = _advance(g, vals, faces, dt), reference_advance(g, vals, faces, dt)
-            into = _advance(g, vals, faces, dt, out=np.full(shape, 7.0))  # a stage register's old values
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert np.array_equal(into, got, equal_nan=True) and np.array_equal(np.signbit(into), np.signbit(got))
+        faces = [rng.normal(size=face) * (rng.random(face) < 0.7) for face in face_shapes(shape)]
+        if nan and faces[-1].size:
+            faces[-1].reshape(-1)[rng.integers(faces[-1].size)] = np.nan
+        with mock.patch.object(solver, "STRIP_CELLS", strip):
+            got = _stable_dt(g, cell_faces(faces), 0.45)
+        assert got == reference_stable_dt(g, faces, 0.45)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -543,13 +619,12 @@ class TestTransport:
         rng = np.random.default_rng(seed)
         vals = rough_field(rng, shape)
         vx, vy = (rng.normal(size=face) for face in face_shapes(shape))
+        advance = lambda vals, faces: _advance(g, vals, cell_faces(faces), 0.01)
         for faces in ((vx, np.zeros_like(vy)), (np.zeros_like(vx), vy)):
             swapped = (faces[1].T, faces[0].T)
-            assert np.array_equal(_advance(g, vals.T, swapped, 0.01), _advance(g, vals, faces, 0.01).T)
-        both = _advance(g, vals, (vx, vy), 0.01)
-        assert np.abs(_advance(g, vals.T, (vy.T, vx.T), 0.01) - both.T).max() <= 1e-15 * max(
-            1.0, np.abs(both).max()
-        )
+            assert np.array_equal(advance(vals.T, swapped), advance(vals, faces).T)
+        both = advance(vals, (vx, vy))
+        assert np.abs(advance(vals.T, (vy.T, vx.T)) - both.T).max() <= 1e-15 * max(1.0, np.abs(both).max())
 
     def test_nan_cell_raises(self):
         g = CartesianGrid(2, 2.0, 32)
@@ -585,17 +660,15 @@ class TestAllocationBudget:
         assert advance <= 2 * vals.nbytes
 
     def test_step_and_its_cfl_bound(self):
-        # the cell speeds are summed strip by strip into one array, which a later stage
-        # takes from its free register; each later stage's face velocities take the
-        # first stage's arrays
+        # the cell speeds are summed and reduced row block by row block, so the bound
+        # takes no block-sized array; each later stage's face velocities take the first
+        # stage's arrays
         g = CartesianGrid(2, 4.0, 384)
         vals = np.exp(-g.radius() ** 2)
         faces = _face_velocities(g, vals, 1.0)
         cfg = SolverConfig(output_times=(1.0,))
         assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl)) <= 2 * vals.nbytes
-        register = np.full(vals.shape, 9.0)
-        assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl, out=register)) <= vals.nbytes
-        assert _stable_dt(g, faces, cfg.cfl, out=register) == _stable_dt(g, faces, cfg.cfl)
+        assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl)) <= vals.nbytes
         assert self.peak_bytes(lambda: _step(g, vals, 1e-3, cfg)) <= 5 * vals.nbytes
 
     def test_full_diagnostics_record(self):
@@ -710,7 +783,7 @@ class TestEnergyDissipationIdentity:
             rate = (recs[k + 1].energy - recs[k - 1].energy) / (recs[k + 1].t - recs[k - 1].t)
             u = fields[k].values
             flux = 0.0
-            for axis, xi in enumerate(_face_velocities(g, u, 1.0)):
+            for axis, xi in enumerate(_interior_faces(_face_velocities(g, u, 1.0))):
                 lines, xi = np.moveaxis(u, axis, -1), np.moveaxis(xi, axis, -1)
                 flux += float((0.5 * (lines[..., :-1] + lines[..., 1:]) * xi**2).sum())
             target = -2.0 * g.cell_volume * flux
@@ -773,7 +846,9 @@ class TestDiscreteEnergyLaw:
         p = potential_values(g, vals, s)
         faces = _face_velocities(g, vals, s)
         rate = _advance(g, vals, faces, 1.0) - vals  # L(u) at dt = 1
-        work = [np.moveaxis(xi, axis, 0) * reference_flux(vals, xi, axis) for axis, xi in enumerate(faces)]
+        work = [
+            np.moveaxis(xi, axis, 0) * reference_flux(vals, xi, axis) for axis, xi in enumerate(_interior_faces(faces))
+        ]
         lhs = float((p * rate).sum())
         rhs = -sum(float(w.sum()) for w in work)
         # rounding of both sums: the potential's offset multiplies the cancellation in L(u)
