@@ -42,8 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_target(target: str):
+    """A config file when the target ends in .json or is a regular file, else a
+    registered name: a directory, such as a run's output, never shadows a name."""
     path = Path(target)
-    if path.suffix == ".json" or path.exists():
+    if path.suffix == ".json" or path.is_file():
         return read_config(path)  # run_scenario checks the params by building them
     if target in REGISTRY:
         return target, {}, []

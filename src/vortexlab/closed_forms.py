@@ -114,6 +114,12 @@ class BarenblattSpec:
 
     with alpha = n/(n+2-2s) and beta = 1/(n+2-2s), so alpha = n*beta and
     alpha + (2-2s)*beta = 1.
+
+    The profile solves u_t = div(u grad (-Lap)^{-s} u) only at
+    k1 = (beta / (2 B0))^(1/(1-s)), B0 = 2^(-2s) Gamma(2-s) Gamma(n/2+1-s) / Gamma(n/2+1),
+    whatever c1 is: the pressure of (c1 - k1 |y|^2)_+^(1-s) is quadratic on its support
+    with coefficient k1^(1-s) B0 (Dyda 2012).  At any other k1, such as the default
+    k1 = 1 of `barenblatt_with_mass`, it is a self-similar shape and not a solution.
     """
 
     n: int
@@ -165,7 +171,10 @@ def barenblatt_with_mass(n: int, s: float, mass: float = 1.0, k1: float = 1.0) -
     """The profile carrying the requested total mass at fixed k1.
 
     The mass is c1^(n/2 + 1 - s) times the mass at c1 = 1, so c1 follows in
-    closed form.
+    closed form.  The profile solves the equation only at
+    k1 = (beta / (2 B0))^(1/(1-s)) (`BarenblattSpec`; Dyda 2012).  The default k1 = 1
+    gives a self-similar shape, which `barenblatt-limit` compares with the uniform
+    patch only as a closed form.
     """
     if not mass > 0:
         raise ValueError("mass must be positive")

@@ -14,7 +14,9 @@ D(U) = int U |V - y/n|^2 dy.  Ent and D read only the cells of U and U0, so a
 record runs on their support window, like a solver step.  On u's grid the first
 term is half the energy P(u) - P(r) of `potentials.energy`, and one solve of G_h u
 gives P(u), the face velocities of D and the first-stage faces of the next solver
-step; the reference bumps are tabulated only on their disks' bounding boxes.  The
+step; the reference bumps are tabulated only on their disks' bounding boxes.  D is
+summed in the row blocks of `potentials._row_blocks`, the strips the step's transport
+runs in, over the faces after each block's rows and between its rows' cells.  The
 renormalized quantities are evaluated on the grid of the physical field u: the s = 1
 kernels are homogeneous up to a constant, so no contracted y-grid is built.
 The planar entropy needs a fixed smooth reference density U0 of equal mass;
@@ -45,17 +47,7 @@ from .grids import (
     unit_ball_volume,
     write_csv,
 )
-from .potentials import (
-    STRIP_CELLS,
-    _check_equal_mass,
-    _interior_faces,
-    _pairing,
-    _potential_faces,
-    _potential_view,
-    _sides,
-    _strips,
-    _support_window,
-)
+from .potentials import _check_equal_mass, _pairing, _potential_faces, _potential_view, _row_blocks, _support_window
 
 __all__ = [
     "DiagnosticsRecord",
@@ -228,18 +220,21 @@ def _entropy_terms(u: DensityField, t: float, mass: float):
     own = _pairing(g, block, p)
     faces = _potential_faces(g, p)
     x = g.axis_centers()
+    face_x = [0.5 * (xk[:-1] + xk[1:]) / (g.n * a) for xk in (x[w] for w in window)]  # x / (n a)
+    width, ranges = _row_blocks(block)
+    last = block.shape[0] - 1
     dis = 0.0
-    for axis, xi in enumerate(_interior_faces(faces)):
-        lo, hi = _sides(g.n, axis)[:2]
-        xk = x[window[axis]]
-        face_x = 0.5 * (xk[:-1] + xk[1:]) / (g.n * a)  # the face's x / (n a)
-        face_x = face_x.reshape([-1 if k == axis else 1 for k in range(g.n)])
-        for strip in _strips(block.shape, axis, STRIP_CELLS):  # the faces stay untouched
-            cells = block[strip]
-            w = np.multiply(xi[strip], a)
-            w -= face_x
+    for start, stop in ranges:  # the faces stay untouched
+        r0, r1 = start // width, stop // width
+        r = min(r1, last)  # axis 0's faces after the rows, none after the window's last
+        for xi, cells, after, fx in (
+            (faces[0][r0:r], block[r0:r], block[r0 + 1 : r + 1], face_x[0][r0:r, None]),
+            (faces[1][r0:r1, :-1], block[r0:r1, :-1], block[r0:r1, 1:], face_x[1]),
+        ):
+            w = np.multiply(xi, a)
+            w -= fx
             np.square(w, out=w)
-            face_u = np.add(cells[lo], cells[hi])
+            face_u = np.add(cells, after)
             face_u *= 0.5
             w *= face_u
             dis += float(w.sum())

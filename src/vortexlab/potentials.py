@@ -15,8 +15,10 @@ would cancel every digit of the potential's differences as s -> n/2; the pairing
 cell average.  Every velocity is the face gradient xi = -(p[i+1] - p[i]) / h of
 p = G_h * u (`_face_velocities`): the field step's and the dissipation record's alike.
 Each axis's faces are stored in an array of the block's shape, entry c the face after
-cell c and the entry past each line's end zero, so the solver sweeps flat runs of
-cells; `_interior_faces` views the faces between cells.
+cell c and the entry past each line's end zero.  This module also owns the one strip
+scheme: every sweep over a block's cells or faces, the step's transport and CFL bound
+and the record's dissipation, runs in the row blocks of `_row_blocks`, consecutive
+whole rows of about STRIP_CELLS cells.
 
 The interaction energy is the pairing P(u) = h^n sum u G_h u, less P(r) for a
 reference r of equal mass: for the symmetric G_h of Carrillo, Chertock and Huang
@@ -52,7 +54,7 @@ __all__ = [
 
 WINDOW_HALO = 4  # cells past supp u reached by one step: a cell per stage, so solver.STAGES
 WINDOW_QUANTUM = 16  # support window sides are multiples of this many cells (fewer kernel builds)
-STRIP_CELLS = 16384  # block sweeps run in strips of about this many cells: 128 KiB per temporary
+STRIP_CELLS = 16384  # `_row_blocks` holds about this many cells: 128 KiB per temporary
 
 
 def _check_exponent(s: float) -> float:
@@ -269,28 +271,17 @@ def _potential_view(grid: CartesianGrid, values: np.ndarray, s: float) -> np.nda
     return _convolve(values, _kernel_table(grid, s, values.shape), grid.cell_volume)
 
 
-def _cut(ndim: int, axis: int, start, stop) -> tuple:
-    """Index of the cells start:stop along `axis`, all cells along the other axes."""
-    return tuple(slice(start, stop) if k == axis else slice(None) for k in range(ndim))
-
-
-@lru_cache(maxsize=None)
-def _sides(ndim: int, axis: int) -> tuple:
-    """(lo, hi, first, last) along `axis`: the cells but the last, the cells but the
-    first, the first cell and the last cell."""
-    return tuple(_cut(ndim, axis, *ends) for ends in ((None, -1), (1, None), (None, 1), (-1, None)))
-
-
-@lru_cache(maxsize=64)
-def _strips(shape: tuple, axis: int, strip_cells: int) -> tuple:
-    """Index tuples of strips of a block of `shape`, each about `strip_cells` cells of
-    whole lines along `axis`, so a sweep along `axis` can run one strip at a time.
-    Callers pass STRIP_CELLS, so the cache is keyed on its current value."""
-    if len(shape) == 1:
-        return ((slice(None),),)
-    other = 1 - axis
-    width = max(1, strip_cells // shape[axis])
-    return tuple(_cut(2, other, start, start + width) for start in range(0, shape[other], width))
+def _row_blocks(block: np.ndarray) -> tuple:
+    """(width, ranges) of a block: the cells of one row, which is the leading axis's
+    stride in cells of its C-contiguous layout (1 for n = 1), and the flat (start,
+    stop) cell ranges of consecutive whole rows, each about STRIP_CELLS cells (at least
+    one row).  Every sweep over a block's cells or faces runs one range at a time: the
+    transport and the CFL bound (`solver._advance`, `solver._stable_dt`) and the
+    dissipation (`diagnostics._entropy_terms`), so no temporary is block-sized."""
+    rows = block.shape[0]
+    width = block.size // rows
+    step = max(1, STRIP_CELLS // width)
+    return width, [(a * width, min(a + step, rows) * width) for a in range(0, rows, step)]
 
 
 def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) -> list:
@@ -304,23 +295,18 @@ def _potential_faces(grid: CartesianGrid, p: np.ndarray, out=None) -> list:
     """`_face_velocities` of a solved potential p, which is read and not copied out of
     its table's buffer.  One C-contiguous array of the block's shape per axis: entry c
     is the face after cell c along that axis, and the entry past each line's end is
-    zero (-0.0), so the solver's sweeps and its CFL bound run on flat runs of cells
-    (`solver._advance`).  `_interior_faces` gives the faces between cells as views."""
+    zero (-0.0), so a sweep over the faces runs on flat row blocks (`_row_blocks`).
+    Each axis's differences are taken on views with that axis first (`swapaxes`, the
+    `np.moveaxis` view for n <= 2 without its argument checks)."""
     faces = []
     for axis in range(grid.n):
-        lo, hi, _, last = _sides(grid.n, axis)
         xi = np.empty(p.shape) if out is None else out[axis]
-        np.subtract(p[hi], p[lo], out=xi[lo])
-        xi[last] = 0.0
+        lines, face = p.swapaxes(axis, 0), xi.swapaxes(axis, 0)
+        np.subtract(lines[1:], lines[:-1], out=face[:-1])
+        face[-1] = 0.0
         xi /= -grid.h
         faces.append(xi)
     return faces
-
-
-def _interior_faces(faces) -> list:
-    """The faces between neighbouring cells of cell-shaped face arrays, as views: each
-    axis's array without its last line."""
-    return [xi[_sides(xi.ndim, axis)[0]] for axis, xi in enumerate(faces)]
 
 
 # ---------------------------------------------------------------------------

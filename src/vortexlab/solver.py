@@ -41,11 +41,11 @@ vanishes outside W; and outside supp u the velocity never enters the update.
 
 The step runs on contiguous memory.  The block of W is C-contiguous, each axis's face
 velocities are stored in an array of the block's shape (`potentials._potential_faces`),
-and the transport (`_advance`) and the CFL bound (`_stable_dt`) run in row blocks of
-about STRIP_CELLS cells, so each of their operations, like the stage register updates,
-is a 1-D one over contiguous cells at the flat offset of the swept axis's stride.  Each
-cell sees the operations of one sweep per axis over the whole block, in the same order,
-so the step is that sweep's, bit for bit.
+and the transport (`_advance`) and the CFL bound (`_stable_dt`) run in the row blocks
+of `potentials._row_blocks`, as a record's dissipation does.  So each of their
+operations, like the stage register updates, is a 1-D one over contiguous cells at the
+flat offset of the swept axis's stride.  Each cell sees the operations of one sweep per
+axis over the whole block, in the same order, so the step is that sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 from .burgers import TIME_TOL, check_times
 from .diagnostics import _output_record, _reference_pairing
 from .grids import CartesianGrid, ConfigError, DensityField, _field_view, sphere_area, support_radius, total_mass
-from .potentials import STRIP_CELLS, _check_exponent, _face_velocities, _support_window
+from .potentials import _check_exponent, _face_velocities, _row_blocks, _support_window
 
 __all__ = [
     "ConfigError",
@@ -190,8 +190,8 @@ def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
     `potentials._potential_faces`.  The zero entry past each line's end is the zero
     face past each end of the block, so the speed along the axis of stride d (in
     cells) is max(|xi[c - d]|, |xi[c]|) of the flat arrays, with xi[c - d] = 0 before
-    the block.  The speeds are summed and reduced row block by row block (`_row_blocks`),
-    so no temporary is block-sized."""
+    the block.  The speeds are summed and reduced row block by row block
+    (`potentials._row_blocks`), so no temporary is block-sized."""
     width, ranges = _row_blocks(faces[0])
     flats = [xi.reshape(-1) for xi in faces]
     tops = []
@@ -208,16 +208,6 @@ def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
         tops.append(speed.max())
     top = float(np.max(tops))  # a NaN anywhere is the max
     return cfl * (grid.h / top) if top > 0 else np.inf
-
-
-def _row_blocks(block: np.ndarray) -> tuple:
-    """(width, ranges) of a C-contiguous block: the cells of one row, which is the
-    leading axis's stride in cells (1 for n = 1), and the flat (start, stop) cell
-    ranges of consecutive whole rows, each about STRIP_CELLS cells (at least one row)."""
-    rows = block.shape[0]
-    width = block.size // rows
-    step = max(1, STRIP_CELLS // width)
-    return width, [(a * width, min(a + step, rows) * width) for a in range(0, rows, step)]
 
 
 def _half_slopes(u: np.ndarray, d: int) -> np.ndarray:
@@ -270,7 +260,7 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, out=None) 
     (`potentials._potential_faces`), written into `out` (a C-contiguous block of vals'
     shape, not vals itself) when it is given.
 
-    The block runs in row blocks of about STRIP_CELLS cells (`_row_blocks`), and every
+    The block runs in the row blocks of `potentials._row_blocks`, and every
     operation is one on contiguous flat runs, at the flat offset d of the swept axis's
     stride in cells.  A row block takes its cells from vals, then the flux through each
     cell's right face and its left face along axis 0, then along axis 1: each cell sees

@@ -29,8 +29,9 @@ from vortexlab.grids import (
     support_radius,
     total_mass,
 )
-from vortexlab.potentials import _face_velocities, _interior_faces, potential_values
+from vortexlab.potentials import _face_velocities, potential_values
 from vortexlab.scenarios import PATCH_DISSIPATION_PER_H, w2_continuity_constant
+from test_solver import interior_faces
 
 
 def patch_field(grid, t=0.0, radius=1.0, tau=1.0):
@@ -115,7 +116,7 @@ def y_grid_entropy_and_dissipation(u, t, mass):
     y = yg.axis_centers()
     face_y = 0.5 * (y[:-1] + y[1:])
     dis = 0.0
-    for axis, v in enumerate(_interior_faces(_face_velocities(yg, big_u.values, 1.0))):
+    for axis, v in enumerate(interior_faces(_face_velocities(yg, big_u.values, 1.0))):
         lines, v = np.moveaxis(big_u.values, axis, -1), np.moveaxis(v, axis, -1)
         dis += float((0.5 * (lines[..., :-1] + lines[..., 1:]) * (v - face_y / 2.0) ** 2).sum())
     return ent, cv * dis

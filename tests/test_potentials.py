@@ -20,7 +20,6 @@ from vortexlab.potentials import (
     _box_cox,
     _convolve,
     _face_velocities,
-    _interior_faces,
     _kernel,
     _kernel_table,
     _singular_cell,
@@ -28,11 +27,12 @@ from vortexlab.potentials import (
     potential_values,
     velocity_constant,
 )
+from test_solver import interior_faces
 
 
 def face_velocities(grid, vals, s):
     """The face velocities between neighbouring cells, one compact array per axis."""
-    return _interior_faces(_face_velocities(grid, vals, s))
+    return interior_faces(_face_velocities(grid, vals, s))
 
 
 def disk_field(N=128, L=2.0, R=1.0, height=1.0):
@@ -97,7 +97,7 @@ class TestVelocity:
         vals = np.random.default_rng(3).random(shape)
         p = potential_values(g, vals, 1.0)
         faces = _face_velocities(g, vals, 1.0)
-        for axis, (xi, inner) in enumerate(zip(faces, _interior_faces(faces))):
+        for axis, (xi, inner) in enumerate(zip(faces, interior_faces(faces))):
             assert xi.shape == shape and xi.flags.c_contiguous
             assert inner.base is xi
             assert inner.tobytes() == (np.diff(p, axis=axis) / -g.h).tobytes()

@@ -433,6 +433,14 @@ class TestCli:
     def test_usage_error_exit_two(self):
         assert main(["frobnicate"]) == 2
 
+    def test_rerun_into_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        # the first run leaves the directory ./two-patch, which must not be taken for
+        # a config file named like the scenario
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "two-patch", "--out", "."]) == 0
+        assert (tmp_path / "two-patch").is_dir()
+        assert main(["run", "two-patch", "--out", "."]) == 0
+
     def test_removed_jobs_option_exit_two(self, tmp_path):
         assert main(["run", "s-sweep", "--jobs", "2", "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "s-sweep").exists()
