@@ -236,19 +236,26 @@ class TwoPatchState(NamedTuple):
     s3: float
 
 
-def two_patch_state(spec: TwoPatchSpec, r, t: float) -> TwoPatchState:
-    """Density and radial mass at radii r, plus the three interface positions."""
+def two_patch_density_radial(spec: TwoPatchSpec, r, t: float):
+    """Density at radii r: 1/(t+tau1) out to s1, vacuum out to s2, 1/(t+tau2) out to s3."""
     if t < 0:
         raise ValueError("two-patch solution defined for t >= 0")
     r = np.asarray(r, dtype=float)
     s1, s2, s3 = spec.interfaces(t)
-    n = spec.n
-    plateau = spec.c1 * spec.r1**n / n
-    density = np.select(
+    return np.select(
         [r <= s1, r <= s2, r <= s3],
         [1.0 / (t + spec.tau1), 0.0, 1.0 / (t + spec.tau2)],
         default=0.0,
     )
+
+
+def two_patch_state(spec: TwoPatchSpec, r, t: float) -> TwoPatchState:
+    """Density and radial mass at radii r, plus the three interface positions."""
+    density = two_patch_density_radial(spec, r, t)
+    r = np.asarray(r, dtype=float)
+    s1, s2, s3 = spec.interfaces(t)
+    n = spec.n
+    plateau = spec.c1 * spec.r1**n / n
     mass = np.select(
         [r <= s1, r <= s2, r <= s3],
         [r**n / (n * (t + spec.tau1)), plateau, r**n / (n * (t + spec.tau2))],
@@ -259,7 +266,7 @@ def two_patch_state(spec: TwoPatchSpec, r, t: float) -> TwoPatchState:
 
 def two_patch_density_at_point(spec: TwoPatchSpec, x, t: float) -> float:
     r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    return float(two_patch_state(spec, r, t).density)
+    return float(two_patch_density_radial(spec, r, t))
 
 
 def largest_solution(r, t: float, n: int):

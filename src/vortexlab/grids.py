@@ -116,10 +116,19 @@ class CartesianGrid:
 
     def radius(self) -> np.ndarray:
         """Distance of each cell center from the origin."""
-        x = self.axis_centers()
-        sq = x**2
-        r2 = sq if self.n == 1 else np.add.outer(sq, sq)
+        r2 = _squared_radius(self, (0.0,) * self.n)
         return np.sqrt(r2, out=r2)
+
+
+def _squared_radius(grid: CartesianGrid, center) -> np.ndarray:
+    """|x - center|^2 at each cell center, the outer sum of the axes' squared offsets:
+    one grid-sized array, where a point array of the cell centers takes n of them
+    before any arithmetic.  Its entries are the bits of the squared norm of each
+    point's offset, so a radial closed form evaluated on it (or on its square root)
+    matches the same form evaluated on the points."""
+    x = grid.axis_centers()
+    sq = [(x - c) ** 2 for c in center]
+    return sq[0] if grid.n == 1 else np.add.outer(*sq)
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -274,7 +283,12 @@ def support_radius(field: DensityField) -> float:
 
 
 def field_from_function(grid: CartesianGrid, fn) -> DensityField:
-    """Sample fn(points) at cell centers; points arrive with shape (..., n)."""
+    """Sample fn(points) at cell centers; points arrive with shape (..., n).
+
+    The point array alone is n grid-sized arrays.  A field that depends only on the
+    distance from one point is cheaper, with the same bits, as its radial form on the
+    squared radii of `_squared_radius` (as the scenarios build their closed forms).
+    """
     pts = np.stack(grid.centers(), axis=-1)
     return DensityField(grid, np.asarray(fn(pts), dtype=float))
 

@@ -9,11 +9,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_grids import reference_write_csv
 
 import vortexlab
+from vortexlab import scenarios
 from vortexlab.cli import main
-from vortexlab.grids import read_grid_array, total_mass
+from vortexlab.closed_forms import PatchSpec, TwoPatchSpec, patch_density, two_patch_state
+from vortexlab.grids import CartesianGrid, field_from_function, read_grid_array, total_mass
 from vortexlab.scenarios import (
     MONOTONE_SLACK,
     ORDERING_SLACK,
@@ -95,6 +98,10 @@ class TestValidateConfig:
             {"scenario": "dirac-fundamental", "params": {"half_width": 1.5, "cells": 64}}
         )
         assert errs and "support growth bound" in errs[0]
+
+    def test_dirac_mass_below_its_resolution_names_the_mass(self):
+        errs = validate_config({"scenario": "dirac-fundamental", "params": {"cells": 32, "mass": 1e-300}})
+        assert len(errs) == 1 and "mass 1e-300" in errs[0] and "cells in radius" in errs[0]
 
     def test_unknown_transport_rejected(self, tmp_path):
         cfg = {"scenario": "asymptotics", "params": {"transport": "upstream"}}
@@ -205,6 +212,7 @@ class TestValidateConfig:
         {"scenario": "dirac-fundamental", "params": {"cells": 64, "half_width": 1e-320}},
         {"scenario": "asymptotics", "params": {"cells": 32, "mass": 0.0}},
         {"scenario": "asymptotics", "params": {"cells": 32, "mass": 1e-320}},
+        {"scenario": "dirac-fundamental", "params": {"cells": 32, "mass": 1e-300}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -230,7 +238,8 @@ class TestValidateConfig:
             "two-patch-unsorted-check-times", "two-patch-repeated-check-times",
             "asymptotics-repeated-output-times", "vortex-patch-unsorted-output-times",
             "vortex-patch-output-times-short-of-t-end", "dirac-cell-volume-underflows",
-            "dirac-subnormal-half-width", "asymptotics-zero-mass", "asymptotics-subnormal-mass"])
+            "dirac-subnormal-half-width", "asymptotics-zero-mass", "asymptotics-subnormal-mass",
+            "dirac-mass-below-its-resolution"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -243,6 +252,49 @@ class TestValidateConfig:
         # a bad value is rejected by a rule, not by an accident of arithmetic such as
         # a complex square root cast back to float or a numpy division by zero
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestRadialFields:
+    # every closed-form field the scenarios build on the squared radii has the bits of the
+    # same closed form evaluated on the point array of the cell centers
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.integers(4, 48).map(lambda k: 2 * k), half_width=st.floats(0.5, 8.0),
+           center=st.one_of(st.just("half-cell"), st.tuples(*[st.floats(-3.0, 3.0)] * 2)),
+           radius=st.floats(0.05, 3.0), tau=st.floats(0.0, 4.0), t=st.floats(1e-3, 5.0),
+           r1=st.floats(0.1, 2.0), gaps=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+           peak=st.floats(0.1, 10.0), width_sq=st.floats(1e-3, 4.0))
+    def test_radial_fields_are_the_point_fields(self, cells, half_width, center, radius, tau, t,
+                                               r1, gaps, peak, width_sq):
+        g = CartesianGrid(2, half_width, cells)
+        if center == "half-cell":  # the live cell of dirac-fundamental
+            center = (g.h / 2, g.h / 2)
+
+        def points(fn):
+            return field_from_function(g, fn).values
+
+        patch = PatchSpec(2, radius=radius, tau=tau)
+        off = PatchSpec(2, radius=radius, tau=tau, center=center)
+        assert np.array_equal(scenarios._patch_values(g, patch, t),
+                              points(lambda p: patch_density(patch, p, t)))
+        assert np.array_equal(scenarios._patch_values(g, off, t),
+                              points(lambda p: patch_density(off, p, t)))
+        # the same as the origin-centred patch at the points shifted by the centre
+        assert np.array_equal(scenarios._patch_values(g, off, t),
+                              points(lambda p: patch_density(patch, p - np.array(center), t)))
+        two = TwoPatchSpec(2, 1.0, r1, r1 + gaps[0], r1 + gaps[0] + gaps[1])
+        density = vortexlab.closed_forms.two_patch_density_radial
+        for when in (0.0, t):
+            assert np.array_equal(
+                scenarios._radial_values(g, lambda r: density(two, r, when), (0.0, 0.0)),
+                points(lambda p: two_patch_state(two, np.linalg.norm(p, axis=-1), when).density))
+        assert np.array_equal(scenarios._gaussian_values(g, peak, width_sq),
+                              points(lambda p: peak * np.exp(-(p**2).sum(axis=-1) / (2.0 * width_sq))))
+        for n in (1, 2):
+            grid = CartesianGrid(n, half_width, cells)
+            x = grid.axis_centers()
+            before = np.sqrt(x**2 if n == 1 else np.add.outer(x**2, x**2))
+            points_norm = np.linalg.norm(np.stack(grid.centers(), axis=-1), axis=-1)
+            assert np.array_equal(grid.radius(), before) and np.array_equal(grid.radius(), points_norm)
 
 
 class TestRunScenario:
@@ -340,7 +392,8 @@ SMALL = {
     "barenblatt-limit": {"radial_points": 64},
     "asymptotics": {"cells": 64, "t_end": 1.0, "output_times": [0.25, 0.5, 0.75, 1.0],
                     "radial_nodes": 512, "radial_times": [1.0, 2.0, 5.0, 10.0]},
-    "dirac-fundamental": {"cells": 64, "t_end": 1.0, "output_times": [0.5, 1.0]},
+    # the patch spans 40.7 cells in radius at t = 0.5, above the scenario's DIRAC_MIN_CELLS
+    "dirac-fundamental": {"cells": 144, "half_width": 1.25, "t_end": 1.0, "output_times": [0.5, 1.0]},
     "radial-vs-field": {**SMALL_PATCH, "radial_nodes": 48},
     "wasserstein-oracle": {"pairs": 3, "triples": 2},
 }

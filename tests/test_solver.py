@@ -19,7 +19,7 @@ from vortexlab.grids import (
     support_radius,
     total_mass,
 )
-from vortexlab import potentials, solver
+from vortexlab import potentials, scenarios, solver
 from vortexlab.potentials import WINDOW_HALO, _row_blocks, potential_values
 from vortexlab.solver import (
     STAGES,
@@ -722,6 +722,30 @@ class TestAllocationBudget:
         peak_two = self.peak_bytes(lambda: run(two, u0))
         peak_sixteen = self.peak_bytes(lambda: run(sixteen, u0))
         assert peak_sixteen <= peak_two + 0.5 * u0.values.nbytes
+
+    @pytest.mark.parametrize("name", ["asymptotics", "vortex-patch", "non-comparison",
+                                      "dirac-fundamental"])
+    def test_closed_form_fields(self, name, tmp_path):
+        # a closed-form field is its radial form on one squared-radius array, with no point
+        # array: a builder's initial data is copied once more by DensityField, and the Dirac
+        # run's comparison at an output takes its exact field and one difference
+        scenario = scenarios.REGISTRY[name]
+        params = {**scenario.defaults, "cells": 384}
+        build = lambda: scenario.build(params)
+        if name == "dirac-fundamental":
+            inputs = build()
+            u = DensityField(inputs["u0"].grid, np.full(inputs["u0"].grid.shape, 0.5))
+
+            def run(cfg, u0, at_output):  # the run's output hook, on one field at t = 1
+                raise StopIteration(self.peak_bytes(lambda: at_output(1.0, u)))
+
+            with mock.patch.object(solver, "run", run), pytest.raises(StopIteration) as stop:
+                scenario.runner(params, tmp_path, **inputs)
+            peak = stop.value.value
+        else:
+            build()
+            peak = self.peak_bytes(build)
+        assert peak <= 3.5 * 384**2 * 8
 
 
 class TestSweep:
