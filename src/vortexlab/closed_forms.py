@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import sphere_area, unit_ball_volume
+from .grids import _normal, sphere_area, unit_ball_volume
 
 __all__ = [
     "PatchSpec",
@@ -202,6 +202,8 @@ class TwoPatchSpec:
             raise ValueError("c1 must be positive")
         if not 0.0 < self.r1 < self.r2 < self.r3:
             raise ValueError("need 0 < R1 < R2 < R3")
+        if not _normal(self.c2):  # a zero or subnormal c2 has no finite lifetime 1/c2
+            raise ValueError(f"the annulus height c2 = c1 (R1/R2)^n = {self.c2} must be a positive normal float")
 
     @property
     def c2(self) -> float:

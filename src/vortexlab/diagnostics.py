@@ -13,10 +13,11 @@ P and P0 the potentials (-Lap)^{-1} of U and U0, decays along orbits at rate
 D(U) = int U |V - y/n|^2 dy.  Ent and D read only the cells of U and U0, so a
 record runs on their support window, like a solver step.  On u's grid the first
 term is half the energy P(u) - P(r) of `potentials.energy`, and one solve of G_h u
-gives P(u), the face velocities of D and the first-stage faces of the next solver
+gives P(u), the face velocities of D and the first-stage potential of the next solver
 step; the reference bumps are tabulated only on their disks' bounding boxes.  D is
-summed in the row blocks of `potentials._row_blocks`, the strips the step's transport
-runs in, over the faces after each block's rows and between its rows' cells.  The
+summed in the row blocks of `potentials._face_strips`, the strips the step's transport
+runs in, each taking its faces from that solve, over the faces after each block's rows
+and between its rows' cells.  The
 renormalized quantities are evaluated on the grid of the physical field u: the s = 1
 kernels are homogeneous up to a constant, so no contracted y-grid is built.
 The planar entropy needs a fixed smooth reference density U0 of equal mass;
@@ -47,7 +48,7 @@ from .grids import (
     unit_ball_volume,
     write_csv,
 )
-from .potentials import _check_equal_mass, _pairing, _potential_faces, _potential_view, _row_blocks, _support_window
+from .potentials import _check_equal_mass, _face_strips, _pairing, _potential_view, _support_window
 
 __all__ = [
     "DiagnosticsRecord",
@@ -199,37 +200,37 @@ def entropy_and_dissipation(u: DensityField, t: float, mass: float):
     window of u and r (`_reference_pairing`).  `mass` must match the mass of u to 1e-8
     relative.
     """
-    ent, dis, _, _ = _entropy_terms(u, t, mass)
+    ent, dis, _, _ = _entropy_terms(u, t, mass, second_moment(u))
     return ent, dis
 
 
-def _entropy_terms(u: DensityField, t: float, mass: float):
-    """(Ent, D, P(u), face velocities of u) of `entropy_and_dissipation`, all from its
-    one solve of G_h u on the support window of u.  P(r) and its block come first and
-    are gone before that solve; D reads the faces and leaves them as solved."""
+def _entropy_terms(u: DensityField, t: float, mass: float, moment: float):
+    """(Ent, D, P(u), potential of u) of `entropy_and_dissipation`, all from its one
+    solve of G_h u on the support window of u, given the second moment int u |x|^2 dx of
+    u.  P(r) and its block come first and are gone before that solve; D takes the faces
+    of the potential row block by row block (`potentials._face_strips`) and leaves the
+    potential in its table's buffer."""
     g = u.grid
     if g.n != 2:
         raise ValueError("entropy is implemented for the planar case (n = 2)")
     _check_equal_mass(total_mass(u), mass)
     a = _spatial_scale(t, g.n)
-    moment = second_moment(u) / (2.0 * g.n * (1.0 + t))
+    moment = moment / (2.0 * g.n * (1.0 + t))
     reference = _reference_pairing(g, u.values, mass, a * equilibrium_radius(mass, g.n))
     window = _support_window(u.values)
     block = u.values[window]
     p = _potential_view(g, block, 1.0)
     own = _pairing(g, block, p)
-    faces = _potential_faces(g, p)
     x = g.axis_centers()
     face_x = [0.5 * (xk[:-1] + xk[1:]) / (g.n * a) for xk in (x[w] for w in window)]  # x / (n a)
-    width, ranges = _row_blocks(block)
-    last = block.shape[0] - 1
+    width, last = block.shape[1], block.shape[0] - 1
     dis = 0.0
-    for start, stop in ranges:  # the faces stay untouched
+    for start, stop, (xi0, xi1) in _face_strips(g, p):
         r0, r1 = start // width, stop // width
         r = min(r1, last)  # axis 0's faces after the rows, none after the window's last
         for xi, cells, after, fx in (
-            (faces[0][r0:r], block[r0:r], block[r0 + 1 : r + 1], face_x[0][r0:r, None]),
-            (faces[1][r0:r1, :-1], block[r0:r1, :-1], block[r0:r1, 1:], face_x[1]),
+            (xi0.reshape(-1, width)[1 : r - r0 + 1], block[r0:r], block[r0 + 1 : r + 1], face_x[0][r0:r, None]),
+            (xi1[1:].reshape(-1, width)[:, :-1], block[r0:r1, :-1], block[r0:r1, 1:], face_x[1]),
         ):
             w = np.multiply(xi, a)
             w -= fx
@@ -238,7 +239,7 @@ def _entropy_terms(u: DensityField, t: float, mass: float):
             face_u *= 0.5
             w *= face_u
             dis += float(w.sum())
-    return 0.5 * (own - reference) + moment, g.cell_volume * dis, own, faces
+    return 0.5 * (own - reference) + moment, g.cell_volume * dis, own, p
 
 
 def _matched_patch_w2(u: DensityField, t: float, tau: float, mass: float) -> float:
@@ -264,9 +265,9 @@ def _output_record(u: DensityField, t: float, tau: float, mass0: float, full: bo
     The energy is P(u) - P(r) (`potentials.energy`).  `reference` is P(r), which a run
     computes once (`_reference_pairing`); it is solved here when not given.  P(u)
     comes from the entropy's one solve of G_h u on the support window of u, which a
-    step from u solves first.  Returns the record and, with `full`, the face
-    velocities of that solve, so the next step takes them instead of solving again
-    (None without `full`)."""
+    step from u solves first.  Returns the record and, with `full`, the potential of
+    that solve, a view of its table's buffer, so the next step takes it instead of
+    solving again while no other solve has overwritten it (None without `full`)."""
     peak = float(u.values.max())
     mass = total_mass(u)
     rec = DiagnosticsRecord(
@@ -281,12 +282,12 @@ def _output_record(u: DensityField, t: float, tau: float, mass0: float, full: bo
     )
     if not full:
         return rec, None
-    rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)  # its temporaries go before the faces come
+    rec.w2_to_patch = _matched_patch_w2(u, t, tau, mass0)
     if reference is None:
         reference = _reference_pairing(u.grid, u.values, mass0)
-    rec.entropy, rec.dissipation, own, faces = _entropy_terms(u, t, mass0)
+    rec.entropy, rec.dissipation, own, p = _entropy_terms(u, t, mass0, rec.second_moment)
     rec.energy = own - reference
-    return rec, faces
+    return rec, p
 
 
 # ---------------------------------------------------------------------------

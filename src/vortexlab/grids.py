@@ -183,6 +183,15 @@ class RadialGrid:
             raise ValueError(f"need at least 16 nodes, got {self.nodes}")
         if not 0 < self.r_max < inf:
             raise ValueError("r_max must be positive and finite")
+        try:
+            normal = _normal(self.r_max**self.n / self.n / (self.nodes - 1))  # the node spacing d_sigma
+        except OverflowError:  # r_max**n beyond the float range
+            normal = False
+        if not normal:
+            raise ValueError(
+                f"r_max {self.r_max} over {self.nodes} nodes: the node spacing in sigma = r^n / n must "
+                "be a positive normal float"
+            )
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -307,15 +316,14 @@ def radial_average(field: DensityField, rgrid: RadialGrid) -> RadialProfile:
             f"radial grid reaches r={rgrid.r_max} beyond the box half-width {field.grid.half_width:.6g}"
         )
     nodes_r = rgrid.r
-    r_cells = field.grid.radius().ravel()
-    inside = r_cells <= nodes_r[-1]
-    r_cells, vals = r_cells[inside], field.values.ravel()[inside]
-    edges = np.concatenate([[0.0], 0.5 * (nodes_r[1:] + nodes_r[:-1]), [nodes_r[-1]]])
-    idx = np.searchsorted(edges, r_cells, side="right")
+    # the last bin closes at r_max itself; the cells past it fall in one more bin, which
+    # is dropped, so no masked copy of the cells is taken and each bin sums its cells
+    # in the same order
+    edges = np.concatenate([[0.0], 0.5 * (nodes_r[1:] + nodes_r[:-1]), [np.nextafter(nodes_r[-1], inf)]])
+    idx = np.searchsorted(edges, field.grid.radius().reshape(-1), side="right")
     idx -= 1
-    np.clip(idx, 0, rgrid.nodes - 1, out=idx)
-    sums = np.bincount(idx, weights=vals, minlength=rgrid.nodes)
-    counts = np.bincount(idx, minlength=rgrid.nodes)
+    sums = np.bincount(idx, weights=field.values.reshape(-1), minlength=rgrid.nodes + 1)[: rgrid.nodes]
+    counts = np.bincount(idx, minlength=rgrid.nodes + 1)[: rgrid.nodes]
     out = np.zeros(rgrid.nodes)
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled]

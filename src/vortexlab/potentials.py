@@ -13,34 +13,36 @@ with its limit -C ln|z| at n = 2s (-ln|z|/(2 pi) at (2, 1)).  It is C |z|^{2s-n}
 would cancel every digit of the potential's differences as s -> n/2; the pairing
 `_pairing` adds it back where n > 2s.  The singular cell of G takes the analytic
 cell average.  Every velocity is the face gradient xi = -(p[i+1] - p[i]) / h of
-p = G_h * u (`_face_velocities`): the field step's and the dissipation record's alike.
-Each axis's faces are stored in an array of the block's shape, entry c the face after
-cell c and the entry past each line's end zero.  This module also owns the one strip
-scheme: every sweep over a block's cells or faces, the step's transport and CFL bound
-and the record's dissipation, runs in the row blocks of `_row_blocks`, consecutive
-whole rows of about STRIP_CELLS cells.
+p = G_h * u: the field step's and the dissipation record's alike.  No face array is
+block-shaped.  This module owns the one strip scheme: every sweep over a block's cells
+or faces, the step's transport and CFL bound and the record's dissipation, runs in the
+row blocks of `_row_blocks`, consecutive whole rows of about STRIP_CELLS cells, and
+takes each row block's faces from the solved potential into strip buffers
+(`_face_strips`).
 
 The interaction energy is the pairing P(u) = h^n sum u G_h u, less P(r) for a
 reference r of equal mass: for the symmetric G_h of Carrillo, Chertock and Huang
 (2015), P(u) - P(r) = h^n sum (u - r) G_h (u + r), and the constant G_h leaves out
-cancels.  So one solve of
-p = G_h u gives both P(u) and the face velocities: a full-diagnostics record solves
-its output's potential once, and the next step takes that solve's faces for its
-first stage (`diagnostics._output_record`).
+cancels.  So one solve of p = G_h u gives both P(u) and the face velocities: a
+full-diagnostics record solves its output's potential once, and the next step takes
+that potential for its first stage (`diagnostics._output_record`) while it is still
+the last solve in its table's buffer (`_is_latest_solve`).
 
 Every convolution takes its spectrum and buffer from `_kernel_table`, one cached
 entry keyed by block shape.  G is radial, so on the doubled grid it is even along
 every axis and its spectrum is real and even: the table keeps the real half rows
-of it, and the irfft writes into the padded buffer's free half.  Field steps and
-diagnostics records both run on the support window of `_support_window`, so a
-compact run never tabulates the whole box.
+of it, and the irfft writes into the padded buffer's free half.  A table is built
+from row blocks of the kernel, with no doubled-grid kernel array, and its singular
+cell takes a fixed Gauss-Legendre table, so no run imports numpy.polynomial.  Field
+steps and diagnostics records both run on the support window of `_support_window`, so
+a compact run never tabulates the whole box.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from math import gamma, pi
+from math import gamma, pi, prod
 
 import numpy as np
 
@@ -69,11 +71,36 @@ def velocity_constant(n: int, s: float) -> float:
     return 2.0 * gamma(n / 2.0 + 1.0 - s) / (4.0**s * pi ** (n / 2.0) * gamma(s))
 
 
-@lru_cache(maxsize=1)
+# The 64-point Gauss-Legendre rule on [-1, 1], the half at positive nodes, ascending, as
+# numpy.polynomial.legendre.leggauss(64) gives it.  leggauss symmetrizes its rule, so the
+# other half is these nodes negated and the same weights, bit for bit.  A table and not
+# the routine: numpy.polynomial and its eigenvalue solve cost every field run memory.
+_GAUSS_NODES = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+    0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+    0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+    0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+    0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+    0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+)
+_GAUSS_WEIGHTS = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+    0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+    0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+    0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+    0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+    0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414,
+)
+
+
 def _gauss_legendre() -> tuple:
-    """The 64-point Gauss-Legendre nodes and weights, tabulated on first use: importing
-    numpy.polynomial costs every process that never tabulates a kernel."""
-    return np.polynomial.legendre.leggauss(64)
+    """The 64-point Gauss-Legendre nodes, ascending, and their weights."""
+    nodes, weights = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
+    return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
 
 
 def _angular_integral(f) -> float:
@@ -117,18 +144,21 @@ def _offsets(cells: int, h: float) -> np.ndarray:
     return np.where(m < cells, m, m - 2 * cells) * h
 
 
-def _kernel(grid: CartesianGrid, s: float, shape: tuple) -> np.ndarray:
-    """G at the cell-center offsets on the doubled grid of a `shape` block, the singular
-    cell averaged.  The offsets m h and (m - 2 cells) h are the same length for the
-    indices m and 2 cells - m, so the kernel is even along every axis, bit for bit."""
+def _kernel(grid: CartesianGrid, s: float, shape: tuple, rows: slice = slice(None)) -> np.ndarray:
+    """G at the cell-center offsets on the doubled grid of a `shape` block, or on its
+    rows `rows`, the singular cell averaged.  The offsets m h and (m - 2 cells) h are
+    the same length for the indices m and 2 cells - m, so the kernel is even along every
+    axis, bit for bit."""
     n, h, a = grid.n, grid.h, 2.0 * s - grid.n
     cv = velocity_constant(n, s)
     z = [_offsets(cells, h) for cells in shape]
+    z[0] = z[0][rows]
     kern = np.abs(z[0]) if n == 1 else np.hypot(z[0][:, None], z[1][None, :])
     with np.errstate(divide="ignore"):
         _box_cox(kern, a, out=kern)
     kern *= -cv
-    kern[(0,) * n] = _singular_cell(n, h, s)
+    if not rows.start:
+        kern[(0,) * n] = _singular_cell(n, h, s)
     return kern
 
 
@@ -136,22 +166,34 @@ class _KernelTable:
     """The kernel's spectrum on the doubled grid of one block shape, and the padded
     complex buffer every convolution of that shape works in.  The table is cached, so
     the steps of a run reuse its buffer instead of faulting in fresh block-sized
-    transform arrays on every call.
+    transform arrays on every call.  `latest` is the potential of the last solve in that
+    buffer (`_potential_view`), which the next solve overwrites.
 
     The kernel is even along every axis (`_kernel`), so its spectrum is real and even.
     `spectrum` keeps rows 0..R of the real part of its rfftn, R the block's leading
     side (the whole rfft for n = 1), as float64: rows R+1..2R-1 are rows R-1..1
     mirrored.  That is a quarter of the complex spectrum's bytes.  The transform is
-    taken in the padded buffer."""
+    taken in the padded buffer, in the order of np.fft.rfftn and so with its bits: the
+    kernel is tabulated in row blocks (`_row_blocks`) whose rfft each fills its rows of
+    the buffer, then one fft along the leading axis runs in place.  No doubled-grid
+    kernel array is built."""
 
     def __init__(self, grid: CartesianGrid, s: float, shape: tuple):
         self.padded = np.empty((*(2 * cells for cells in shape[:-1]), shape[-1] + 1), dtype=complex)
-        np.fft.rfftn(_kernel(grid, s, shape), axes=range(grid.n), out=self.padded)
+        if grid.n == 1:
+            np.fft.rfft(_kernel(grid, s, shape), out=self.padded)
+        else:
+            width, ranges = _row_blocks((2 * shape[0], 2 * shape[1]))
+            for start, stop in ranges:
+                rows = slice(start // width, stop // width)
+                np.fft.rfft(_kernel(grid, s, shape, rows), axis=-1, out=self.padded[rows])
+            np.fft.fft(self.padded, axis=0, out=self.padded)
         self.spectrum = self.padded[: shape[0] + 1].real.copy()
+        self.latest = None
 
     def release(self) -> None:
         """Drop the arrays, so a table of another shape can be built in their place."""
-        del self.padded, self.spectrum
+        del self.padded, self.spectrum, self.latest
 
 
 _BUILT = []  # the table held by the `_kernel_table` cache
@@ -266,47 +308,72 @@ def potential_values(grid: CartesianGrid, values: np.ndarray, s: float) -> np.nd
 
 def _potential_view(grid: CartesianGrid, values: np.ndarray, s: float) -> np.ndarray:
     """`potential_values` as a view of its table's buffer, valid until the next solve of
-    the block's shape."""
+    the block's shape (`_is_latest_solve`)."""
     s = _check_exponent(s)
-    return _convolve(values, _kernel_table(grid, s, values.shape), grid.cell_volume)
+    table = _kernel_table(grid, s, values.shape)
+    table.latest = _convolve(values, table, grid.cell_volume)
+    return table.latest
 
 
-def _row_blocks(block: np.ndarray) -> tuple:
-    """(width, ranges) of a block: the cells of one row, which is the leading axis's
-    stride in cells of its C-contiguous layout (1 for n = 1), and the flat (start,
+def _is_latest_solve(p) -> bool:
+    """Whether the potential view p of `_potential_view` still holds its solve: no later
+    solve has written into its table's buffer, and no other table has replaced it."""
+    return p is not None and bool(_BUILT) and _BUILT[0].latest is p
+
+
+def _row_blocks(shape: tuple) -> tuple:
+    """(width, ranges) of a block of `shape`: the cells of one row, which is the leading
+    axis's stride in cells of its C-contiguous layout (1 for n = 1), and the flat (start,
     stop) cell ranges of consecutive whole rows, each about STRIP_CELLS cells (at least
     one row).  Every sweep over a block's cells or faces runs one range at a time: the
-    transport and the CFL bound (`solver._advance`, `solver._stable_dt`) and the
-    dissipation (`diagnostics._entropy_terms`), so no temporary is block-sized."""
-    rows = block.shape[0]
-    width = block.size // rows
+    transport and the CFL bound (`solver._advance`, `solver._stable_dt`), the
+    dissipation (`diagnostics._entropy_terms`) and the kernel's tabulation
+    (`_KernelTable`), so no temporary is block-sized."""
+    rows = shape[0]
+    width = prod(shape[1:])
     step = max(1, STRIP_CELLS // width)
     return width, [(a * width, min(a + step, rows) * width) for a in range(0, rows, step)]
 
 
-def _face_velocities(grid: CartesianGrid, vals: np.ndarray, s: float, out=None) -> list:
-    """Face velocities xi = -(p[i+1] - p[i]) / h of p = G_h * vals: the transport
-    velocity v = -grad p at the faces between neighbouring cells, stored cell-shaped
-    (`_potential_faces`).  They are written into the arrays of `out` when it is given."""
-    return _potential_faces(grid, _potential_view(grid, vals, s), out)
+def _face_strips(grid: CartesianGrid, p: np.ndarray):
+    """The face velocities xi = -(p[i+1] - p[i]) / h of a solved potential p, the
+    transport velocity v = -grad p at the faces between neighbouring cells, row block by
+    row block (`_row_blocks`).  p is read where it is, in its table's buffer, and the
+    faces go into one strip buffer per sweep, which the next row block overwrites, so no
+    face array is block-sized.
 
-
-def _potential_faces(grid: CartesianGrid, p: np.ndarray, out=None) -> list:
-    """`_face_velocities` of a solved potential p, which is read and not copied out of
-    its table's buffer.  One C-contiguous array of the block's shape per axis: entry c
-    is the face after cell c along that axis, and the entry past each line's end is
-    zero (-0.0), so a sweep over the faces runs on flat row blocks (`_row_blocks`).
-    Each axis's differences are taken on views with that axis first (`swapaxes`, the
-    `np.moveaxis` view for n <= 2 without its argument checks)."""
-    faces = []
-    for axis in range(grid.n):
-        xi = np.empty(p.shape) if out is None else out[axis]
-        lines, face = p.swapaxes(axis, 0), xi.swapaxes(axis, 0)
-        np.subtract(lines[1:], lines[:-1], out=face[:-1])
-        face[-1] = 0.0
-        xi /= -grid.h
-        faces.append(xi)
-    return faces
+    Yields, for each row block, its flat cell range (start, stop) and one flat array per
+    axis, cell-shaped: entry c is the face after cell c along the axis, and the entry
+    past each line's end is zero (-0.0).  The array of the axis of stride d cells (d is
+    the row's width along axis 0 and 1 along axis 1) starts d cells before the block, so
+    its d + stop - start entries hold the two faces of each of the block's cells along
+    that axis, entries c - d and c; the d entries before the block's first row hold its
+    line ends (along axis 1) or are zero (along axis 0, before the first row)."""
+    width, ranges = _row_blocks(p.shape)
+    last = p.shape[0] - 1
+    strips = np.empty(grid.n * (ranges[0][1] + width))  # each block's strips, end to end
+    for start, stop in ranges:
+        r0, r1 = start // width, stop // width
+        size = stop - start + width
+        xi = strips[:size]
+        face = xi.reshape(r1 - r0 + 1, *p.shape[1:])  # the faces after rows r0 - 1 .. r1 - 1
+        lo, hi = max(r0 - 1, 0), min(r1, last)
+        if r0 == 0:
+            face[0] = 0.0
+        np.subtract(p[lo + 1 : hi + 1], p[lo:hi], out=face[lo - r0 + 1 : hi - r0 + 1])
+        if r1 > last:
+            face[-1] = 0.0
+        faces = [xi]
+        if grid.n == 2:
+            xi = strips[size : size + stop - start + 1]
+            face = xi[1:].reshape(r1 - r0, width)
+            xi[0] = 0.0
+            np.subtract(p[r0:r1, 1:], p[r0:r1, :-1], out=face[:, :-1])
+            face[:, -1] = 0.0
+            faces.append(xi)
+            size += xi.size
+        strips[:size] /= -grid.h
+        yield start, stop, faces
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,12 @@ def _build_two_patch(params) -> dict:
     if not params["fv_time"] > 0:
         raise ValueError("fv_time must be positive")
     spec = closed_forms.TwoPatchSpec(2, params["c1"], params["r1"], params["r2"], params["r3"])
+    if not 1.0 + spec.c2 * params["fv_time"] > 1.0:
+        # the annulus, and so the inner patch, would not move: every Godunov error is zero
+        raise ValueError(
+            f"fv_time {params['fv_time']:g} is below rounding against the annulus's lifetime "
+            f"1/c2 = {spec.tau2:g}: no interface moves, so no convergence order can be fitted"
+        )
     sigma_max = params["sigma_max"]
     if sigma_max < spec.r3**2 / 2:
         raise ValueError("sigma_max must be at least r3^2/2, the outer interface's sigma")

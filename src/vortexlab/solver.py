@@ -13,14 +13,16 @@ advances one per two solves.  G_h is symmetric, so by summation by parts E_h =
 1/2 h^n sum u p decays at the semi-discrete rate -h^n sum_faces (xi+^2 u_L + xi-^2 u_R)
 <= 0.  `run` steps at m - 1 times cfl * h over the largest cell speed (the sum over
 axes of the faster of the cell's two faces), clamped to the next output time, so
-each stage runs at CFL number cfl.  Each later stage checks its own faces' bound, and
-a step with a stage over it by more than rounding is redone at the smaller bound, so
+each stage runs at CFL number cfl.  Each later stage takes its own faces' bound in the
+sweep of its transport, and a step with a stage over it by more than rounding is
+thrown away and redone at the smaller bound, so
 the SSP argument of Gottlieb, Shu and Tadmor (2001) holds stage by stage;
 `Trajectory.stage_redos` counts the redos.  At each output time `run` takes the record of
 `diagnostics._output_record` and hands that output's field to an optional
 `at_output(t, u)` hook, keeping only the last field.  A full-diagnostics record
 solves its output's potential once, on the window the next step solves it on, and
-that step takes the solve's face velocities for its first stage; with P(r) of the
+that step takes the solve for its first stage unless a solve in between, such as an
+`at_output` hook's, has overwritten it; with P(r) of the
 energy's reference bump solved once per run and one solve per record for the
 entropy's bump, a full run makes STAGES * steps + records + 2 solves.
 Fluxes through the outer box faces are zero, so total mass telescopes exactly;
@@ -39,10 +41,11 @@ and their MC slopes stay zero and no flux crosses a face of W; the potential of 
 is the whole-box convolution restricted to W up to FFT rounding, since u
 vanishes outside W; and outside supp u the velocity never enters the update.
 
-The step runs on contiguous memory.  The block of W is C-contiguous, each axis's face
-velocities are stored in an array of the block's shape (`potentials._potential_faces`),
-and the transport (`_advance`) and the CFL bound (`_stable_dt`) run in the row blocks
-of `potentials._row_blocks`, as a record's dissipation does.  So each of their
+The step runs on contiguous memory and stores no face array.  The block of W is
+C-contiguous, and the transport (`_advance`) and the CFL bound (`_stable_dt`) run in the
+row blocks of `potentials._row_blocks`, as a record's dissipation does, each taking its
+faces from the solved potential into strip buffers (`potentials._face_strips`).  So
+each of their
 operations, like the stage register updates, is a 1-D one over contiguous cells at the
 flat offset of the swept axis's stride.  Each cell sees the operations of one sweep per
 axis over the whole block, in the same order, so the step is that sweep's, bit for bit.
@@ -59,7 +62,7 @@ import numpy as np
 from .burgers import TIME_TOL, check_times
 from .diagnostics import _output_record, _reference_pairing
 from .grids import CartesianGrid, ConfigError, DensityField, _field_view, sphere_area, support_radius, total_mass
-from .potentials import _check_exponent, _face_velocities, _row_blocks, _support_window
+from .potentials import _check_exponent, _face_strips, _is_latest_solve, _potential_view, _support_window
 
 __all__ = [
     "ConfigError",
@@ -184,30 +187,32 @@ def check_initial_data(u0: DensityField, t_end: float) -> None:
 # the explicit update
 
 
-def _stable_dt(grid: CartesianGrid, faces, cfl: float) -> float:
-    """cfl * h over the largest cell speed, the sum over axes of the faster of the
-    cell's two faces along that axis, on the cell-shaped face arrays of
-    `potentials._potential_faces`.  The zero entry past each line's end is the zero
-    face past each end of the block, so the speed along the axis of stride d (in
-    cells) is max(|xi[c - d]|, |xi[c]|) of the flat arrays, with xi[c - d] = 0 before
-    the block.  The speeds are summed and reduced row block by row block
-    (`potentials._row_blocks`), so no temporary is block-sized."""
-    width, ranges = _row_blocks(faces[0])
-    flats = [xi.reshape(-1) for xi in faces]
-    tops = []
-    for p, q in ranges:
-        speed = 0.0
-        for xi, d in zip(flats, (width, 1)):
-            mag = np.empty(q - p + d)  # |xi| of the row block's cells and the d cells before it
-            if p:
-                np.abs(xi[p - d : q], out=mag)
-            else:
-                mag[:d] = 0.0
-                np.abs(xi[:q], out=mag[d:])
-            speed += np.maximum(mag[:-d], mag[d:])
-        tops.append(speed.max())
+def _cell_speeds(faces, cells: int) -> np.ndarray:
+    """The speed of each of the `cells` cells of a row block, from its face strips
+    (`potentials._face_strips`): the sum over axes of the faster of the cell's two faces
+    along that axis, entries c - d and c of the axis's strip.  The strips are overwritten
+    with their absolute values."""
+    speed = None
+    for xi in faces:
+        d = xi.size - cells  # the strip starts d cells, one stride, before the block
+        mag = np.abs(xi, out=xi)
+        along = np.maximum(mag[:-d], mag[d:])
+        speed = along if speed is None else np.add(speed, along, out=speed)
+    return speed
+
+
+def _cfl_bound(grid: CartesianGrid, tops, cfl: float) -> float:
+    """cfl * h over the largest of the row blocks' top cell speeds `tops`."""
     top = float(np.max(tops))  # a NaN anywhere is the max
     return cfl * (grid.h / top) if top > 0 else np.inf
+
+
+def _stable_dt(grid: CartesianGrid, p: np.ndarray, cfl: float) -> float:
+    """cfl * h over the largest cell speed (`_cell_speeds`) of the face velocities of the
+    solved potential p.  The faces are taken and their speeds summed and reduced row block
+    by row block (`potentials._face_strips`), so no temporary is block-sized."""
+    tops = [_cell_speeds(faces, stop - start).max() for start, stop, faces in _face_strips(grid, p)]
+    return _cfl_bound(grid, tops, cfl)
 
 
 def _half_slopes(u: np.ndarray, d: int) -> np.ndarray:
@@ -255,17 +260,19 @@ def _fluxes(u: np.ndarray, slope: np.ndarray, face: np.ndarray, d: int, start: i
     return flux
 
 
-def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, out=None) -> np.ndarray:
-    """vals after one upwind step of size dt on the cell-shaped face velocities `faces`
-    (`potentials._potential_faces`), written into `out` (a C-contiguous block of vals'
-    shape, not vals itself) when it is given.
+def _advance(grid: CartesianGrid, vals: np.ndarray, p: np.ndarray, dt: float, cfl=None, out=None):
+    """vals after one upwind step of size dt on the face velocities of the solved potential
+    p, written into `out` (a C-contiguous block of vals' shape, not vals itself) when it
+    is given, and, with `cfl`, the CFL bound of those faces (`_stable_dt`) from the same
+    sweep (None without it).
 
-    The block runs in the row blocks of `potentials._row_blocks`, and every
-    operation is one on contiguous flat runs, at the flat offset d of the swept axis's
-    stride in cells.  A row block takes its cells from vals, then the flux through each
-    cell's right face and its left face along axis 0, then along axis 1: each cell sees
-    the operations of one sweep of the whole block per axis, in the same order, so the
-    result is that sweep's, bit for bit.
+    The block runs in the row blocks of `potentials._face_strips`, which takes each
+    block's faces from p, and every operation is one on contiguous flat runs, at the flat
+    offset d of the swept axis's stride in cells.  A row block takes its cells from vals
+    less the flux through each cell's right face along axis 0, adds the flux through its
+    left face, then does both along axis 1, then (with `cfl`) takes its cell speeds:
+    each cell sees the operations of one sweep of the whole block per axis, in the same
+    order, so the result is that sweep's, bit for bit.
     - Axis 0 reads two rows past each side of the row block: the slopes of the row
       before it and the row after it need them, and the faces between them and the
       block's own rows move mass into its cells.  The run's first and last rows are
@@ -279,34 +286,38 @@ def _advance(grid: CartesianGrid, vals: np.ndarray, faces, dt: float, out=None) 
     rate = dt / grid.h
     if out is None:
         out = np.empty(vals.shape)
-    width, ranges = _row_blocks(vals)
+    width = vals.size // vals.shape[0]
     flat, new = vals.reshape(-1), out.reshape(-1)
-    flats = [xi.reshape(-1) for xi in faces]
     size = flat.size
-    for p, q in ranges:
-        new[p:q] = flat[p:q]
+    tops = []
+    for start, stop, faces in _face_strips(grid, p):
         # axis 0: the faces after the row before the block and after its rows (the
-        # block's last row has none), their slopes from two rows past each side
-        lo, hi = max(p - 2 * width, 0), min(q + 2 * width, size)
-        first, stop = max(p - width, 0), min(q, size - width)
+        # block's last row has none), their slopes from two rows past each side; the
+        # strip's entry k is the face after cell start - width + k
+        lo, hi = max(start - 2 * width, 0), min(stop + 2 * width, size)
+        first, end = max(start - width, 0), min(stop, size - width)
         u = flat[lo:hi]
-        flux = _fluxes(u, _half_slopes(u, width), flats[0][first:stop], width, first - lo, rate)
-        new[p:stop] -= flux[p - first :]
-        new[first + width : q] += flux[: q - width - first]
-        if len(flats) == 2 and width > 1:
-            u = flat[p:q]
+        face = faces[0][first - start + width : end - start + width]
+        flux = _fluxes(u, _half_slopes(u, width), face, width, first - lo, rate)
+        np.subtract(flat[start:end], flux[start - first :], out=new[start:end])
+        new[end:stop] = flat[end:stop]
+        new[first + width : stop] += flux[: stop - width - first]
+        if len(faces) == 2 and width > 1:
+            u = flat[start:stop]
             slope = _half_slopes(u, 1)
             slope[::width] = 0.0
             slope[width - 1 :: width] = 0.0
-            flux = _fluxes(u, slope, flats[1][p : q - 1], 1, 0, rate)
+            flux = _fluxes(u, slope, faces[1][1 : stop - start], 1, 0, rate)
             flux[width - 1 :: width] = 0.0  # the faces from a row's last cell to the next row's first
-            new[p : q - 1] -= flux
+            new[start : stop - 1] -= flux
             flux[width - 1 :: width] = -0.0
-            new[p + 1 : q] += flux
-    return out
+            new[start + 1 : stop] += flux
+        if cfl is not None:
+            tops.append(_cell_speeds(faces, stop - start).max())
+    return out, None if cfl is None else _cfl_bound(grid, tops, cfl)
 
 
-def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig, faces=None):
+def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig, p=None):
     """One SSPRK(STAGES, 2) step of at most max_dt on the C-contiguous block `vals`,
     which it does not write into.  Returns (dt, the new values, the mass clipped from
     them, the number of redos).
@@ -319,34 +330,41 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
     that limit, so every stage is a forward-Euler step inside its own CFL bound.  dt
     falls at each redo, and a stage whose limit comes out the same on the redo passes.
 
-    `faces`, when given, are the face velocities of `vals` itself, solved by a
-    full-diagnostics record on the same block (`diagnostics._output_record`); the first
-    stage takes them instead of solving, and the later stages overwrite them.  A redo
-    solves u^n's faces again.
+    The first stage needs its bound before dt is known, so it sweeps u^n's faces twice:
+    once for the bound (`_stable_dt`), once for the transport.  Each later stage takes
+    its limit from the sweep of its own transport (`_advance`); a stage over it is
+    thrown away with the step.
+
+    `p`, when given, is the potential of `vals` itself, solved by a full-diagnostics
+    record on the same block (`diagnostics._output_record`); the first stage takes it
+    instead of solving while it is still the latest solve in its table's buffer
+    (`potentials._is_latest_solve`), which a solve in between, such as an `at_output`
+    hook's, overwrites.  A redo solves u^n's potential again.
 
     The stages take turns in two block registers: the free one takes the positive
-    part of the current stage, from which its face velocities are solved, then its
-    update.  Only a negative value of the result triggers a clip."""
+    part of the current stage, from which its potential is solved, then its update.
+    Only a negative value of the result triggers a clip."""
     redos = 0
-    if faces is None:
-        faces = _face_velocities(grid, vals, cfg.s)
+    if not _is_latest_solve(p):
+        p = _potential_view(grid, vals, cfg.s)
     while True:
-        dt = min((STAGES - 1) * _stable_dt(grid, faces, cfg.cfl), max_dt)
+        dt = min((STAGES - 1) * _stable_dt(grid, p, cfg.cfl), max_dt)
         if not dt > 0:
             raise NumericalError("time step collapsed to zero")
         stage_dt = dt / (STAGES - 1)
-        stage, spare = _advance(grid, vals, faces, stage_dt), np.empty_like(vals)
+        stage, spare = _advance(grid, vals, p, stage_dt)[0], np.empty_like(vals)
         for _ in range(STAGES - 1):
-            faces = _face_velocities(grid, np.maximum(stage, 0.0, out=spare), cfg.s, out=faces)
-            limit = (STAGES - 1) * _stable_dt(grid, faces, cfg.cfl)
+            p = _potential_view(grid, np.maximum(stage, 0.0, out=spare), cfg.s)
+            new, limit = _advance(grid, stage, p, stage_dt, cfg.cfl, out=spare)
+            limit *= STAGES - 1
             if dt > limit * (1.0 + STAGE_SLACK):
                 break
-            stage, spare = _advance(grid, stage, faces, stage_dt, out=spare), stage
+            stage, spare = new, stage
         else:
             break
         redos += 1
         max_dt = limit
-        faces = _face_velocities(grid, vals, cfg.s, out=faces)
+        p = _potential_view(grid, vals, cfg.s)
     stage *= (STAGES - 1) / STAGES  # 3/4 and 1/4 at four stages: exact in binary
     stage += np.multiply(vals, 1.0 / STAGES, out=spare)
     low, high = float(stage.min()), float(stage.max())  # a NaN anywhere is the min and the max
@@ -358,14 +376,14 @@ def _ssp_update(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: Solve
     return dt, np.maximum(stage, 0.0, out=stage), clipped, redos
 
 
-def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig, faces=None):
+def _step(grid: CartesianGrid, vals: np.ndarray, max_dt: float, cfg: SolverConfig, p=None):
     """One SSP step of at most max_dt, computed on a C-contiguous copy of the support
     window of `vals` (the array itself when the window is the box) and written into a
     fresh zero array of the box.  Returns (dt, values, clipped mass, redos) as
-    `_ssp_update` does, which takes `faces` (the face velocities of the window's block,
-    when a record solved them)."""
+    `_ssp_update` does, which takes `p` (the potential of the window's block, when a
+    record solved it)."""
     window = _support_window(vals)
-    dt, block, clipped, redos = _ssp_update(grid, np.ascontiguousarray(vals[window]), max_dt, cfg, faces)
+    dt, block, clipped, redos = _ssp_update(grid, np.ascontiguousarray(vals[window]), max_dt, cfg, p)
     if block.shape != grid.shape:  # a window that fills the box is already the box array
         new = np.zeros(grid.shape)
         new[window] = block
@@ -394,21 +412,21 @@ def run(cfg: SolverConfig, u0: DensityField, at_output=None) -> Trajectory:
 
     t0 = _time.perf_counter()
     reference = _reference_pairing(grid, u0.values, mass0) if full else None
-    rec, faces = _output_record(u0, 0.0, tau, mass0, full, reference)
+    rec, p = _output_record(u0, 0.0, tau, mass0, full, reference)
     traj = Trajectory([rec], cfg, u0)
     if at_output is not None:
         at_output(0.0, u0)
     t, vals = 0.0, u0.values
     for target in cfg.output_times:
         while t < target - TIME_TOL * target:
-            dt, vals, clipped, redos = _step(grid, vals, target - t, cfg, faces)
-            faces = None
+            dt, vals, clipped, redos = _step(grid, vals, target - t, cfg, p)
+            p = None
             traj.clipped_mass += clipped
             traj.stage_redos += redos
             t += dt
             traj.steps += 1
         u = _field_view(grid, vals)  # `_ssp_update` proved vals finite, and no step writes into them
-        rec, faces = _output_record(u, t, tau, mass0, full, reference)
+        rec, p = _output_record(u, t, tau, mass0, full, reference)
         if rec.sup_bound_ratio > 1.0 + BOUND_SLACK:
             traj.warnings.append(f"sup bound ratio {rec.sup_bound_ratio:.4f} at t={t:.6g}")
         traj.records.append(rec)

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import dblquad, quad
 from hypothesis import given, settings, strategies as st
 from vortexlab.burgers import mass_transform, radial_speed_values
 from vortexlab.diagnostics import mollified_reference
+from vortexlab import potentials
 from vortexlab.grids import (
     CartesianGrid,
     DensityField,
@@ -19,20 +21,23 @@ from vortexlab.potentials import (
     _angular_integral,
     _box_cox,
     _convolve,
-    _face_velocities,
+    _face_strips,
+    _gauss_legendre,
     _kernel,
     _kernel_table,
+    _potential_view,
+    _row_blocks,
     _singular_cell,
     energy,
     potential_values,
     velocity_constant,
 )
-from test_solver import interior_faces
+from test_solver import interior_faces, potential_faces, strip_faces
 
 
 def face_velocities(grid, vals, s):
     """The face velocities between neighbouring cells, one compact array per axis."""
-    return interior_faces(_face_velocities(grid, vals, s))
+    return interior_faces(potential_faces(grid, vals, s))
 
 
 def disk_field(N=128, L=2.0, R=1.0, height=1.0):
@@ -92,16 +97,23 @@ class TestVelocity:
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (5, 7)])
     def test_cell_shaped_storage(self, shape):
         # entry c of an axis's array is the face after cell c along that axis, and the
-        # entry past each line's end is zero; the faces between cells are views of it
+        # entry past each line's end is zero; each row block's strip of an axis starts
+        # one stride d before the block, with the faces of the d cells before it (zero
+        # before the first row), in row blocks of one row, of a few rows and of all rows
         g = CartesianGrid(2, 1.0, 16)
         vals = np.random.default_rng(3).random(shape)
         p = potential_values(g, vals, 1.0)
-        faces = _face_velocities(g, vals, 1.0)
-        for axis, (xi, inner) in enumerate(zip(faces, interior_faces(faces))):
-            assert xi.shape == shape and xi.flags.c_contiguous
-            assert inner.base is xi
-            assert inner.tobytes() == (np.diff(p, axis=axis) / -g.h).tobytes()
-            assert not np.take(xi, -1, axis=axis).any()
+        for strip in (1, 9, 10**6):
+            with mock.patch.object(potentials, "STRIP_CELLS", strip):
+                faces = strip_faces(g, p)
+                for start, stop, strips in _face_strips(g, p):
+                    for xi, cells, d in zip(strips, faces, (shape[1], 1)):
+                        assert xi.size == d + stop - start and xi.flags.c_contiguous
+                        assert np.array_equal(xi[:d], cells.reshape(-1)[start - d : start] if start else np.zeros(d))
+            for axis, (xi, inner) in enumerate(zip(faces, interior_faces(faces))):
+                assert xi.shape == shape
+                assert inner.tobytes() == (np.diff(p, axis=axis) / -g.h).tobytes()
+                assert not np.take(xi, -1, axis=axis).any()
 
     def test_matches_brute_force_s1(self):
         u = disk_field(N=32)
@@ -199,11 +211,11 @@ class TestVelocity:
     def test_rejects_bad_exponent(self):
         u = disk_field(N=32)
         with pytest.raises(ValueError):
-            _face_velocities(u.grid, u.values, 0.0)
+            _potential_view(u.grid, u.values, 0.0)
         with pytest.raises(ValueError):
-            _face_velocities(u.grid, u.values, 1.2)
+            _potential_view(u.grid, u.values, 1.2)
         with pytest.raises(ValueError, match="subnormal"):
-            _face_velocities(u.grid, u.values, 5e-324)
+            _potential_view(u.grid, u.values, 5e-324)
 
 
 class TestVelocitySymmetry:
@@ -313,6 +325,35 @@ class TestRealSpectrum:
         scale = 1e-14 * np.abs(full).max()
         assert np.abs(full.imag).max() <= scale
         assert np.abs(full.real - full_spectrum(stored, rows)).max() <= scale
+
+    @pytest.mark.parametrize("cells", [8, 64, 384])
+    @pytest.mark.parametrize("s", [1.0, 0.7, 0.3])
+    @pytest.mark.parametrize("strip", [1, 100, None])
+    def test_row_block_build_is_the_rfftn(self, cells, s, strip):
+        # the table tabulates its kernel in row blocks of the doubled grid, each rfft into
+        # its rows of the padded buffer, then one fft along the leading axis: the order
+        # np.fft.rfftn takes, so the spectrum has the bits of the rfftn of the whole
+        # doubled-grid kernel, for one-row blocks, ragged blocks and the default strip
+        g = CartesianGrid(2, 2.0, cells)
+        if strip is None and cells == 384:
+            assert len(_row_blocks((768, 768))[1]) > 1
+        full = np.fft.rfftn(_kernel(g, s, g.shape))
+        with mock.patch.object(potentials, "STRIP_CELLS", strip or potentials.STRIP_CELLS):
+            _kernel_table.cache_clear()
+            table = _kernel_table(g, s, g.shape)
+        assert np.array_equal(table.spectrum, full.real[: cells + 1])
+        assert table.padded[: cells + 1].tobytes() == full[: cells + 1].tobytes()
+
+    def test_gauss_legendre_table_is_leggauss(self):
+        # the fixed 64-point rule is numpy's leggauss(64) to within 2 ulp, whatever
+        # LAPACK computed the latter; each half mirrors the other bit for bit
+        nodes, weights = _gauss_legendre()
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)
+        for got, want in ((nodes, ref_nodes), (weights, ref_weights)):
+            assert got.shape == (64,)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_exponent_kernel_is_the_identity(self, n):

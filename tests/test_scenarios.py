@@ -213,6 +213,9 @@ class TestValidateConfig:
         {"scenario": "asymptotics", "params": {"cells": 32, "mass": 0.0}},
         {"scenario": "asymptotics", "params": {"cells": 32, "mass": 1e-320}},
         {"scenario": "dirac-fundamental", "params": {"cells": 32, "mass": 1e-300}},
+        {"scenario": "two-patch", "params": {"r1": 5e-324}},
+        {"scenario": "asymptotics", "params": {"radial_r_max": 5e-324, "cells": 64}},
+        {"scenario": "two-patch", "params": {"c1": 2.2e-300}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -239,7 +242,8 @@ class TestValidateConfig:
             "asymptotics-repeated-output-times", "vortex-patch-unsorted-output-times",
             "vortex-patch-output-times-short-of-t-end", "dirac-cell-volume-underflows",
             "dirac-subnormal-half-width", "asymptotics-zero-mass", "asymptotics-subnormal-mass",
-            "dirac-mass-below-its-resolution"])
+            "dirac-mass-below-its-resolution", "two-patch-annulus-height-underflows",
+            "asymptotics-radial-spacing-underflows", "two-patch-nothing-moves-by-fv-time"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -511,22 +515,27 @@ class TestCli:
         assert out.stdout.strip() == "[]"
 
     def test_import_and_validate_load_no_numpy_polynomial(self, tmp_path):
-        # the Gauss-Legendre nodes of the singular kernel cell are tabulated on first
-        # use, so neither the import nor `cli validate` of each default config loads
-        # numpy.polynomial
+        # the Gauss-Legendre rule of the singular kernel cell is a fixed table, so neither
+        # the import, nor `cli validate` of each default config, nor a field run that
+        # tabulates kernels loads numpy.polynomial
         paths = []
         for name in REGISTRY:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({"scenario": name, "params": {}}))
             paths.append(str(path))
+        polynomial = "sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial'])"
         code = (
             "import sys; from vortexlab.cli import main; "
             f"codes = [main(['validate', path]) for path in {paths!r}]; "
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))"
+            f"print('validate', codes, {polynomial}); "
+            f"code = main(['run', 'vortex-patch', '--out', {str(tmp_path / 'out')!r}]); "
+            f"print('run', code, {polynomial})"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(vortexlab.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip().splitlines()[-1] == f"{[0] * len(paths)} []"
+        lines = out.stdout.strip().splitlines()
+        assert f"validate {[0] * len(paths)} []" in lines
+        assert lines[-1] == "run 0 []"
 
     def test_run_without_draws_loads_no_numpy_random(self, tmp_path):
         # only the wasserstein-oracle runner draws, so only it seeds a generator;

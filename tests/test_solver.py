@@ -20,14 +20,22 @@ from vortexlab.grids import (
     total_mass,
 )
 from vortexlab import potentials, scenarios, solver
-from vortexlab.potentials import WINDOW_HALO, _row_blocks, potential_values
+from vortexlab.potentials import (
+    WINDOW_HALO,
+    _face_strips,
+    _is_latest_solve,
+    _kernel_table,
+    _potential_view,
+    _row_blocks,
+    energy,
+    potential_values,
+)
 from vortexlab.solver import (
     STAGES,
     ConfigError,
     NumericalError,
     SolverConfig,
     _advance,
-    _face_velocities,
     _ssp_update,
     _stable_dt,
     _step,
@@ -81,15 +89,26 @@ def reference_advance(grid, vals, faces, dt):
     return new
 
 
-def face_shapes(shape):
-    """Shapes of the face arrays of a block: one entry fewer along each face's axis."""
-    return [tuple(c - (k == axis) for k, c in enumerate(shape)) for axis in range(len(shape))]
+def strip_faces(grid, p):
+    """The face velocities of the potential p that `_advance` and `_stable_dt` take, from
+    the library's row-block face rule (`potentials._face_strips`), as one cell-shaped
+    array per axis: entry c the face after cell c, the entry past each line's end zero."""
+    faces = [np.empty(p.shape) for _ in range(grid.n)]
+    for start, stop, strips in _face_strips(grid, p):
+        for xi, strip in zip(faces, strips):
+            xi.reshape(-1)[start:stop] = strip[strip.size - (stop - start) :]
+    return faces
 
 
-def cell_faces(faces):
-    """The cell-shaped storage of the compact face arrays `faces` that `_advance` and
-    `_stable_dt` take: each axis's faces, then a zero past each line's end."""
-    return [np.pad(xi, [(0, int(k == axis)) for k in range(xi.ndim)]) for axis, xi in enumerate(faces)]
+def potential_faces(grid, vals, s):
+    """`strip_faces` of the potential p = G_h * vals."""
+    return strip_faces(grid, potential_values(grid, vals, s))
+
+
+def random_potential(rng, shape):
+    """A potential with normal values and zero plateaus, so about a fifth of the faces are
+    zero."""
+    return rng.normal(size=shape) * (rng.random(shape) < 0.55)
 
 
 def interior_faces(faces):
@@ -360,7 +379,7 @@ class TestRun:
 
 class TestSharedOutputSolve:
     # a full record solves G_h u once: its P(u), its dissipation and the next step's
-    # first-stage faces all come from that solve
+    # first-stage potential all come from that solve
     @staticmethod
     def field(kind):
         if kind == "patch":  # compact and centred: steps and records run on a window
@@ -382,10 +401,10 @@ class TestSharedOutputSolve:
         assert full.last.values.tobytes() == basic.last.values.tobytes()
         assert (full.steps, full.stage_redos) == (basic.steps, basic.stage_redos)
 
-    def test_solves_per_full_run(self, monkeypatch):
-        # 4 per step, 1 per record for its bump, 1 for the energy's bump and 1 for the
-        # last record's own potential; every other record's is its next step's
-        from vortexlab import diagnostics, potentials
+    @staticmethod
+    def count_solves(monkeypatch):
+        """The block shape of every potential solve, in a list that grows as they happen."""
+        from vortexlab import diagnostics
 
         calls = []
         view = potentials._potential_view
@@ -394,13 +413,38 @@ class TestSharedOutputSolve:
             calls.append(args[1].shape)
             return view(*args)
 
-        monkeypatch.setattr(potentials, "_potential_view", counting)
-        monkeypatch.setattr(diagnostics, "_potential_view", counting)
+        for module in (potentials, diagnostics, solver):
+            monkeypatch.setattr(module, "_potential_view", counting)
+        return calls
+
+    def test_solves_per_full_run(self, monkeypatch):
+        # 4 per step, 1 per record for its bump, 1 for the energy's bump and 1 for the
+        # last record's own potential; every other record's is its next step's
+        calls = self.count_solves(monkeypatch)
         g = CartesianGrid(2, 2.56, 192)
         u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) * 2 * pi))
         traj = run(SolverConfig(output_times=(0.25, 0.5), diagnostics="full"), u0)
         assert len(calls) == STAGES * traj.steps + len(traj.records) + 2
         assert set(calls) == {g.shape}
+
+    def test_hook_solve_between_record_and_step(self, monkeypatch):
+        # a hook that solves a potential of the same block shape overwrites the record's
+        # solve in its table's buffer: the step after each hooked output solves again,
+        # and the records are those of the run without the hook, bit for bit
+        g = CartesianGrid(2, 2.56, 192)
+        u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) * 2 * pi))
+        cfg = SolverConfig(output_times=(0.25, 0.5), diagnostics="full")
+        plain = run(cfg, u0)
+        reference = mollified_reference(g, total_mass(u0))
+        calls = self.count_solves(monkeypatch)
+        hooked = []
+        traj = run(cfg, u0, at_output=lambda t, u: hooked.append(energy(u, 1.0, reference)))
+        assert _support_window(u0.values) == (slice(0, 192),) * 2  # the hook's solves have the step's shape
+        assert [rec.row() for rec in traj.records] == [rec.row() for rec in plain.records]
+        assert traj.last.values.tobytes() == plain.last.values.tobytes()
+        # two solves per hook call, and one more per step that follows a hooked output
+        solves = STAGES * traj.steps + len(traj.records) + 2
+        assert len(calls) == solves + 2 * len(hooked) + (len(traj.records) - 1)
 
     # the dissipation is summed in row blocks: one row each (1), three rows of the
     # 32-cell windows and one of the 96-cell Gaussian box (96), blocks whose last holds
@@ -416,7 +460,9 @@ class TestSharedOutputSolve:
         a = (1.0 + t) ** 0.5
         cv = g.cell_volume
         with mock.patch.object(potentials, "STRIP_CELLS", strip):
-            rec, faces = _output_record(u, t, 1.0, mass, True)
+            rec, p = _output_record(u, t, 1.0, mass, True)
+        assert _is_latest_solve(p)
+        handed = p.copy()
 
         def renormalized(ref):
             return cv * float(((u.values - ref) * potential_values(g, u.values + ref, 1.0)).sum())
@@ -427,17 +473,16 @@ class TestSharedOutputSolve:
         x = g.axis_centers()
         face_x = 0.5 * (x[:-1] + x[1:])
         dissipation = 0.0
-        for axis, xi in enumerate(interior_faces(_face_velocities(g, u.values, 1.0))):
+        for axis, xi in enumerate(interior_faces(potential_faces(g, u.values, 1.0))):
             lines, xi = np.moveaxis(u.values, axis, -1), np.moveaxis(xi, axis, -1)
             face_u = 0.5 * (lines[..., :-1] + lines[..., 1:])
             dissipation += cv * float((face_u * (a * xi - face_x / (2.0 * a)) ** 2).sum())
         assert rec.energy == pytest.approx(energy, rel=1e-12)
         assert rec.entropy == pytest.approx(entropy, rel=1e-12)
         assert rec.dissipation == pytest.approx(dissipation, rel=1e-12)
-        # the faces the record hands on are the step's own, bit for bit
+        # the potential the record hands on is the step's own, bit for bit
         window = _support_window(u.values)
-        for got, want in zip(faces, _face_velocities(g, u.values[window], 1.0)):
-            assert got.tobytes() == want.tobytes()
+        assert handed.tobytes() == potential_values(g, u.values[window], 1.0).tobytes()
 
 
 class TestRunProperties:
@@ -567,12 +612,15 @@ class TestTransport:
         vals[rng.random(shape) < 0.05] = -0.0
         if nan:
             vals[tuple(rng.integers(cells) for cells in shape)] = np.nan
-        faces = [rng.normal(size=face) * (rng.random(face) < 0.8) for face in face_shapes(shape)]
+        p = random_potential(rng, shape)
         with np.errstate(invalid="ignore"), mock.patch.object(potentials, "STRIP_CELLS", strip):
             if strip < vals.size and shape[0] > 1:  # the patched constant is the one read
-                assert len(_row_blocks(vals)[1]) > 1
-            got, want = _advance(g, vals, cell_faces(faces), dt), reference_advance(g, vals, faces, dt)
-            into = _advance(g, vals, cell_faces(faces), dt, out=np.full(shape, 7.0))
+                assert len(_row_blocks(vals.shape)[1]) > 1
+            faces = interior_faces(strip_faces(g, p))
+            (got, bound), want = _advance(g, vals, p, dt, 0.45), reference_advance(g, vals, faces, dt)
+            into, unbounded = _advance(g, vals, p, dt, out=np.full(shape, 7.0))
+        assert bound == reference_stable_dt(g, faces, 0.45)  # the transport's sweep takes the CFL bound too
+        assert unbounded is None
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.array_equal(into, got, equal_nan=True) and np.array_equal(np.signbit(into), np.signbit(got))
@@ -615,11 +663,12 @@ class TestTransport:
         g = CartesianGrid(n, 1.0, 32)
         shape = tuple(data.draw(st.integers(1, 40)) for _ in range(n))
         rng = np.random.default_rng(seed)
-        faces = [rng.normal(size=face) * (rng.random(face) < 0.7) for face in face_shapes(shape)]
-        if nan and faces[-1].size:
-            faces[-1].reshape(-1)[rng.integers(faces[-1].size)] = np.nan
+        p = random_potential(rng, shape)
+        if nan:
+            p.reshape(-1)[rng.integers(p.size)] = np.nan
         with mock.patch.object(potentials, "STRIP_CELLS", strip):
-            got = _stable_dt(g, cell_faces(faces), 0.45)
+            faces = interior_faces(strip_faces(g, p))
+            got = _stable_dt(g, p, 0.45)
         assert got == reference_stable_dt(g, faces, 0.45)
 
     @settings(max_examples=25, deadline=None)
@@ -632,13 +681,15 @@ class TestTransport:
         shape = (data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40)))
         rng = np.random.default_rng(seed)
         vals = rough_field(rng, shape)
-        vx, vy = (rng.normal(size=face) for face in face_shapes(shape))
-        advance = lambda vals, faces: _advance(g, vals, cell_faces(faces), 0.01)
-        for faces in ((vx, np.zeros_like(vy)), (np.zeros_like(vx), vy)):
-            swapped = (faces[1].T, faces[0].T)
-            assert np.array_equal(advance(vals.T, swapped), advance(vals, faces).T)
-        both = advance(vals, (vx, vy))
-        assert np.abs(advance(vals.T, (vy.T, vx.T)) - both.T).max() <= 1e-15 * max(1.0, np.abs(both).max())
+        # potentials constant along one axis have faces along the other only
+        px = np.repeat(rng.normal(size=(shape[0], 1)), shape[1], axis=1)
+        py = np.repeat(rng.normal(size=(1, shape[1])), shape[0], axis=0)
+        advance = lambda vals, p: _advance(g, vals, p, 0.01)[0]
+        for p in (px, py):
+            assert np.array_equal(advance(vals.T, p.T), advance(vals, p).T)
+        p = rng.normal(size=shape)
+        both = advance(vals, p)
+        assert np.abs(advance(vals.T, p.T) - both.T).max() <= 1e-15 * max(1.0, np.abs(both).max())
 
     def test_nan_cell_raises(self):
         g = CartesianGrid(2, 2.0, 32)
@@ -663,38 +714,41 @@ class TestAllocationBudget:
             tracemalloc.stop()
 
     def test_velocity_solve_and_transport(self):
-        # the solve is one potential, left in its table's buffer, and its differences
-        # onto the faces; the transport's temporaries are strips of about STRIP_CELLS cells
+        # the solve is one potential, left in its table's buffer; the transport takes its
+        # faces from it row block by row block, and its temporaries are strips of about
+        # STRIP_CELLS cells
         g = CartesianGrid(2, 4.0, 384)
         vals = np.exp(-g.radius() ** 2)
-        faces = _face_velocities(g, vals, 1.0)  # builds and caches the kernel table
-        solve = self.peak_bytes(lambda: _face_velocities(g, vals, 1.0))
-        advance = self.peak_bytes(lambda: _advance(g, vals, faces, 1e-3))
-        assert solve <= 2.5 * vals.nbytes
+        _potential_view(g, vals, 1.0)  # builds and caches the kernel table
+        solve = self.peak_bytes(lambda: _potential_view(g, vals, 1.0))
+        p = _potential_view(g, vals, 1.0)
+        advance = self.peak_bytes(lambda: _advance(g, vals, p, 1e-3, 0.45))
+        assert solve <= 0.25 * vals.nbytes
         assert advance <= 2 * vals.nbytes
 
     def test_step_and_its_cfl_bound(self):
-        # the cell speeds are summed and reduced row block by row block, so the bound
-        # takes no block-sized array; each later stage's face velocities take the first
-        # stage's arrays
+        # the faces are taken, and the cell speeds summed and reduced, row block by row
+        # block, so the bound takes no block-sized array; a step holds its input's window,
+        # two stage registers and strips, and no face array
         g = CartesianGrid(2, 4.0, 384)
         vals = np.exp(-g.radius() ** 2)
-        faces = _face_velocities(g, vals, 1.0)
+        p = _potential_view(g, vals, 1.0)
         cfg = SolverConfig(output_times=(1.0,))
-        assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl)) <= 2 * vals.nbytes
-        assert self.peak_bytes(lambda: _stable_dt(g, faces, cfg.cfl)) <= vals.nbytes
-        assert self.peak_bytes(lambda: _step(g, vals, 1e-3, cfg)) <= 5 * vals.nbytes
+        assert self.peak_bytes(lambda: _stable_dt(g, p, cfg.cfl)) <= 2 * vals.nbytes
+        assert self.peak_bytes(lambda: _stable_dt(g, p, cfg.cfl)) <= vals.nbytes
+        assert self.peak_bytes(lambda: _step(g, vals, 1e-3, cfg)) <= 3.25 * vals.nbytes
 
     def test_full_diagnostics_record(self):
         # every solve stays in the table's buffer; each reference bump is built on its
-        # disk's box and its window-shaped block is gone before G_h u is solved, and the
-        # dissipation reads the faces that the record returns without copying them
+        # disk's box and its window-shaped block is gone before G_h u is solved, the
+        # dissipation takes the faces of the potential that the record returns row block
+        # by row block, and the radial profile of the W2 distance bins the cells in place
         g = CartesianGrid(2, 4.0, 384)
         u = DensityField(g, np.exp(-g.radius() ** 2))
         mass = total_mass(u)
         record = lambda: _output_record(u, 0.1, 1.0, mass, True)
         record()  # builds and caches the kernel table
-        assert self.peak_bytes(record) <= 4 * u.values.nbytes
+        assert self.peak_bytes(record) <= 2.25 * u.values.nbytes
 
     def test_full_diagnostics_run(self):
         # a whole run: the last output's field, one kernel table with its buffer, the
@@ -703,7 +757,18 @@ class TestAllocationBudget:
         width_sq = 1.0 / (4 * pi)
         u0 = field_from_function(g, lambda p: 2.0 * np.exp(-(p**2).sum(axis=-1) / (2 * width_sq)))
         cfg = SolverConfig(output_times=(0.25, 0.5), diagnostics="full")
-        assert self.peak_bytes(lambda: run(cfg, u0)) <= 18 * u0.values.nbytes
+        assert self.peak_bytes(lambda: run(cfg, u0)) <= 11.75 * u0.values.nbytes
+
+    def test_kernel_table_build(self):
+        # a table tabulates its kernel in row blocks straight into its padded buffer, so
+        # its build holds the buffer, the spectrum and one row block: no kernel array of
+        # the doubled grid, which alone is four blocks
+        g = CartesianGrid(2, 4.0, 384)
+        _kernel_table.cache_clear()  # so the call builds
+        tables = []
+        peak = self.peak_bytes(lambda: tables.append(_kernel_table(g, 1.0, g.shape)))
+        held = tables[0].padded.nbytes + tables[0].spectrum.nbytes
+        assert peak <= held + 0.25 * 384**2 * 8
 
     def test_run_peak_does_not_grow_with_its_outputs(self):
         # a run holds no field of an earlier output, so a whole-box run with sixteen
@@ -821,7 +886,7 @@ class TestEnergyDissipationIdentity:
             rate = (recs[k + 1].energy - recs[k - 1].energy) / (recs[k + 1].t - recs[k - 1].t)
             u = fields[k].values
             flux = 0.0
-            for axis, xi in enumerate(interior_faces(_face_velocities(g, u, 1.0))):
+            for axis, xi in enumerate(interior_faces(potential_faces(g, u, 1.0))):
                 lines, xi = np.moveaxis(u, axis, -1), np.moveaxis(xi, axis, -1)
                 flux += float((0.5 * (lines[..., :-1] + lines[..., 1:]) * xi**2).sum())
             target = -2.0 * g.cell_volume * flux
@@ -882,8 +947,8 @@ class TestDiscreteEnergyLaw:
     def test_summation_by_parts(self, n, s, seed, data):
         g, vals = self.field(n, seed, data)
         p = potential_values(g, vals, s)
-        faces = _face_velocities(g, vals, s)
-        rate = _advance(g, vals, faces, 1.0) - vals  # L(u) at dt = 1
+        faces = strip_faces(g, p)
+        rate = _advance(g, vals, p, 1.0)[0] - vals  # L(u) at dt = 1
         work = [
             np.moveaxis(xi, axis, 0) * reference_flux(vals, xi, axis) for axis, xi in enumerate(interior_faces(faces))
         ]
@@ -929,7 +994,7 @@ class TestDiscreteEnergyLaw:
         stages, rates = [vals], []
         for _ in range(STAGES):
             u = stages[-1]
-            rates.append((_advance(g, u, _face_velocities(g, u, s), tau) - u) / tau)
+            rates.append((_advance(g, u, potential_values(g, u, s), tau)[0] - u) / tau)
             stages.append(u + tau * rates[-1])
         assert clipped == 0.0 and min(u.min() for u in stages) >= 0.0
         q = lambda d: cv * float((d * potential_values(g, d, s)).sum())
@@ -967,15 +1032,17 @@ class TestStagePositivity:
         g = CartesianGrid(1, 1.0, 24)
         vals = np.array([0.732, 0.710])
         cfg = SolverConfig(output_times=(1.0,), s=0.375, cfl=0.25)
-        faces = _face_velocities(g, vals, cfg.s)
+        p = potential_values(g, vals, cfg.s)
         dt, new, clipped, redos = _ssp_update(g, vals, 1.0, cfg)
         assert redos >= 1
-        assert dt < (STAGES - 1) * _stable_dt(g, faces, cfg.cfl)
+        assert dt < (STAGES - 1) * _stable_dt(g, p, cfg.cfl)
         assert clipped == 0.0 and new.min() >= 0.0
         assert new.sum() == pytest.approx(vals.sum(), rel=1e-14)
         # the redo starts from u's own faces again: it is the step at its final dt, and
-        # so is a step handed u's faces (as a full record hands them)
-        for handed in (None, faces):
+        # so is a step handed u's potential (as a full record hands it)
+        for handed in (None, "solved"):
+            if handed:
+                handed = _potential_view(g, vals, cfg.s)
             again = _ssp_update(g, vals, dt, cfg, handed)
             assert (again[0], again[1].tobytes(), again[3]) == (dt, new.tobytes(), 0)
 
