@@ -58,6 +58,7 @@ __all__ = [
     "entropy_and_dissipation",
     "quantile_radii",
     "wasserstein_radial",
+    "coupling_certificate",
     "wasserstein_continuity_check",
     "ContinuityReport",
     "write_records_csv",
@@ -328,8 +329,7 @@ def wasserstein_radial(m1: MassFunction, m2: MassFunction) -> float:
         raise ValueError("mass functions must share a dimension")
     f1 = m1.full_mass()
     f2 = m2.full_mass()
-    if abs(f1 - f2) > 1e-8 * max(f1, 1e-300):
-        raise ValueError(f"total masses differ: {f1:.12g} vs {f2:.12g}")
+    _check_equal_mass(f1, f2)
     total = 0.5 * (f1 + f2)
     if total == 0.0:
         return 0.0
@@ -337,6 +337,38 @@ def wasserstein_radial(m1: MassFunction, m2: MassFunction) -> float:
     r1 = quantile_radii(m1, q)
     r2 = quantile_radii(m2, q)
     return float(((r1 - r2) ** 2).sum() * (total / N_QUAD)) ** 0.5
+
+
+def coupling_certificate(a, b) -> tuple[float, float]:
+    """The cost sum_i (a_i - b_i)^2 of coupling atom a_i with b_i, among N equal-weight
+    atoms on the line, and a Kantorovich dual certificate that no other pairing costs less.
+
+    For sorted a and b (the sorted, monotone coupling) the potentials
+
+        f_0 = 0,  f_i = f_{i-1} + b_{i-1} (a_i - a_{i-1}),
+        phi = a^2 - 2 f,  psi = b^2 - 2 (a b - f)
+
+    satisfy phi_i + psi_j <= (a_i - b_j)^2 for every i, j, with equality for j = i.  Any
+    pairing i -> j(i) then costs at least sum phi + sum psi, the coupling's own cost, so
+    the coupling is optimal by LP duality.  The second value returned is the smallest
+    slack (a_i - b_j)^2 - phi_i - psi_j over all i, j relative to the largest cost
+    (0 where every cost is 0): at or above rounding it certifies the coupling, and a
+    pairing that crosses, such as two swapped partners, gives a negative slack.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape or not a.size:
+        raise ValueError("a and b must be 1-D arrays of the same nonzero length")
+    f = np.concatenate([[0.0], np.cumsum(b[:-1] * np.diff(a))])
+    phi = a**2 - 2 * f
+    psi = b**2 - 2 * (a * b - f)
+    slack = np.subtract.outer(a, b)
+    slack **= 2  # the cost (a_i - b_j)^2
+    largest = float(slack.max())
+    slack -= phi[:, None]
+    slack -= psi[None, :]
+    cost = float(((a - b) ** 2).sum())
+    return cost, float(slack.min()) / largest if largest > 0 else 0.0
 
 
 @dataclass

@@ -184,13 +184,15 @@ class RadialGrid:
         if not 0 < self.r_max < inf:
             raise ValueError("r_max must be positive and finite")
         try:
-            normal = _normal(self.r_max**self.n / self.n / (self.nodes - 1))  # the node spacing d_sigma
+            d_sigma = self.r_max**self.n / self.n / (self.nodes - 1)
         except OverflowError:  # r_max**n beyond the float range
-            normal = False
-        if not normal:
+            d_sigma = inf
+        # a derivative in sigma (np.gradient) divides by a spacing times the sum of two, about
+        # 2 d_sigma^2: a normal 4 d_sigma^2 keeps it a normal float with room for rounding
+        if not _normal(4.0 * d_sigma * d_sigma):
             raise ValueError(
-                f"r_max {self.r_max} over {self.nodes} nodes: the node spacing in sigma = r^n / n must "
-                "be a positive normal float"
+                f"r_max {self.r_max} over {self.nodes} nodes: the node spacing d_sigma in sigma = r^n / n "
+                "must make 4 d_sigma^2 a positive normal float"
             )
 
     @cached_property

@@ -10,6 +10,7 @@ from vortexlab.closed_forms import PatchSpec, patch_density, patch_mass
 from vortexlab.diagnostics import (
     DiagnosticsRecord,
     asymptotic_error,
+    coupling_certificate,
     entropy_and_dissipation,
     equilibrium_radius,
     mollified_reference,
@@ -30,7 +31,7 @@ from vortexlab.grids import (
     total_mass,
 )
 from vortexlab.potentials import potential_values
-from vortexlab.scenarios import PATCH_DISSIPATION_PER_H, w2_continuity_constant
+from vortexlab.scenarios import COUPLING_SLACK, PATCH_DISSIPATION_PER_H, w2_continuity_constant
 from test_solver import interior_faces, potential_faces
 
 
@@ -189,6 +190,22 @@ class TestWassersteinRadial:
             rows, cols = linear_sum_assignment(cost)
             oracle = sqrt(cost[rows, cols].sum() * w)
             assert shipped == pytest.approx(oracle, rel=0.01)
+
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 17, 400])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_certificate_cost_is_the_assignment_optimum(self, atoms, ties):
+        # sorted atoms on the line: the certified coupling costs what the assignment
+        # solver finds, and its dual slack sits at rounding
+        rng = np.random.default_rng(atoms)
+        for _ in range(5):
+            a, b = (np.sort(rng.random(atoms)) * 3 for _ in range(2))
+            if ties:  # a few values each taken by several atoms, in both lists
+                a, b = np.round(a), np.round(b)
+            cost, slack = coupling_certificate(a, b)
+            matrix = (a[:, None] - b[None, :]) ** 2
+            rows, cols = linear_sum_assignment(matrix)
+            assert cost == pytest.approx(matrix[rows, cols].sum(), rel=1e-12, abs=1e-300)
+            assert slack >= float(COUPLING_SLACK)
 
     def test_agrees_with_transport_linear_program(self):
         # unequal atoms: full LP over couplings vs the monotone-coupling value

@@ -74,6 +74,13 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             RadialGrid(2, 3.0, 8)
 
+    @pytest.mark.parametrize("r_max", [1.5e150, 1e-80])
+    def test_radial_spacing_squared_is_normal(self, r_max):
+        # a derivative in sigma divides by products of two node spacings: at these
+        # r_max the product overflows, or underflows to 0
+        with pytest.raises(ValueError, match="4 d_sigma\\^2"):
+            RadialGrid(2, r_max, 256)
+
     def test_mass_function_invariants(self):
         rg = RadialGrid(2, 3.0, 32)
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from vortexlab.cli import main
 from vortexlab.closed_forms import PatchSpec, TwoPatchSpec, patch_density, two_patch_state
 from vortexlab.grids import CartesianGrid, field_from_function, read_grid_array, total_mass
 from vortexlab.scenarios import (
+    COUPLING_SLACK,
     MONOTONE_SLACK,
     ORDERING_SLACK,
     REGISTRY,
@@ -216,6 +217,10 @@ class TestValidateConfig:
         {"scenario": "two-patch", "params": {"r1": 5e-324}},
         {"scenario": "asymptotics", "params": {"radial_r_max": 5e-324, "cells": 64}},
         {"scenario": "two-patch", "params": {"c1": 2.2e-300}},
+        {"scenario": "two-patch", "params": {"sigma_max": 1e300}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_width_sq": 1e-320}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_width_sq": 1e-308}},
+        {"scenario": "asymptotics", "params": {"cells": 32, "radial_mass": 1e300, "radial_width_sq": 1e-10}},
     ], ids=["nan-radius", "nan-output-time", "dirac-box-too-small", "cfl-violation",
             "oracle-nan-r-max", "asymptotics-nan-radial-time", "two-patch-nan-fv-time",
             "barenblatt-nan-r-max", "oracle-float-pairs", "two-patch-float-fv-nodes",
@@ -243,7 +248,9 @@ class TestValidateConfig:
             "vortex-patch-output-times-short-of-t-end", "dirac-cell-volume-underflows",
             "dirac-subnormal-half-width", "asymptotics-zero-mass", "asymptotics-subnormal-mass",
             "dirac-mass-below-its-resolution", "two-patch-annulus-height-underflows",
-            "asymptotics-radial-spacing-underflows", "two-patch-nothing-moves-by-fv-time"])
+            "asymptotics-radial-spacing-underflows", "two-patch-nothing-moves-by-fv-time",
+            "two-patch-radial-spacing-squared-overflows", "asymptotics-subnormal-radial-width-sq",
+            "asymptotics-radial-exponent-overflows", "asymptotics-radial-height-overflows"])
     def test_bad_config_run_exits_2_without_report(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -310,6 +317,22 @@ class TestRunScenario:
         report = json.loads((tmp_path / "wasserstein-oracle" / "report.json").read_text())
         assert report["passed"] is True
         assert all("claim" in c and "measured" in c for c in report["checks"])
+
+    def test_swapped_partners_fail_the_certificate(self, tmp_path, monkeypatch):
+        # a coupling that swaps two partners is not optimal, and its dual slack says so
+        certify = scenarios.diagnostics.coupling_certificate
+
+        def swapped(a, b):
+            b = b.copy()
+            mid = len(b) // 2
+            b[[mid, mid + 1]] = b[[mid + 1, mid]]
+            return certify(a, b)
+
+        monkeypatch.setattr(scenarios.diagnostics, "coupling_certificate", swapped)
+        result = run_scenario(ScenarioSpec("wasserstein-oracle", outdir=str(tmp_path)))
+        checks = {c.name: c for c in result.checks}
+        assert checks["coupling-certified"].measured < float(COUPLING_SLACK)
+        assert not checks["coupling-certified"].passed and not result.passed
 
     def test_two_patch_passes(self, tmp_path):
         result = run_scenario(ScenarioSpec("two-patch", outdir=str(tmp_path)))
@@ -503,8 +526,8 @@ class TestCli:
         assert not (tmp_path / "s-sweep").exists()
 
     def test_import_loads_no_scipy(self):
-        # scipy costs most of a CLI process's start-up; only the wasserstein-oracle
-        # runner imports it, lazily, so neither import nor validation loads it
+        # scipy is a test dependency only (pyproject.toml's `test` extra): no library
+        # module imports it, so neither import nor validation loads it
         code = (
             "import sys, vortexlab.cli; from vortexlab.scenarios import REGISTRY, validate_params; "
             "assert all(validate_params(name, {}) == [] for name in REGISTRY); "
@@ -513,6 +536,17 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": str(Path(vortexlab.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_oracle_runs_without_scipy(self, tmp_path):
+        # wasserstein-oracle certifies its optimal coupling with numpy alone; with
+        # scipy blocked, importing it would raise ModuleNotFoundError
+        code = (
+            "import sys; sys.modules['scipy'] = None; from vortexlab.cli import main; "
+            f"sys.exit(main(['run', 'wasserstein-oracle', '--out', {str(tmp_path)!r}]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(vortexlab.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr[-2000:]
 
     def test_import_and_validate_load_no_numpy_polynomial(self, tmp_path):
         # the Gauss-Legendre rule of the singular kernel cell is a fixed table, so neither
